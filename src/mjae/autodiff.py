@@ -185,22 +185,13 @@ def relu(a):
                   lambda g, x, y: g * (x > 0.0))
 
 
-def _sigmoid(x):
-    # evaluate on the side that cannot overflow exp
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def silu(a):
-    def _d(g, x, y):
-        s = _sigmoid(np.asarray(x, dtype=np.float64))
-        return g * (s + x * s * (1.0 - s))
-    return _unary(a, "silu",
-                  lambda x: x * _sigmoid(np.asarray(x, dtype=np.float64)), _d)
+    """x * sigmoid(x). The sigmoid is 0.5 (1 + tanh(x / 2)), which cannot
+    overflow, and backward reuses it: d/dx = s + x s (1 - s)."""
+    a = as_tensor(a)
+    s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+    out = a.data * s
+    return _make(out, ((a, lambda g: g * (s + out * (1.0 - s))),), "silu")
 
 
 def softmax(a, axis=-1):

@@ -183,7 +183,7 @@ def gaussian_score_toy(schedule, mu=1.0, sigma=1.0, hidden=64, d_time=16,
     state = init_adam_state(params)
 
     def net(x, t_arr):
-        emb = np.stack([fourier_embed(t, d_time) for t in t_arr])
+        emb = fourier_embed(t_arr, d_time)
         inp = Tensor(np.concatenate([x[:, None], emb], axis=1))
         h = ad.silu(ad.add(ad.matmul(inp, params["w1"]), params["b1"]))
         h = ad.silu(ad.add(ad.matmul(h, params["w2"]), params["b2"]))
@@ -192,11 +192,11 @@ def gaussian_score_toy(schedule, mu=1.0, sigma=1.0, hidden=64, d_time=16,
     for step in range(train_steps):
         x0 = mu + sigma * rng.standard_normal(batch)
         t_arr = t_min + (1.0 - t_min) * rng.uniform(size=batch)
-        ab = np.array([alpha_beta(schedule, t) for t in t_arr])
+        a, b = alpha_beta(schedule, t_arr)
         z = rng.standard_normal(batch)
-        xt = ab[:, 0] * x0 + ab[:, 1] * z
-        target = (-z / ab[:, 1])[:, None]
-        weight = (ab[:, 1] ** 2)[:, None]
+        xt = a * x0 + b * z
+        target = (-z / b)[:, None]
+        weight = (b ** 2)[:, None]
         pred = net(xt, t_arr)
         diff = ad.sub(pred, Tensor(target))
         loss = ad.mean(ad.mul(Tensor(weight), ad.square(diff)))

@@ -78,22 +78,38 @@ def molecule_frames(positions, cutoff=DEFAULT_CUTOFF):
     to the atom position, which makes the cross-product axis vanish for every
     atom of any molecule smaller than the cutoff; the smooth weighting keeps
     the construction equivariant while breaking that proportionality.
+
+    Each atom's frame is the one ``local_frame`` builds from its neighbors
+    and weights, computed for all atoms at once. The weights of a row are
+    scaled by exp(d_min) of that row's nearest neighbor, which leaves the
+    center unchanged but keeps the largest weight at 1, so spread-out
+    positions cannot underflow every weight to 0.
     """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
     if n == 1:
         return [Frame(*_CANONICAL)]
     dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
-    result = []
-    for i in range(n):
-        mask = (dists[i] <= cutoff)
-        mask[i] = False
-        if not mask.any():
-            mask = np.ones(n, dtype=bool)
-            mask[i] = False
-        weights = np.exp(-dists[i][mask])
-        result.append(local_frame(positions[i], positions[mask], weights))
-    return result
+    off_diagonal = ~np.eye(n, dtype=bool)
+    mask = (dists <= cutoff) & off_diagonal
+    empty = ~mask.any(axis=1)
+    mask[empty] = off_diagonal[empty]
+    d_min = np.where(mask, dists, np.inf).min(axis=1, keepdims=True)
+    weights = np.exp(d_min - dists, out=np.zeros_like(dists), where=mask)
+    center = (weights @ positions) / weights.sum(axis=1, keepdims=True)
+
+    e1 = positions - center
+    e2 = np.cross(center, positions)
+    norm1 = np.linalg.norm(e1, axis=1, keepdims=True)
+    norm2 = np.linalg.norm(e2, axis=1, keepdims=True)
+    # same fallback as local_frame: canonical axes when either axis vanishes
+    # (a NaN norm is not degenerate, so non-finite input stays non-finite)
+    usable = ~((norm1 < DEGENERACY_EPS) | (norm2 < DEGENERACY_EPS))
+    e1 = np.divide(e1, norm1, out=np.zeros_like(e1), where=usable)
+    e2 = np.divide(e2, norm2, out=np.zeros_like(e2), where=usable)
+    basis = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
+    basis[~usable[:, 0]] = _CANONICAL
+    return [Frame(*axes) for axes in basis]
 
 
 def global_frame(frames):

@@ -19,6 +19,7 @@ autodiff primitives so the whole model trains with reverse mode.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,17 +60,25 @@ class LatentRepresentation:
     pooled: Tensor   # (L,) mean-pooled graph embedding
 
 
+@functools.lru_cache(maxsize=32)
 def fourier_frequencies(d_time):
-    """Fixed geometric frequency ladder for the time embedding."""
-    n_freq = d_time // 2
-    return np.geomspace(1.0, 128.0, n_freq)
+    """Fixed geometric frequency ladder for the time embedding.
+
+    Built once per width and shared by every caller, so it is read-only.
+    """
+    freqs = np.geomspace(1.0, 128.0, d_time // 2)
+    freqs.flags.writeable = False
+    return freqs
 
 
 def fourier_embed(t, d_time):
-    """[sin(2 pi f_k t), cos(2 pi f_k t)] over the fixed frequency ladder."""
-    freqs = fourier_frequencies(d_time)
-    phase = 2.0 * np.pi * freqs * t
-    return np.concatenate([np.sin(phase), np.cos(phase)])
+    """[sin(2 pi f_k t), cos(2 pi f_k t)] over the fixed frequency ladder.
+
+    ``t`` is a float, giving shape (d_time,), or an array of times, giving
+    one embedding row per time: shape ``t.shape + (d_time,)``.
+    """
+    phase = np.multiply.outer(t, 2.0 * np.pi * fourier_frequencies(d_time))
+    return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 
 # -- parameters ----------------------------------------------------------

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 HORIZON = 1.0
 
 
@@ -39,20 +41,27 @@ class NoiseSchedule:
 
 
 def _check_time(t):
-    if not 0.0 <= t <= HORIZON:
-        raise ValueError(f"time {t} outside [0, {HORIZON}]")
+    """Raise unless every time in ``t`` (a float or an array) lies in
+    [0, HORIZON]; NaN lies outside."""
+    inside = (t >= 0.0) & (t <= HORIZON)
+    # a float gives a plain bool; np.all would cost microseconds even then
+    if inside is not True and not np.all(inside):
+        raise ValueError(f"time {np.asarray(t)[~np.asarray(inside)].flat[0]} "
+                         f"outside [0, {HORIZON}]")
 
 
 def alpha_beta(schedule, t):
-    """Marginal coefficients (alpha(t), beta(t)) of the forward perturbation."""
+    """Marginal coefficients (alpha(t), beta(t)) of the forward perturbation.
+
+    ``t`` is a float or an array of times; each coefficient has its shape.
+    """
     _check_time(t)
     if schedule.kind == "VP":
         integral = schedule.beta_min * t + 0.5 * (schedule.beta_max - schedule.beta_min) * t * t
-        alpha = math.exp(-0.5 * integral)
-        beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        return alpha, beta
+        alpha = np.exp(-0.5 * integral)
+        return alpha, np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
     ratio = schedule.sigma_max / schedule.sigma_min
-    return 1.0, schedule.sigma_min * ratio ** t
+    return np.ones_like(t)[()], schedule.sigma_min * ratio ** t
 
 
 def drift_diffusion(schedule, t):

@@ -121,6 +121,19 @@ def test_primitive_gradients(name, rng):
         _check(lambda x, c=c: CASES[name](x, c), x0)
 
 
+def test_silu_gradient_at_extreme_inputs():
+    # the sigmoid inside silu must not overflow far out in either tail
+    x0 = np.array([[-800.0, -400.0, -40.0, -5.0],
+                   [-0.3, 0.0, 0.3, 5.0],
+                   [40.0, 400.0, 700.0, 800.0]])
+    with np.errstate(over="raise"):
+        _check(lambda x: ad.sum_(ad.silu(x)), x0)
+        out = ad.silu(Tensor(x0)).data
+    assert np.all(np.isfinite(out))
+    # tanh rounds the far negative tail of the sigmoid to 0: absolute accuracy
+    assert np.allclose(out, x0 / (1.0 + np.exp(-np.clip(x0, -700, 700))), rtol=1e-12, atol=1e-12)
+
+
 def test_matmul_gradient(rng):
     w = rng.standard_normal((4, 2))
     _check(lambda x: ad.sum_(ad.square(ad.matmul(x, Tensor(w)))), rng.standard_normal((3, 4)))

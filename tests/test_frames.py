@@ -150,3 +150,50 @@ def test_frames_always_orthonormal_property(seed):
         m = f.matrix
         assert np.abs(m @ m.T - np.eye(3)).max() < 1e-6
         assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-6
+
+
+def _per_atom_frames(positions, cutoff=5.0):
+    """Loop reference: one local_frame call per atom with exp(-d) weights."""
+    n = positions.shape[0]
+    dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
+    frames = []
+    for i in range(n):
+        mask = dists[i] <= cutoff
+        mask[i] = False
+        if not mask.any():
+            mask = np.arange(n) != i
+        frames.append(local_frame(positions[i], positions[mask], np.exp(-dists[i][mask])))
+    return frames
+
+
+def test_molecule_frames_match_per_atom_reference(rng):
+    # sizes and spreads mix atoms inside the cutoff with atoms whose ball is empty
+    for _ in range(200):
+        n = int(rng.integers(2, 15))
+        pos = rng.standard_normal((n, 3)) * rng.choice([0.5, 1.0, 3.0, 6.0])
+        pos -= pos.mean(axis=0)
+        got = np.stack([f.matrix for f in molecule_frames(pos)])
+        want = np.stack([f.matrix for f in _per_atom_frames(pos)])
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_molecule_frames_canonical_fallbacks():
+    # single atom, a centered pair, and a line through the origin: every
+    # atom's neighbor center is collinear with it, so every frame is canonical
+    line = np.array([[-2.0, 0, 0], [-0.5, 0, 0], [1.0, 0, 0], [1.5, 0, 0]])
+    for pos in (np.zeros((1, 3)), np.array([[0.0, 0, 0.7], [0.0, 0, -0.7]]), line):
+        for f in molecule_frames(pos):
+            assert np.array_equal(f.matrix, np.eye(3))
+
+
+def test_molecule_frames_far_beyond_cutoff_stay_finite(rng):
+    # at 1000x spread every exp(-d) underflows to 0, and the center was 0/0
+    pos = rng.standard_normal((8, 3))
+    pos -= pos.mean(axis=0)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        frames = molecule_frames(1000.0 * pos)
+    m = np.stack([f.matrix for f in frames])
+    assert np.all(np.isfinite(m))
+    assert np.abs(m @ m.transpose(0, 2, 1) - np.eye(3)).max() < 1e-12
+    assert np.allclose(np.linalg.det(m), 1.0, atol=1e-12)
+    assert not any(np.array_equal(f, np.eye(3)) for f in m)

@@ -35,6 +35,23 @@ def test_fourier_t0():
     assert np.all(emb[8:] == 1.0)
 
 
+def test_fourier_array_matches_stacked_scalars():
+    t = np.concatenate([[0.0, 1.0], np.random.default_rng(5).uniform(size=515)])
+    for d in (8, 16, 64):
+        emb = fourier_embed(t, d)
+        assert emb.shape == (t.size, d)
+        assert np.array_equal(emb, np.stack([fourier_embed(float(x), d) for x in t]))
+    assert fourier_embed(t.reshape(11, 47), 16).shape == (11, 47, 16)
+
+
+def test_fourier_ladder_is_shared_and_read_only():
+    freqs = fourier_frequencies(16)
+    assert fourier_frequencies(16) is freqs
+    assert np.array_equal(freqs, np.geomspace(1.0, 128.0, 8))
+    with pytest.raises(ValueError):
+        freqs[0] = 2.0
+
+
 def test_fourier_lipschitz():
     d = 16
     c = 2.0 * np.pi * fourier_frequencies(d).max() * np.sqrt(d)

@@ -83,6 +83,29 @@ def test_time_domain_errors():
         drift_diffusion(VE, 1.5)
 
 
+@pytest.mark.parametrize("sched", [VP, VE])
+def test_array_times_match_scalar_calls(sched):
+    grid = np.concatenate([np.linspace(0.0, HORIZON, 257),
+                           np.random.default_rng(3).uniform(size=64)])
+    alphas, betas = alpha_beta(sched, grid)
+    assert alphas.shape == betas.shape == grid.shape
+    for t, a, b in zip(grid, alphas, betas):
+        a_ref, b_ref = alpha_beta(sched, float(t))
+        assert abs(a - a_ref) <= 1e-15 * abs(a_ref)
+        assert abs(b - b_ref) <= 1e-15 * abs(b_ref)
+    a2, b2 = alpha_beta(sched, grid.reshape(-1, 1))
+    assert a2.shape == b2.shape == (grid.size, 1)
+
+
+@pytest.mark.parametrize("bad", [np.array([0.2, -1e-9]), np.array([0.5, 1.0 + 1e-9]),
+                                 np.array([np.nan, 0.5]), np.array([[0.1], [np.inf]]),
+                                 float("nan")])
+def test_array_and_nan_time_domain_errors(bad):
+    for sched in (VP, VE):
+        with pytest.raises(ValueError, match="outside"):
+            alpha_beta(sched, bad)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         NoiseSchedule(kind="cosine")
