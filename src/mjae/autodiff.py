@@ -44,9 +44,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r})"
 
@@ -350,11 +347,3 @@ def backward(loss):
         node._parents = ()
     loss._consumed = True
 
-
-PRIMITIVES = {
-    "add": add, "sub": sub, "mul": mul, "div": div, "matmul": matmul,
-    "concat": concat, "slice": slice_, "reshape": reshape, "transpose": transpose,
-    "sum": sum_, "mean": mean, "relu": relu, "silu": silu, "softmax": softmax,
-    "exp": exp, "log": log, "square": square, "sqrt": sqrt, "abs": abs_,
-    "broadcast": broadcast, "neg": neg,
-}

@@ -2,7 +2,8 @@
 
 Subcommands: ingest, pretrain, sample, eval, probe, selftest. A flat
 key=value config file (default path from MJAE_CONFIG) supplies defaults;
-flags override. Every completed run writes a JSON manifest next to its
+flags override. Network and noise-schedule flags exist on pretrain only: its
+checkpoint stores both configs, and sample, eval and probe read them back. Every completed run writes a JSON manifest next to its
 output. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -25,8 +26,9 @@ from .network import NetworkConfig, init_params
 from .sampling import SamplerConfig, generate
 from .schedule import NoiseSchedule
 from .selftest import run_selftest
-from .training import (TrainConfig, build_schedules, check_shapes,
-                       load_checkpoint, save_checkpoint, train)
+from .training import (CheckpointError, TrainConfig, build_schedules,
+                       check_shapes, init_adam_state, load_checkpoint,
+                       save_checkpoint, train)
 
 __version__ = "0.1.0"
 
@@ -91,13 +93,12 @@ def read_dataset(path):
 def _train_config(args):
     sched = NoiseSchedule(
         kind=args.schedule_kind, beta_min=args.beta_min, beta_max=args.beta_max,
-        sigma_min=args.sigma_min, sigma_max=args.sigma_max, steps=args.steps)
+        sigma_min=args.sigma_min, sigma_max=args.sigma_max)
     return TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
         seed=args.seed, lambda1=args.lambda1, lambda2=args.lambda2,
         schedule=sched, t_min=args.t_min, tau0=args.tau0,
-        self_cond_prob=args.self_cond_prob,
-        lr_schedule=getattr(args, "lr_schedule", "constant"))
+        self_cond_prob=args.self_cond_prob, lr_schedule=args.lr_schedule)
 
 
 def _net_config(args):
@@ -141,9 +142,9 @@ def cmd_pretrain(args):
               f"sc {entry['l_sc']:.4f}  co {entry['l_co']:.4f}")
 
     params, history = train(graphs, cfg, net_cfg, on_epoch=log_epoch)
-    from .training import init_adam_state
     save_checkpoint(params, init_adam_state(params), args.out,
-                    meta={"net": asdict(net_cfg), "epochs": cfg.epochs})
+                    meta={"net": asdict(net_cfg), "schedule": asdict(cfg.schedule),
+                          "epochs": cfg.epochs})
     if args.loss_log:
         with open(args.loss_log, "w") as fh:
             json.dump(history, fh, indent=2)
@@ -152,17 +153,39 @@ def cmd_pretrain(args):
     return 0
 
 
-def _load_model(path, args):
-    params, state, meta = load_checkpoint(path)
-    net_cfg = _net_config(args)
+def _meta_config(meta, key, cls):
+    """``cls`` built from the checkpoint's ``meta[key]``, which must name every
+    field of ``cls`` with a value of the field's type."""
+    values = meta.get(key) if isinstance(meta, dict) else None
+    if not isinstance(values, dict):
+        raise CheckpointError(f"checkpoint meta has no {key!r} config")
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise CheckpointError(f"checkpoint meta {key!r} has unknown keys {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in values:
+            raise CheckpointError(f"checkpoint meta {key!r} has no {f.name!r}")
+        value, want = values[f.name], type(f.default)
+        if not (type(value) is want or (want is float and type(value) is int)):
+            raise CheckpointError(f"checkpoint meta {key}.{f.name} is {value!r}, "
+                                  f"expected {want.__name__}")
+    return cls(**values)
+
+
+def _load_model(path):
+    """Parameters, network config and meta of a checkpoint; the network config
+    is the one stored with it and must match its tensors."""
+    params, _, meta = load_checkpoint(path)
+    net_cfg = _meta_config(meta, "net", NetworkConfig)
     check_shapes(params, net_cfg)
-    return params, net_cfg
+    return params, net_cfg, meta
 
 
 def cmd_sample(args):
     started = time.time()
-    params, net_cfg = _load_model(args.checkpoint, args)
-    schedules = build_schedules(_train_config(args))
+    params, net_cfg, meta = _load_model(args.checkpoint)
+    schedules = build_schedules(
+        TrainConfig(schedule=_meta_config(meta, "schedule", NoiseSchedule)))
     cfg = SamplerConfig(steps=args.steps, lam=args.lam, n_atoms=args.n_atoms,
                         seed=args.seed, t_end=args.t_min)
     graphs = generate(params, net_cfg, schedules, cfg, args.count)
@@ -179,7 +202,7 @@ def cmd_sample(args):
 def cmd_eval(args):
     started = time.time()
     report = {}
-    params, net_cfg = _load_model(args.checkpoint, args)
+    params, net_cfg, _ = _load_model(args.checkpoint)
     if args.probe_set:
         probes, _ = read_dataset(args.probe_set)
         rep = symmetry_report(params, net_cfg, probes[:args.max_probes],
@@ -207,7 +230,7 @@ def cmd_probe(args):
         return 1
     labels = [radius_of_gyration(g) for g in graphs]
     seeds = tuple(range(args.probe_seeds))
-    params, net_cfg = _load_model(args.checkpoint, args)
+    params, net_cfg, _ = _load_model(args.checkpoint)
     pretrained = linear_probe(params, net_cfg, graphs, labels, seeds)
     rand_params = init_params(net_cfg, np.random.default_rng(args.seed))
     random_init = linear_probe(rand_params, net_cfg, graphs, labels, seeds)
@@ -247,23 +270,6 @@ def build_parser(defaults):
 
     def common(p):
         p.add_argument("--seed", type=int, default=int(defaults.get("seed", 0)))
-        p.add_argument("--threads", type=int, default=1,
-                       help="data-parallel width; 1 is the deterministic reference mode")
-        p.add_argument("--schedule-kind", default=defaults.get("schedule.kind", "VP"))
-        p.add_argument("--beta-min", type=float, default=float(defaults.get("schedule.beta_min", 0.1)))
-        p.add_argument("--beta-max", type=float, default=float(defaults.get("schedule.beta_max", 10.0)))
-        p.add_argument("--sigma-min", type=float, default=float(defaults.get("schedule.sigma_min", 0.01)))
-        p.add_argument("--sigma-max", type=float, default=float(defaults.get("schedule.sigma_max", 1.0)))
-        p.add_argument("--steps", type=int, default=int(defaults.get("schedule.steps", 1000)))
-        p.add_argument("--t-min", type=float, default=float(defaults.get("trajectory.t_min", 1e-3)))
-        p.add_argument("--latent", type=int, default=int(defaults.get("net.latent", 128)))
-        p.add_argument("--rounds", type=int, default=int(defaults.get("net.rounds", 3)))
-        p.add_argument("--gcn-layers", type=int, default=int(defaults.get("net.gcn_layers", 3)))
-        p.add_argument("--d-time", type=int, default=int(defaults.get("net.d_time", 64)))
-        p.add_argument("--d-contrast", type=int, default=int(defaults.get("net.d_contrast", 64)))
-        p.add_argument("--lambda1", type=float, default=float(defaults.get("loss.lambda1", 1.0)))
-        p.add_argument("--lambda2", type=float, default=float(defaults.get("loss.lambda2", 0.01)))
-        p.add_argument("--tau0", type=float, default=float(defaults.get("loss.tau0", 0.5)))
 
     p = sub.add_parser("ingest", help="validate and normalize a JSONL dataset")
     p.add_argument("input")
@@ -282,6 +288,20 @@ def build_parser(defaults):
     p.add_argument("--lr-schedule", choices=("constant", "cosine"),
                    default=str(defaults.get("train.lr_schedule", "constant")))
     p.add_argument("--loss-log", default=None)
+    p.add_argument("--schedule-kind", default=defaults.get("schedule.kind", "VP"))
+    p.add_argument("--beta-min", type=float, default=float(defaults.get("schedule.beta_min", 0.1)))
+    p.add_argument("--beta-max", type=float, default=float(defaults.get("schedule.beta_max", 10.0)))
+    p.add_argument("--sigma-min", type=float, default=float(defaults.get("schedule.sigma_min", 0.01)))
+    p.add_argument("--sigma-max", type=float, default=float(defaults.get("schedule.sigma_max", 1.0)))
+    p.add_argument("--t-min", type=float, default=float(defaults.get("trajectory.t_min", 1e-3)))
+    p.add_argument("--latent", type=int, default=int(defaults.get("net.latent", 128)))
+    p.add_argument("--rounds", type=int, default=int(defaults.get("net.rounds", 3)))
+    p.add_argument("--gcn-layers", type=int, default=int(defaults.get("net.gcn_layers", 3)))
+    p.add_argument("--d-time", type=int, default=int(defaults.get("net.d_time", 64)))
+    p.add_argument("--d-contrast", type=int, default=int(defaults.get("net.d_contrast", 64)))
+    p.add_argument("--lambda1", type=float, default=float(defaults.get("loss.lambda1", 1.0)))
+    p.add_argument("--lambda2", type=float, default=float(defaults.get("loss.lambda2", 0.01)))
+    p.add_argument("--tau0", type=float, default=float(defaults.get("loss.tau0", 0.5)))
     common(p)
     p.set_defaults(fn=cmd_pretrain)
 
@@ -291,10 +311,8 @@ def build_parser(defaults):
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--n-atoms", type=int, default=8)
     p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=2)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--self-cond-prob", type=float, default=0.0)
+    p.add_argument("--steps", type=int, default=int(defaults.get("schedule.steps", 1000)))
+    p.add_argument("--t-min", type=float, default=float(defaults.get("trajectory.t_min", 1e-3)))
     common(p)
     p.set_defaults(fn=cmd_sample)
 

@@ -59,7 +59,7 @@ def _rotate(dense, r):
 
 
 def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
-                    n_permutations=20, n_reflections=5, t=0.5, seed=0):
+                    n_permutations=20, t=0.5, seed=0):
     """Max symmetry residuals of the full model over a probe set.
 
     Equivariance / invariance is architectural, so a random-init model should
@@ -99,7 +99,7 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
             )
         mol["permutation"] = worstperm
 
-        worstrefl, ok = _reflection_check(params, net_cfg, dense, t, n_reflections)
+        worstrefl, ok = _reflection_check(params, net_cfg, dense, t)
         mol["reflection"] = worstrefl
         per_molecule.append(mol)
 
@@ -123,25 +123,22 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
     )
 
 
-def _reflection_check(params, net_cfg, dense, t, n_reflections):
+def _reflection_check(params, net_cfg, dense, t):
     """Point reflection P -> -P: the frame axes map (e1, e2, e3) ->
     (-e1, e2, -e3) while the invariant coefficients are unchanged, so the e2
     component of the 3D score survives the reflection and e1/e3 flip."""
     base_frames = molecule_frames(dense.P, cutoff=net_cfg.cutoff)
     refl = DenseTensors(H=dense.H, E=dense.E, P=-dense.P)
     refl_frames = molecule_frames(refl.P, cutoff=net_cfg.cutoff)
-    worst_axes = 0.0
-    for fb, fr in zip(base_frames, refl_frames):
-        worst_axes = max(worst_axes,
-                         np.abs(fr.e1 + fb.e1).max(),
-                         np.abs(fr.e2 - fb.e2).max(),
-                         np.abs(fr.e3 + fb.e3).max())
+    worst_axes = max(np.abs(refl_frames[:, 0] + base_frames[:, 0]).max(),
+                     np.abs(refl_frames[:, 1] - base_frames[:, 1]).max(),
+                     np.abs(refl_frames[:, 2] + base_frames[:, 2]).max())
     base_out = forward(params, net_cfg, dense, dense, t)
     got = _heads(params, net_cfg, refl, t)
     coeffs = _mlp2(base_out["latent"].node_h, params, "head3d").data  # invariant
     # predicted reflected field: e1/e3 components flip, e2 survives
-    raw = np.stack([-c[0] * f.e1 + c[1] * f.e2 - c[2] * f.e3
-                    for c, f in zip(coeffs, base_frames)])
+    raw = (-coeffs[:, :1] * base_frames[:, 0] + coeffs[:, 1:2] * base_frames[:, 1]
+           - coeffs[:, 2:] * base_frames[:, 2])
     predicted = raw - raw.mean(axis=0, keepdims=True)
     worst = max(worst_axes, np.abs(got["score_P"] - predicted).max())
     # negative control: a plain sign flip would miss the surviving e2 part

@@ -1,4 +1,4 @@
-"""Node-wise SE(3)-equivariant orthonormal frames and tensorization.
+"""Node-wise SE(3)-equivariant orthonormal frames.
 
 Each atom gets a right-handed orthonormal basis built from its position and
 the center of mass of its neighborhood:
@@ -8,14 +8,11 @@ the center of mass of its neighborhood:
     e3 = e1 x e2
 
 Cross products make the frame rotation equivariant and reflection
-anti-equivariant. Invariant scalar triples are lifted to equivariant vectors
-by ``tensorize``. A global frame (averaged node frames, re-orthonormalized)
-supports the SE(3)-invariant cold 3D perturbation.
+anti-equivariant. A frame is a (3, 3) array whose rows are e1, e2, e3; the 3D
+score head lifts invariant scalar triples to equivariant vectors with it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,19 +20,6 @@ DEGENERACY_EPS = 1e-8
 DEFAULT_CUTOFF = 5.0
 
 _CANONICAL = np.eye(3)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Orthonormal basis (e1, e2, e3); rows of ``matrix`` are the axes."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-
-    @property
-    def matrix(self):
-        return np.stack([self.e1, self.e2, self.e3])
 
 
 def _normalize(v):
@@ -46,7 +30,8 @@ def _normalize(v):
 
 
 def local_frame(x_i, neighbors, weights=None):
-    """Frame at ``x_i`` from the (optionally weighted) neighbor center.
+    """Frame at ``x_i`` from the (optionally weighted) neighbor center, as a
+    (3, 3) array with rows e1, e2, e3.
 
     Degenerate configurations (x_i at the neighborhood center, or x_i
     collinear with it through the origin) deterministically fall back to the
@@ -64,13 +49,13 @@ def local_frame(x_i, neighbors, weights=None):
     e1 = _normalize(x_i - center)
     e2 = _normalize(np.cross(center, x_i))
     if e1 is None or e2 is None:
-        return Frame(*_CANONICAL)
-    e3 = np.cross(e1, e2)
-    return Frame(e1, e2, e3)
+        return _CANONICAL.copy()
+    return np.stack([e1, e2, np.cross(e1, e2)])
 
 
 def molecule_frames(positions, cutoff=DEFAULT_CUTOFF):
-    """Per-atom frames; the neighborhood is all other atoms within ``cutoff``
+    """Per-atom frames as an (n, 3, 3) array, rows e1, e2, e3 of each atom's
+    basis; the neighborhood is all other atoms within ``cutoff``
     (falling back to all other atoms when the cutoff ball is empty).
 
     The neighborhood center is distance weighted (exp(-d)). An unweighted
@@ -88,7 +73,7 @@ def molecule_frames(positions, cutoff=DEFAULT_CUTOFF):
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
     if n == 1:
-        return [Frame(*_CANONICAL)]
+        return _CANONICAL[None].copy()
     dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
     off_diagonal = ~np.eye(n, dtype=bool)
     mask = (dists <= cutoff) & off_diagonal
@@ -109,47 +94,4 @@ def molecule_frames(positions, cutoff=DEFAULT_CUTOFF):
     e2 = np.divide(e2, norm2, out=np.zeros_like(e2), where=usable)
     basis = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
     basis[~usable[:, 0]] = _CANONICAL
-    return [Frame(*axes) for axes in basis]
-
-
-def global_frame(frames):
-    """Columnwise mean of node frames, Gram-Schmidt re-orthonormalized.
-
-    Axes whose mean is degenerate (or becomes degenerate after projection)
-    are completed from the canonical axes, so the output is always a valid
-    right-handed orthonormal frame.
-    """
-    if not frames:
-        raise ValueError("global_frame requires a non-empty list")
-    mean = np.mean([f.matrix for f in frames], axis=0)
-    basis = []
-    for k in range(3):
-        v = mean[k].copy()
-        for b in basis:
-            v -= (v @ b) * b
-        u = _normalize(v)
-        if u is None:
-            # complete from canonical axes
-            for cand in _CANONICAL:
-                w = cand.copy()
-                for b in basis:
-                    w -= (w @ b) * b
-                u = _normalize(w)
-                if u is not None:
-                    break
-        basis.append(u)
-    e1, e2, e3 = basis
-    # enforce right-handedness
-    if np.dot(np.cross(e1, e2), e3) < 0:
-        e3 = -e3
-    return Frame(e1, e2, e3)
-
-
-def tensorize(h, frame):
-    """Lift three invariant scalars to the equivariant vector sum h_k e_k."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (3,):
-        raise ValueError(f"tensorize expects 3 scalars, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("tensorize: non-finite coefficients")
-    return h[0] * frame.e1 + h[1] * frame.e2 + h[2] * frame.e3
+    return basis

@@ -1,6 +1,6 @@
 """Training objectives: denoising score matching, trajectory-contrastive
-regularization, their weighted combination, the optional cold-branch losses,
-and the finite-state gradient-decomposition verifier.
+regularization, their weighted combination, and the finite-state
+gradient-decomposition verifier.
 """
 
 from __future__ import annotations
@@ -100,38 +100,6 @@ def total_loss(l_sc, l_co, lambda1=1.0, lambda2=0.01, per_component=None):
 def combine(l_sc, l_co, lambda1, lambda2):
     """Tape-aware combination used inside the training step."""
     return ad.add(ad.mul(Tensor(lambda1), l_sc), ad.mul(Tensor(lambda2), l_co))
-
-
-def restoration_loss(restored, x0):
-    """Cold-branch L1 restoration loss, averaged over all entries."""
-    total = 0.0
-    count = 0
-    terms = []
-    for comp, clean in (("P", x0.P), ("H", x0.H), ("E", x0.E)):
-        r = restored[comp]
-        if r.shape != clean.shape:
-            raise ad.ShapeError(f"restoration_loss[{comp}]: {r.shape} vs {clean.shape}")
-        terms.append(ad.sum_(ad.abs_(ad.sub(r, Tensor(clean)))))
-        count += clean.size
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return ad.div(total, Tensor(float(count)))
-
-
-def soft_score_matching_loss(pred, residual, alpha, cold=False):
-    """Reparameterized objective ||alpha(t) (pred - residual)||^2 (mean).
-
-    Only valid for the closed-form Gaussian trajectory; rejects cold
-    trajectories where x_t - x0 has no such parameterization.
-    """
-    if cold:
-        raise ValueError("soft score matching requires the closed-form trajectory")
-    residual = np.asarray(residual)
-    if pred.shape != residual.shape:
-        raise ad.ShapeError(f"soft_score_matching_loss: {pred.shape} vs {residual.shape}")
-    diff = ad.sub(pred, Tensor(residual))
-    return ad.mean(ad.square(ad.mul(Tensor(alpha), diff)))
 
 
 def verify_decomposition(theta, x0_idx, xt_idx):

@@ -214,12 +214,12 @@ def fuse_gcn(node, w, params, cfg):
 
 # -- heads ---------------------------------------------------------------
 
-def score_3d(latent, node_frames, params):
+def score_3d(latent, basis, params):
     """Equivariant position score: per-node MLP coefficients tensorized with
-    that node's frame, projected to the zero-CoM subspace."""
+    that node's frame (``basis``, (n, 3, 3) rows e1..e3), projected to the
+    zero-CoM subspace."""
     coeffs = _mlp2(latent.node_h, params, "head3d")  # (n, 3) invariant scalars
     n = coeffs.shape[0]
-    basis = np.stack([f.matrix for f in node_frames])  # (n, 3, 3) rows e1..e3
     parts = []
     for k in range(3):
         ck = ad.broadcast(coeffs[:, k:k + 1], (n, 3))
@@ -297,8 +297,8 @@ def forward(params, cfg, x0, xt, t, with_heads=True, scale=None):
     latent = fuse_gcn(node, w, params, cfg)
     out = {"latent": latent, "projection": project(latent, params, cfg)}
     if with_heads:
-        node_frames = molecule_frames(xt.P, cutoff=cfg.cutoff)
-        out["score_P"] = score_3d(latent, node_frames, params)
+        out["score_P"] = score_3d(latent, molecule_frames(xt.P, cutoff=cfg.cutoff),
+                                  params)
         out["score_E"] = score_2d(latent, params, cfg, x0.E, xt.E)
         out["score_H"] = score_h(latent, params)
         if scale is not None:

@@ -29,7 +29,6 @@ class NoiseSchedule:
     beta_max: float = 10.0
     sigma_min: float = 0.01       # VE noise bounds
     sigma_max: float = 1.0
-    steps: int = 1000
 
     def __post_init__(self):
         if self.kind not in ("VP", "VE"):

@@ -10,8 +10,9 @@ fully determines the loss history.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +48,6 @@ class TrainConfig:
     weighting: str = "beta2"
     lr_schedule: str = "constant"   # "constant" or "cosine"
     grad_clip: float = 10.0
-    checkpoint_interval: int = 0   # epochs between checkpoints; 0 = only final
     self_cond_prob: float = 0.0    # fraction of steps conditioning on x_t itself
     divergence_limit: float = 1e6
 
@@ -249,23 +249,46 @@ def load_checkpoint(path):
         raise CheckpointError(f"corrupt checkpoint header: {e}") from e
     body = blob[20 + hlen:]
     tensors = {}
-    for entry in header["tensors"]:
-        size = int(np.prod(entry["shape"])) * 8 if entry["shape"] else 8
-        raw = body[entry["offset"]:entry["offset"] + size]
+    for name, shape, offset in _tensor_entries(header):
+        size = math.prod(shape) * 8
+        raw = body[offset:offset + size]
         if len(raw) != size:
-            raise CheckpointError(f"truncated checkpoint at tensor {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
+            raise CheckpointError(f"truncated checkpoint at tensor {name!r}")
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     params = {k[len("param/"):]: ad.Tensor(v, requires_grad=True)
               for k, v in tensors.items() if k.startswith("param/")}
     state = {
-        "step": header["adam_step"],
+        "step": _header_field(header, "adam_step", "header"),
         "m": {k[len("adam_m/"):]: v for k, v in tensors.items() if k.startswith("adam_m/")},
         "v": {k[len("adam_v/"):]: v for k, v in tensors.items() if k.startswith("adam_v/")},
     }
     return params, state, header.get("meta", {})
 
 
-def check_shapes(params, net_cfg, rng=None):
+def _header_field(mapping, key, where):
+    """``mapping[key]``, or a CheckpointError naming the key when the checkpoint
+    ``where`` is not an object or lacks it."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise CheckpointError(f"checkpoint {where} has no {key!r}")
+    return mapping[key]
+
+
+def _tensor_entries(header):
+    """(name, shape, offset) of each tensor the header lists, type-checked."""
+    entries = _header_field(header, "tensors", "header")
+    if not isinstance(entries, list):
+        raise CheckpointError("checkpoint header 'tensors' is not a list")
+    for entry in entries:
+        name, shape, offset = (_header_field(entry, key, "tensor entry")
+                               for key in ("name", "shape", "offset"))
+        if not (isinstance(name, str) and isinstance(offset, int) and offset >= 0
+                and isinstance(shape, list)
+                and all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise CheckpointError(f"malformed checkpoint tensor entry {entry!r}")
+        yield name, shape, offset
+
+
+def check_shapes(params, net_cfg):
     """Validate loaded parameters against a config; names the first mismatch."""
     reference = init_params(net_cfg, np.random.default_rng(0))
     for name, ref in reference.items():

@@ -6,10 +6,7 @@ Position noise is projected onto the zero center-of-mass subspace and edge
 noise is symmetrized, so perturbed states stay inside the same gauge and
 symmetry class as the data.
 
-Discrete branch: absorbing-state and uniform-transition Markov chains on
-categorical tokens, and the cold 3D alternative that mixes the frame-projected
-ground-truth conformer with a uniformly sampled frame-projected rough
-conformer.
+Discrete branch: the absorbing-state Markov chain on categorical tokens.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import global_frame, molecule_frames
 from .molgraph import DenseTensors
 from .schedule import alpha_beta
 
@@ -34,18 +30,6 @@ class TrajectorySample:
     t: float
     noise: dict          # per-component injected Gaussian noise (P/H/E)
     score_target: dict   # per-component -z / beta(t)
-
-
-@dataclass(frozen=True)
-class ConformerBank:
-    """Rough conformers for one molecule, stored frame-projected and centered."""
-
-    conformers: tuple    # tuple of (n, 3) arrays, each F_i^-1-projected
-    energies: tuple
-
-    def __post_init__(self):
-        if len(self.conformers) == 0:
-            raise ValueError("conformer bank is empty")
 
 
 def project_zero_com(z):
@@ -112,59 +96,3 @@ def perturb_absorbing(tokens, t_step, mask_betas, rng):
         flips = rng.uniform(size=out.shape) < mask_betas[k]
         out[flips] = mask_state
     return out
-
-
-def perturb_uniform(tokens, t_step, alphas, rng, n_classes):
-    """Uniform-transition chain Q_k = alpha_k I + (1 - alpha_k) 11^T / d.
-
-    Each step keeps a token with probability alpha_k, else resamples it
-    uniformly over the ``n_classes`` states; the limiting law is uniform.
-    """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if t_step > len(alphas):
-        raise ValueError(f"t_step {t_step} exceeds schedule length {len(alphas)}")
-    out = tokens.copy()
-    for k in range(t_step):
-        resample = rng.uniform(size=out.shape) >= alphas[k]
-        out[resample] = rng.integers(0, n_classes, size=int(resample.sum()))
-    return out
-
-
-def uniform_transition_matrix(alphas, t_step, n_classes):
-    """Exact t-step transition matrix prod_k Q_k for the uniform chain."""
-    q = np.eye(n_classes)
-    ones = np.ones((n_classes, n_classes)) / n_classes
-    for k in range(t_step):
-        q = q @ (alphas[k] * np.eye(n_classes) + (1.0 - alphas[k]) * ones)
-    return q
-
-
-def make_conformer_bank(p0, rng, noise_levels=(0.1, 0.3, 0.6)):
-    """Desk-scale stand-in for force-field conformers: ground truth plus
-    fixed-noise perturbations, each zero-centered and projected by the inverse
-    of its own global frame (making the stored shapes pose-free)."""
-    conformers = []
-    energies = []
-    for level in noise_levels:
-        p = p0 + level * rng.standard_normal(p0.shape)
-        p = p - p.mean(axis=0, keepdims=True)
-        conformers.append(_frame_project(p))
-        energies.append(float(level))
-    return ConformerBank(conformers=tuple(conformers), energies=tuple(energies))
-
-
-def _frame_project(p):
-    """Express positions in their own global-frame coordinates (pose removal)."""
-    f = global_frame(molecule_frames(p))
-    return p @ f.matrix.T
-
-
-def perturb_cold_3d(p0, bank, t, rng, schedule):
-    """Cold 3D perturbation: alpha(t) * (frame-projected ground truth) plus
-    beta(t) * (uniformly sampled stored conformer). SE(3)-invariant because
-    both terms live in frame-projected coordinates."""
-    p0 = np.asarray(p0, dtype=np.float64)
-    a, b = alpha_beta(schedule, t)
-    pick = rng.integers(0, len(bank.conformers))
-    return a * _frame_project(p0 - p0.mean(axis=0, keepdims=True)) + b * bank.conformers[pick]

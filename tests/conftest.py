@@ -1,6 +1,9 @@
 """Shared fixtures: toy molecules, corpora, and an independent
 finite-difference oracle used by the gradient tests."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,16 @@ def fd_grad(fn, x, step=1e-5):
         flat[i] = orig
         gflat[i] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def write_raw_checkpoint(path, header, body=b""):
+    """A checkpoint file with the given JSON header, for malformed-input tests."""
+    from mjae.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+    raw = json.dumps(header).encode()
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+                 + struct.pack("<Q", len(raw)) + raw + body)
+    return str(path)
 
 
 def small_net_config():

@@ -101,7 +101,7 @@ def test_criterion_03_se3_contracts():
     cfg = NetworkConfig()
     params = init_params(cfg, np.random.default_rng(3))
     rep = symmetry_report(params, cfg, probes, n_rotations=20,
-                          n_permutations=20, n_reflections=5)
+                          n_permutations=20)
     ok = (rep.rotation_equivariance_3d < 1e-4
           and rep.rotation_invariance_2d < 1e-5
           and rep.rotation_invariance_h < 1e-5

@@ -4,18 +4,30 @@ import os
 import numpy as np
 import pytest
 
-from conftest import toy_corpus
+from conftest import toy_corpus, write_raw_checkpoint
 from mjae.cli import load_config_file, main, read_dataset
 from mjae.molgraph import serialize_molecule
+from mjae.network import NetworkConfig
+from mjae.sampling import SamplerConfig, generate
+from mjae.schedule import NoiseSchedule
+from mjae.training import load_checkpoint, save_checkpoint
 
 NET_FLAGS = ["--latent", "12", "--rounds", "1", "--gcn-layers", "1",
              "--d-time", "8", "--d-contrast", "8"]
+NET = NetworkConfig(latent=12, rounds=1, gcn_layers=1, d_time=8, d_contrast=8)
 
 
 def _write_dataset(path, count=6, malformed=0):
     lines = [serialize_molecule(g) for g in toy_corpus(count=count, seed=13)]
     lines += ["{bad json"] * malformed
     path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _with_meta(ck, path, edit):
+    """Copy of checkpoint ``ck`` at ``path`` whose meta is ``edit(meta)``."""
+    params, state, meta = load_checkpoint(ck)
+    save_checkpoint(params, state, str(path), meta=edit(meta))
     return str(path)
 
 
@@ -59,7 +71,7 @@ def test_env_config_supplies_defaults(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MJAE_CONFIG", str(p))
     from mjae.cli import build_parser, load_config_file
     parser = build_parser(load_config_file(str(p)))
-    args = parser.parse_args(["ingest", "a", "b"])
+    args = parser.parse_args(["pretrain", "a", "--out", "b"])
     assert args.seed == 7
     assert args.schedule_kind == "VE"
 
@@ -155,7 +167,7 @@ def test_sample_deterministic(trained, tmp_path):
     ck, _, _ = trained
     out1, out2 = str(tmp_path / "s1.jsonl"), str(tmp_path / "s2.jsonl")
     flags = ["--count", "2", "--n-atoms", "3", "--steps", "4",
-             "--lam", "0", "--seed", "5", *NET_FLAGS]
+             "--lam", "0", "--seed", "5"]
     assert main(["sample", ck, "--out", out1, *flags]) == 0
     assert main(["sample", ck, "--out", out2, *flags]) == 0
     assert open(out1).read() == open(out2).read()
@@ -168,7 +180,7 @@ def test_eval_symmetry_and_metrics(trained, tmp_path):
     report = str(tmp_path / "report.json")
     rc = main(["eval", ck, "--probe-set", data, "--samples", data,
                "--reference", data, "--report", report, "--n-rotations", "3",
-               "--max-probes", "2", *NET_FLAGS])
+               "--max-probes", "2"])
     assert rc == 0
     rep = json.load(open(report))
     assert rep["symmetry"]["rotation_equivariance_3d"] < 1e-4
@@ -177,27 +189,100 @@ def test_eval_symmetry_and_metrics(trained, tmp_path):
 
 def test_eval_nothing_to_do(trained):
     ck, _, _ = trained
-    assert main(["eval", ck, *NET_FLAGS]) == 2
+    assert main(["eval", ck]) == 2
 
 
 def test_probe_reports_both_mses(trained, tmp_path, capsys):
     ck, data, _ = trained
     report = str(tmp_path / "probe.json")
-    rc = main(["probe", ck, data, "--probe-seeds", "2", "--report", report,
-               *NET_FLAGS])
+    rc = main(["probe", ck, data, "--probe-seeds", "2", "--report", report])
     assert rc == 0
     rep = json.load(open(report))
     assert {"pretrained_mse", "random_init_mse"} <= set(rep)
     assert "probe MSE" in capsys.readouterr().out
 
 
-def test_checkpoint_config_mismatch_is_runtime_error(trained, tmp_path):
+def test_checkpoint_config_mismatch_is_runtime_error(trained, tmp_path, capsys):
     ck, _, _ = trained
-    rc = main(["sample", ck, "--out", str(tmp_path / "x.jsonl"),
-               "--count", "1", "--steps", "2", "--latent", "20",
-               "--rounds", "1", "--gcn-layers", "1", "--d-time", "8",
-               "--d-contrast", "8"])
+    bad = _with_meta(ck, tmp_path / "bad.ck",
+                     lambda m: m | {"net": m["net"] | {"latent": 20}})
+    rc = main(["sample", bad, "--out", str(tmp_path / "x.jsonl"),
+               "--count", "1", "--steps", "2"])
     assert rc == 1
+    assert "shape mismatch" in capsys.readouterr().err
+
+
+def test_round_trip_reads_net_and_schedule_from_checkpoint(tmp_path):
+    ck, _ = _pretrain(tmp_path, extra=["--schedule-kind", "VE"])
+    data = str(tmp_path / "data.jsonl")
+    out = str(tmp_path / "s.jsonl")
+    assert main(["sample", ck, "--out", out, "--count", "2", "--n-atoms", "3",
+                 "--steps", "4", "--seed", "5"]) == 0
+    assert main(["eval", ck, "--probe-set", data, "--n-rotations", "2",
+                 "--max-probes", "1", "--report", str(tmp_path / "eval.json")]) == 0
+    assert main(["probe", ck, data, "--probe-seeds", "2",
+                 "--report", str(tmp_path / "probe.json")]) == 0
+
+    params, _, _ = load_checkpoint(ck)
+    sampler = SamplerConfig(steps=4, lam=0.0, n_atoms=3, seed=5, t_end=1e-3)
+
+    def direct(kind):
+        sched = NoiseSchedule(kind=kind)
+        graphs = generate(params, NET, {"P": sched, "H": sched, "E": sched}, sampler, 2)
+        return "".join(serialize_molecule(g) + "\n" for g in graphs).encode()
+
+    written = open(out, "rb").read()
+    assert written == direct("VE")
+    assert written != direct("VP")  # the schedule matters, so it came from the checkpoint
+
+
+def test_sample_rejects_net_flags(trained, tmp_path):
+    ck, _, _ = trained
+    with pytest.raises(SystemExit) as e:
+        main(["sample", ck, "--out", str(tmp_path / "x.jsonl"), "--latent", "12"])
+    assert e.value.code == 2
+
+
+def test_checkpoint_without_schedule_serves_eval_not_sample(trained, tmp_path, capsys):
+    # the meta older checkpoints carry: a net config and no schedule
+    ck, data, _ = trained
+    old = _with_meta(ck, tmp_path / "old.ck",
+                     lambda m: {k: v for k, v in m.items() if k != "schedule"})
+    assert main(["probe", old, data, "--probe-seeds", "2",
+                 "--report", str(tmp_path / "probe.json")]) == 0
+    capsys.readouterr()
+    assert main(["sample", old, "--out", str(tmp_path / "x.jsonl"), "--count", "1"]) == 1
+    assert "error: checkpoint meta has no 'schedule'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: {k: v for k, v in m.items() if k != "net"}, "no 'net'"),
+    (lambda m: m | {"net": {k: v for k, v in m["net"].items() if k != "latent"}},
+     "'net' has no 'latent'"),
+    (lambda m: m | {"net": m["net"] | {"width": 3}}, "unknown keys ['width']"),
+    (lambda m: m | {"net": m["net"] | {"latent": "12"}}, "net.latent is '12'"),
+    (lambda m: m | {"schedule": m["schedule"] | {"steps": 1000}},
+     "unknown keys ['steps']"),
+    (lambda m: m | {"schedule": m["schedule"] | {"kind": None}}, "schedule.kind is None"),
+    (lambda m: m | {"schedule": m["schedule"] | {"kind": "XX"}}, "unknown schedule kind"),
+])
+def test_checkpoint_meta_errors_name_the_key(trained, tmp_path, capsys, edit, message):
+    ck, _, _ = trained
+    bad = _with_meta(ck, tmp_path / "bad.ck", edit)
+    assert main(["sample", bad, "--out", str(tmp_path / "x.jsonl"), "--count", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("header", [
+    {"adam_step": 0},
+    ["not", "an", "object"],
+    {"tensors": [{"name": "param/w", "shape": [1]}], "adam_step": 0},
+])
+def test_sample_malformed_checkpoint_header_is_runtime_error(tmp_path, capsys, header):
+    bad = write_raw_checkpoint(tmp_path / "bad.ck", header)
+    assert main(["sample", bad, "--out", str(tmp_path / "x.jsonl")]) == 1
+    assert "error: checkpoint" in capsys.readouterr().err
 
 
 def test_selftest_passes_and_writes_manifest(tmp_path, capsys):

@@ -9,7 +9,6 @@ from mjae.evalsuite import (canonical_hash, gaussian_marginal_score,
                             pooled_embeddings, radius_of_gyration,
                             random_rotation, ridge_probe_mse, symmetry_report,
                             total_variation)
-from mjae.frames import Frame
 from mjae.molgraph import make_graph, permute
 from mjae.network import init_params
 from mjae.schedule import NoiseSchedule, alpha_beta
@@ -29,7 +28,7 @@ def test_symmetry_report_random_init(rng):
     params = init_params(cfg, rng)
     probes = toy_corpus(count=3, seed=2)
     rep = symmetry_report(params, cfg, probes, n_rotations=5,
-                          n_permutations=5, n_reflections=2)
+                          n_permutations=5)
     assert rep.rotation_equivariance_3d < 1e-4
     assert rep.rotation_invariance_2d < 1e-5
     assert rep.rotation_invariance_h < 1e-5
@@ -47,11 +46,11 @@ def test_symmetry_report_sabotage_negative_control(rng, monkeypatch):
     params = init_params(cfg, rng)
 
     def broken_frames(positions, cutoff=5.0):
-        return [Frame(*np.eye(3)) for _ in range(len(positions))]
+        return np.tile(np.eye(3), (len(positions), 1, 1))
 
     monkeypatch.setattr(network, "molecule_frames", broken_frames)
     rep = symmetry_report(params, cfg, toy_corpus(count=2, seed=4),
-                          n_rotations=5, n_permutations=2, n_reflections=1)
+                          n_rotations=5, n_permutations=2)
     assert rep.rotation_equivariance_3d > 1e-2
 
 

@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mjae.evalsuite import random_rotation
-from mjae.frames import (DEGENERACY_EPS, Frame, global_frame, local_frame,
-                         molecule_frames, tensorize)
+from mjae.frames import local_frame, molecule_frames
 
 SQ2 = np.sqrt(2.0)
 
 
 def test_hand_example():
     f = local_frame(np.array([1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0]]))
-    assert np.allclose(f.e1, [1 / SQ2, -1 / SQ2, 0.0])
-    assert np.allclose(f.e2, [0.0, 0.0, -1.0])
-    assert np.allclose(f.e3, [1 / SQ2, 1 / SQ2, 0.0])
+    assert np.allclose(f[0], [1 / SQ2, -1 / SQ2, 0.0])
+    assert np.allclose(f[1], [0.0, 0.0, -1.0])
+    assert np.allclose(f[2], [1 / SQ2, 1 / SQ2, 0.0])
 
 
 def test_rotation_equivariance(rng):
@@ -24,7 +23,7 @@ def test_rotation_equivariance(rng):
         for _ in range(20):
             r = random_rotation(rng)
             rot = local_frame(x @ r.T, nbrs @ r.T)
-            assert np.abs(rot.matrix - base.matrix @ r.T).max() < 1e-5
+            assert np.abs(rot - base @ r.T).max() < 1e-5
 
 
 def test_point_reflection_axis_pattern(rng):
@@ -32,22 +31,22 @@ def test_point_reflection_axis_pattern(rng):
     nbrs = rng.standard_normal((3, 3))
     base = local_frame(x, nbrs)
     refl = local_frame(-x, -nbrs)
-    assert np.allclose(refl.e1, -base.e1, atol=1e-12)
-    assert np.allclose(refl.e2, base.e2, atol=1e-12)
-    assert np.allclose(refl.e3, -base.e3, atol=1e-12)
+    assert np.allclose(refl[0], -base[0], atol=1e-12)
+    assert np.allclose(refl[1], base[1], atol=1e-12)
+    assert np.allclose(refl[2], -base[2], atol=1e-12)
     # the frame does NOT transform as a plain sign flip (that would be
     # reflection equivariance); both frames stay right-handed
-    assert np.abs(refl.matrix + base.matrix).max() > 0.1
-    assert np.linalg.det(refl.matrix) > 0 and np.linalg.det(base.matrix) > 0
+    assert np.abs(refl + base).max() > 0.1
+    assert np.linalg.det(refl) > 0 and np.linalg.det(base) > 0
 
 
 def test_degenerate_fallback():
     # x_i at the neighborhood center
     f = local_frame(np.zeros(3), np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
-    assert np.allclose(f.matrix, np.eye(3))
+    assert np.allclose(f, np.eye(3))
     # x_i collinear with the center through the origin (cross product vanishes)
     f = local_frame(np.array([2.0, 0, 0]), np.array([[1.0, 0, 0]]))
-    assert np.allclose(f.matrix, np.eye(3))
+    assert np.allclose(f, np.eye(3))
 
 
 def test_requires_neighbors():
@@ -60,7 +59,7 @@ def test_orthonormality_everywhere(rng):
         x = rng.standard_normal(3)
         nbrs = rng.standard_normal((rng.integers(1, 6), 3))
         f = local_frame(x, nbrs)
-        assert np.abs(f.matrix @ f.matrix.T - np.eye(3)).max() < 1e-6
+        assert np.abs(f @ f.T - np.eye(3)).max() < 1e-6
 
 
 def test_molecule_frames_nondegenerate_on_centered_clouds(rng):
@@ -69,7 +68,7 @@ def test_molecule_frames_nondegenerate_on_centered_clouds(rng):
         pos = rng.standard_normal((6, 3))
         pos -= pos.mean(axis=0)
         frames = molecule_frames(pos)
-        canonical = sum(np.allclose(f.matrix, np.eye(3)) for f in frames)
+        canonical = sum(np.allclose(f, np.eye(3)) for f in frames)
         assert canonical == 0
 
 
@@ -81,64 +80,12 @@ def test_molecule_frames_rotation_equivariance(rng):
         r = random_rotation(rng)
         rot = molecule_frames(pos @ r.T)
         for fb, fr in zip(base, rot):
-            assert np.abs(fr.matrix - fb.matrix @ r.T).max() < 1e-5
+            assert np.abs(fr - fb @ r.T).max() < 1e-5
 
 
 def test_molecule_frames_single_atom():
     frames = molecule_frames(np.zeros((1, 3)))
-    assert np.allclose(frames[0].matrix, np.eye(3))
-
-
-def test_global_frame_identical_inputs(rng):
-    r = random_rotation(rng)
-    f = Frame(r[0], r[1], r[2])
-    g = global_frame([f, f, f])
-    assert np.abs(g.matrix - f.matrix).max() < 1e-12
-
-
-def test_global_frame_degenerate_pair():
-    a = Frame(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-    b = Frame(np.array([-1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-    g = global_frame([a, b])
-    m = g.matrix
-    assert np.abs(m @ m.T - np.eye(3)).max() < 1e-6
-    assert np.linalg.det(m) > 0
-
-
-def test_global_frame_empty():
-    with pytest.raises(ValueError):
-        global_frame([])
-
-
-def test_tensorize_basis_selection(rng):
-    r = random_rotation(rng)
-    f = Frame(r[0], r[1], r[2])
-    assert np.allclose(tensorize([1.0, 0, 0], f), f.e1)
-    assert np.allclose(tensorize([0.0, 0, 0], f), np.zeros(3))
-    h = rng.standard_normal(3)
-    assert abs(np.linalg.norm(tensorize(h, f)) - np.linalg.norm(h)) < 1e-12
-
-
-def test_tensorize_validation():
-    f = Frame(*np.eye(3))
-    with pytest.raises(ValueError):
-        tensorize([1.0, 2.0], f)
-    with pytest.raises(ValueError):
-        tensorize([np.nan, 0.0, 0.0], f)
-
-
-def test_tensorize_end_to_end_equivariance(rng):
-    pos = rng.standard_normal((5, 3))
-    pos -= pos.mean(axis=0)
-    h = rng.standard_normal((5, 3))
-    base = molecule_frames(pos)
-    for _ in range(20):
-        r = random_rotation(rng)
-        rot = molecule_frames(pos @ r.T)
-        for i in range(5):
-            v0 = tensorize(h[i], base[i])
-            v1 = tensorize(h[i], rot[i])
-            assert np.abs(v1 - v0 @ r.T).max() < 1e-5
+    assert np.allclose(frames[0], np.eye(3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,8 +93,7 @@ def test_tensorize_end_to_end_equivariance(rng):
 def test_frames_always_orthonormal_property(seed):
     rng = np.random.default_rng(seed)
     pos = rng.standard_normal((4, 3))
-    for f in molecule_frames(pos):
-        m = f.matrix
+    for m in molecule_frames(pos):
         assert np.abs(m @ m.T - np.eye(3)).max() < 1e-6
         assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-6
 
@@ -172,8 +118,8 @@ def test_molecule_frames_match_per_atom_reference(rng):
         n = int(rng.integers(2, 15))
         pos = rng.standard_normal((n, 3)) * rng.choice([0.5, 1.0, 3.0, 6.0])
         pos -= pos.mean(axis=0)
-        got = np.stack([f.matrix for f in molecule_frames(pos)])
-        want = np.stack([f.matrix for f in _per_atom_frames(pos)])
+        got = molecule_frames(pos)
+        want = np.stack(_per_atom_frames(pos))
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -183,7 +129,7 @@ def test_molecule_frames_canonical_fallbacks():
     line = np.array([[-2.0, 0, 0], [-0.5, 0, 0], [1.0, 0, 0], [1.5, 0, 0]])
     for pos in (np.zeros((1, 3)), np.array([[0.0, 0, 0.7], [0.0, 0, -0.7]]), line):
         for f in molecule_frames(pos):
-            assert np.array_equal(f.matrix, np.eye(3))
+            assert np.array_equal(f, np.eye(3))
 
 
 def test_molecule_frames_far_beyond_cutoff_stay_finite(rng):
@@ -191,8 +137,7 @@ def test_molecule_frames_far_beyond_cutoff_stay_finite(rng):
     pos = rng.standard_normal((8, 3))
     pos -= pos.mean(axis=0)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        frames = molecule_frames(1000.0 * pos)
-    m = np.stack([f.matrix for f in frames])
+        m = molecule_frames(1000.0 * pos)
     assert np.all(np.isfinite(m))
     assert np.abs(m @ m.transpose(0, 2, 1) - np.eye(3)).max() < 1e-12
     assert np.allclose(np.linalg.det(m), 1.0, atol=1e-12)

@@ -5,8 +5,7 @@ from conftest import fd_grad, water_graph
 from mjae import autodiff as ad
 from mjae.autodiff import Tensor
 from mjae.loss import (COMPONENTS, anneal_tau, combine, contrastive_loss,
-                       restoration_loss, score_matching_loss,
-                       soft_score_matching_loss, time_weight, total_loss,
+                       score_matching_loss, time_weight, total_loss,
                        verify_decomposition)
 from mjae.molgraph import DenseTensors, to_dense
 from mjae.schedule import NoiseSchedule, alpha_beta
@@ -166,44 +165,6 @@ def test_combine_is_tape_aware():
     ad.backward(out)
     assert abs(float(a.grad) - 1.0) < 1e-12
     assert abs(float(b.grad) - 0.01) < 1e-12
-
-
-# -- cold-branch losses ---------------------------------------------------
-
-def test_restoration_loss():
-    x0 = to_dense(water_graph())
-    exact = {"P": Tensor(x0.P), "H": Tensor(x0.H), "E": Tensor(x0.E)}
-    assert float(restoration_loss(exact, x0).data) == 0.0
-    off = {"P": Tensor(x0.P + 1.0), "H": Tensor(x0.H + 1.0), "E": Tensor(x0.E + 1.0)}
-    assert abs(float(restoration_loss(off, x0).data) - 1.0) < 1e-12
-
-
-def test_restoration_permutation_consistency(rng):
-    from mjae.molgraph import permute
-    from conftest import random_molecule
-    g = random_molecule(rng, 2)
-    x0 = to_dense(g)
-    noisy = {"P": x0.P + rng.standard_normal(x0.P.shape),
-             "H": x0.H + rng.standard_normal(x0.H.shape),
-             "E": x0.E + rng.standard_normal(x0.E.shape)}
-    base = float(restoration_loss({k: Tensor(v) for k, v in noisy.items()}, x0).data)
-    perm = rng.permutation(g.n)
-    px0 = to_dense(permute(g, perm))
-    pnoisy = {"P": Tensor(noisy["P"][perm]), "H": Tensor(noisy["H"][perm]),
-              "E": Tensor(noisy["E"][np.ix_(perm, perm)])}
-    assert abs(float(restoration_loss(pnoisy, px0).data) - base) < 1e-12
-
-
-def test_soft_score_matching(rng):
-    r = rng.standard_normal((4, 3))
-    assert float(soft_score_matching_loss(Tensor(r), r, alpha=0.8).data) == 0.0
-    pred = Tensor(r + 1.0)
-    assert float(soft_score_matching_loss(pred, r, alpha=0.0).data) == 0.0
-    v1 = float(soft_score_matching_loss(pred, r, alpha=0.5).data)
-    v2 = float(soft_score_matching_loss(pred, r, alpha=1.0).data)
-    assert abs(v2 / v1 - 4.0) < 1e-9  # scales as alpha^2
-    with pytest.raises(ValueError, match="closed-form"):
-        soft_score_matching_loss(pred, r, alpha=0.5, cold=True)
 
 
 # -- decomposition identity ----------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import small_net_config, toy_corpus
+from conftest import small_net_config, toy_corpus, write_raw_checkpoint
 from mjae.autodiff import Tensor
 from mjae.network import NetworkConfig, init_params
 from mjae.schedule import NoiseSchedule
@@ -181,6 +181,40 @@ def test_checkpoint_truncated(tmp_path, rng):
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:len(blob) // 2])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+GOOD_ENTRY = {"name": "param/w", "shape": [2], "offset": 0}
+
+
+def test_raw_checkpoint_header_loads(tmp_path):
+    # positive control for the malformed cases below
+    path = write_raw_checkpoint(tmp_path / "ok.ck", {"tensors": [GOOD_ENTRY], "adam_step": 3},
+                                np.arange(2.0).tobytes())
+    params, state, meta = load_checkpoint(path)
+    assert np.array_equal(params["w"].data, [0.0, 1.0])
+    assert state["step"] == 3 and meta == {}
+
+
+@pytest.mark.parametrize("header, message", [
+    ([GOOD_ENTRY], "'tensors'"),
+    ("tensors", "'tensors'"),
+    ({"adam_step": 0}, "'tensors'"),
+    ({"tensors": {"param/w": GOOD_ENTRY}, "adam_step": 0}, "'tensors' is not a list"),
+    ({"tensors": [GOOD_ENTRY]}, "'adam_step'"),
+    ({"tensors": ["param/w"], "adam_step": 0}, "'name'"),
+    ({"tensors": [{"shape": [2], "offset": 0}], "adam_step": 0}, "'name'"),
+    ({"tensors": [{"name": "param/w", "offset": 0}], "adam_step": 0}, "'shape'"),
+    ({"tensors": [{"name": "param/w", "shape": [2]}], "adam_step": 0}, "'offset'"),
+    ({"tensors": [GOOD_ENTRY | {"shape": "2"}], "adam_step": 0}, "malformed"),
+    ({"tensors": [GOOD_ENTRY | {"shape": [2 ** 40, 2 ** 40]}], "adam_step": 0}, "truncated"),
+    ({"tensors": [GOOD_ENTRY | {"shape": [-2]}], "adam_step": 0}, "malformed"),
+    ({"tensors": [GOOD_ENTRY | {"offset": "0"}], "adam_step": 0}, "malformed"),
+    ({"tensors": [GOOD_ENTRY | {"name": 7}], "adam_step": 0}, "malformed"),
+])
+def test_checkpoint_malformed_header_is_checkpoint_error(tmp_path, header, message):
+    path = write_raw_checkpoint(tmp_path / "bad.ck", header, np.arange(2.0).tobytes())
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
 

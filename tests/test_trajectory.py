@@ -4,12 +4,9 @@ import pytest
 from conftest import random_molecule, water_graph
 from mjae.molgraph import DenseTensors, to_dense, permute
 from mjae.schedule import NoiseSchedule, alpha_beta
-from mjae.trajectory import (ConformerBank, T_MIN, make_conformer_bank,
-                             perturb_absorbing, perturb_cold_3d,
-                             perturb_continuous, perturb_uniform,
+from mjae.trajectory import (T_MIN, perturb_absorbing, perturb_continuous,
                              project_zero_com, sample_time,
-                             symmetrize_edge_noise, uniform_transition_matrix,
-                             _frame_project)
+                             symmetrize_edge_noise)
 
 VP = NoiseSchedule(kind="VP")
 VE = NoiseSchedule(kind="VE")
@@ -160,52 +157,3 @@ def test_absorbing_mask_fraction_monte_carlo(rng):
     p = 1.0 - 0.9 ** 10
     frac = (out == 1).mean()
     assert abs(frac - p) < 3.0 * np.sqrt(p * (1 - p) / n)
-
-
-def test_uniform_limits(rng):
-    tokens = np.array([0, 1, 2])
-    assert np.array_equal(perturb_uniform(tokens, 2, [1.0, 1.0], rng, 3), tokens)
-    n = 100_000
-    out = perturb_uniform(np.zeros(n, dtype=int), 1, [0.0], rng, 4)
-    for c in range(4):
-        assert abs((out == c).mean() - 0.25) < 3.0 * np.sqrt(0.25 * 0.75 / n)
-
-
-def test_uniform_two_step_composition(rng):
-    alphas = [0.7, 0.4]
-    q = uniform_transition_matrix(alphas, 2, 3)
-    assert np.allclose(q.sum(axis=1), 1.0)
-    n = 100_000
-    out = perturb_uniform(np.zeros(n, dtype=int), 2, alphas, rng, 3)
-    for c in range(3):
-        p = q[0, c]
-        assert abs((out == c).mean() - p) < 3.0 * np.sqrt(p * (1 - p) / n)
-
-
-# -- cold 3D --------------------------------------------------------------
-
-def test_cold_t0_exact(rng):
-    p0 = random_molecule(rng, 3).positions
-    bank = make_conformer_bank(p0, rng)
-    out = perturb_cold_3d(p0, bank, 0.0, rng, VP)
-    assert np.allclose(out, _frame_project(p0), atol=1e-9)
-
-
-def test_cold_rotation_invariance(rng):
-    from mjae.evalsuite import random_rotation
-    p0 = random_molecule(rng, 3).positions
-    bank = make_conformer_bank(p0, np.random.default_rng(7))
-    base = perturb_cold_3d(p0, bank, 0.35, np.random.default_rng(3), VP)
-    for _ in range(100):
-        r = random_rotation(rng)
-        got = perturb_cold_3d(p0 @ r.T, bank, 0.35, np.random.default_rng(3), VP)
-        assert np.abs(got - base).max() < 1e-6
-
-
-def test_conformer_bank_contract(rng):
-    with pytest.raises(ValueError, match="empty"):
-        ConformerBank(conformers=(), energies=())
-    p0 = random_molecule(rng, 2).positions
-    bank = make_conformer_bank(p0, rng)
-    for conf in bank.conformers:
-        assert np.allclose(conf.mean(axis=0), 0.0, atol=1e-9)
