@@ -133,6 +133,19 @@ def div(a, b):
                    lambda g, x, y: -g * x / (y * y))
 
 
+class _RightOperandGrad:
+    """Gradient of a matmul's right operand, ``a.T @ g``. ``backward`` stacks
+    the ``(a, g)`` rows of every use of one leaf weight into a single GEMM."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+    def __call__(self, g):
+        return self.a.T @ g
+
+
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -140,7 +153,7 @@ def matmul(a, b):
     out = a.data @ b.data
     parents = (
         (a, lambda g: g @ b.data.T),
-        (b, lambda g: a.data.T @ g),
+        (b, _RightOperandGrad(a.data)),
     )
     return _make(out, parents, "matmul")
 
@@ -293,11 +306,22 @@ def broadcast(a, shape):
 
 # -- backward ------------------------------------------------------------
 
+def _stacked_weight_grad(uses):
+    """sum_i a_i.T @ g_i over the (a_i, g_i) pairs, as one GEMM on stacked rows."""
+    a_rows, g_rows = zip(*uses)
+    return np.concatenate(a_rows).T @ np.concatenate(g_rows)
+
+
 def backward(loss):
     """Populate ``.grad`` on every reachable leaf, then clear the tape.
 
     ``loss`` must be scalar. The recorded graph is consumed; calling
     ``backward`` twice on the same loss raises ``TapeError``.
+
+    A leaf that is the right operand of k > 1 matmuls (a weight shared by
+    several rows, rounds or molecules) gets one ``concat(a).T @ concat(g)``
+    when the k-th use's gradient arrives, instead of k products and k - 1
+    additions; its rows are freed at once.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -311,11 +335,16 @@ def backward(loss):
 
     order = []
     visited = set()
+    matmul_uses = {}  # id(leaf) -> matmuls taking it as right operand
     stack = [(loss, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             order.append(node)
+            for parent, grad_fn in node._parents:
+                if (type(grad_fn) is _RightOperandGrad and parent.requires_grad
+                        and not parent._parents):
+                    matmul_uses[id(parent)] = matmul_uses.get(id(parent), 0) + 1
             continue
         if id(node) in visited:
             continue
@@ -326,6 +355,7 @@ def backward(loss):
                 stack.append((parent, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
+    rows = {}  # id(leaf) -> [(a, g)] of its matmul uses seen so far
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
@@ -336,8 +366,14 @@ def backward(loss):
         for parent, grad_fn in node._parents:
             if not parent.requires_grad:
                 continue
-            contrib = grad_fn(g)
             key = id(parent)
+            if type(grad_fn) is _RightOperandGrad and matmul_uses.get(key, 0) > 1:
+                rows.setdefault(key, []).append((grad_fn.a, g))
+                if len(rows[key]) < matmul_uses[key]:
+                    continue
+                contrib = _stacked_weight_grad(rows.pop(key))
+            else:
+                contrib = grad_fn(g)
             if key in grads:
                 grads[key] = grads[key] + contrib
             else:
@@ -346,4 +382,3 @@ def backward(loss):
     for node in order:
         node._parents = ()
     loss._consumed = True
-

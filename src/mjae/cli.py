@@ -3,8 +3,10 @@
 Subcommands: ingest, pretrain, sample, eval, probe, selftest. A flat
 key=value config file (default path from MJAE_CONFIG) supplies defaults;
 flags override. Network and noise-schedule flags exist on pretrain only: its
-checkpoint stores both configs, and sample, eval and probe read them back. Every completed run writes a JSON manifest next to its
-output. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+checkpoint stores both configs, and sample, eval and probe read them back.
+Every completed run that writes a file writes a JSON manifest next to it;
+eval and probe print their report and write a file only with --report.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -217,8 +219,9 @@ def cmd_eval(args):
               file=sys.stderr)
         return 2
     _emit_report(report, args.report)
-    write_manifest((args.report or "eval") + ".manifest.json", "eval", vars(args),
-                   args.seed, [args.checkpoint], [args.report or ""], started)
+    if args.report:
+        write_manifest(args.report + ".manifest.json", "eval", vars(args),
+                       args.seed, [args.checkpoint], [args.report], started)
     return 0
 
 
@@ -238,9 +241,10 @@ def cmd_probe(args):
               "label": "radius_of_gyration", "seeds": list(seeds)}
     print(f"probe MSE  pretrained {pretrained:.5f}  random-init {random_init:.5f}")
     _emit_report(report, args.report)
-    write_manifest((args.report or "probe") + ".manifest.json", "probe", vars(args),
-                   args.seed, [args.checkpoint, args.dataset],
-                   [args.report or ""], started)
+    if args.report:
+        write_manifest(args.report + ".manifest.json", "probe", vars(args),
+                       args.seed, [args.checkpoint, args.dataset], [args.report],
+                       started)
     return 0
 
 

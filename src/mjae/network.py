@@ -279,23 +279,26 @@ def project(latent, params, cfg):
 
 # -- full forward --------------------------------------------------------
 
-def forward(params, cfg, x0, xt, t, with_heads=True, scale=None):
+def forward(params, cfg, x0, xt, t, with_heads=True, scale=None, f0=None):
     """Run the full pipeline on one (clean, noisy, time) triple.
 
-    Returns a dict with the latent representation, the unit-norm projection,
-    and (when ``with_heads``) the three score heads evaluated on ``xt``.
+    Returns a dict with the clean-branch encoding ``f0`` of ``x0``, the latent
+    representation, the unit-norm projection, and (when ``with_heads``) the
+    three score heads evaluated on ``xt``. Passing back the ``f0`` of an
+    earlier call on the same ``x0`` and ``params`` skips that encoding.
     Frames for the 3D head are built from the noisy positions. ``scale`` maps
     component names to scalars multiplying the head outputs; passing 1/beta(t)
     turns the O(1) head outputs into a noise-prediction parametrization of the
     score, which keeps the heads well-conditioned near t = 0.
     """
     emb = fourier_embed(t, cfg.d_time)
-    f0 = encode(x0, params, cfg, "enc_clean")
+    if f0 is None:
+        f0 = encode(x0, params, cfg, "enc_clean")
     ft = encode(xt, params, cfg, "enc_noisy")
     node = fuse(f0, ft, emb, params, cfg)
     w = edge_condition(x0.E, xt.E, emb, params, cfg)
     latent = fuse_gcn(node, w, params, cfg)
-    out = {"latent": latent, "projection": project(latent, params, cfg)}
+    out = {"f0": f0, "latent": latent, "projection": project(latent, params, cfg)}
     if with_heads:
         out["score_P"] = score_3d(latent, molecule_frames(xt.P, cutoff=cfg.cutoff),
                                   params)

@@ -76,7 +76,7 @@ def init_adam_state(params):
 
 
 def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Standard bias-corrected Adam update, in place.
+    """Standard bias-corrected Adam update of ``params`` and ``state``, in place.
 
     A non-finite gradient rejects the whole step (params and state untouched)
     with a diagnostic naming the tensor.
@@ -89,9 +89,18 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for name, g in grads.items():
-        m = state["m"][name] = beta1 * state["m"][name] + (1.0 - beta1) * g
-        v = state["v"][name] = beta2 * state["v"][name] + (1.0 - beta2) * g * g
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        # m = beta1 m + (1 - beta1) g; v = beta2 v + (1 - beta2) g g;
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), each step rounded as written
+        m, v = state["m"][name], state["v"][name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        denom = np.sqrt(v / bc2)
+        denom += eps
+        update = m / bc1
+        update *= lr
+        update /= denom
         params[name].data -= update
     return params, state
 
@@ -131,7 +140,7 @@ def training_step(params, net_cfg, cfg, schedules, batch, rngs):
         sc_terms.append(term)
         breakdowns.append(breakdown)
         positives.append(out["projection"])
-        anchor = forward(params, net_cfg, cond, x0, t, with_heads=False)
+        anchor = forward(params, net_cfg, cond, x0, t, with_heads=False, f0=out["f0"])
         anchors.append(anchor["projection"])
 
     l_sc = sc_terms[0]
@@ -159,10 +168,15 @@ def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):
     """Train on a list of MoleculeGraph; returns (params, epoch history).
 
     History entries carry the epoch means of the total/score/contrastive
-    losses. Divergence (total loss beyond the configured limit) aborts.
+    losses. A dataset of fewer than 2 molecules raises ``ValueError``.
+    Divergence (total loss beyond the configured limit) and an epoch whose
+    every step was rejected raise ``RuntimeError``.
     """
     if not dataset:
         raise ValueError("empty dataset")
+    if len(dataset) < 2:
+        raise ValueError("dataset has 1 molecule; training needs at least 2 "
+                         "(contrastive negatives)")
     net_cfg = net_cfg or NetworkConfig()
     dense = [to_dense(g) for g in dataset]
     root = np.random.default_rng(cfg.seed)
@@ -197,6 +211,9 @@ def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):
             except ValueError:
                 continue  # rejected step; parameters unchanged
             reports.append(report)
+        if not reports:
+            raise RuntimeError(f"every step of epoch {epoch} was rejected "
+                               "(non-finite gradients)")
         history.append({
             "epoch": epoch,
             "total": float(np.mean([r.total for r in reports])),

@@ -178,3 +178,62 @@ def test_no_grad_path_is_cheap(rng):
     out = ad.silu(ad.matmul(x, x))
     assert not out.requires_grad
     ad.backward(ad.sum_(out))  # no-op, but legal
+
+
+
+def _shared_weight_loss(w_for, xs):
+    """Scalar loss on one tape in which weight j is the right operand of
+    len(xs[j]) matmuls and the left operand of an add. ``w_for(j)`` gives the
+    tensor for weight j at each use. Uses of different weights interleave, and
+    every second matmul's left operand is the previous matmul's output, so
+    rows differ in count and some depend on the weight itself."""
+    terms = []
+    hs = [None] * len(xs)
+    for use in range(max(len(x) for x in xs)):
+        for j, x in enumerate(xs):
+            if use < len(x):
+                left = Tensor(x[use]) if use % 2 == 0 else hs[j]
+                hs[j] = ad.silu(ad.matmul(left, w_for(j)))
+                terms.append(ad.sum_(ad.square(hs[j])))
+    for j in range(len(xs)):
+        terms.append(ad.sum_(ad.square(ad.add(w_for(j), Tensor(0.1 * j)))))
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return loss
+
+
+def test_weight_shared_by_several_matmuls(rng):
+    """Weights feeding 1, 2 and 5 matmuls plus an add: the stacked weight
+    gradient matches per-use accumulation and central finite differences."""
+    counts = (1, 2, 5)
+    xs = [[rng.standard_normal((int(rng.integers(1, 6)), 4)) for _ in range(k)]
+          for k in counts]
+    w0 = [rng.standard_normal((4, 4)) / 2.0 for _ in counts]
+
+    shared = [Tensor(w.copy(), requires_grad=True) for w in w0]
+    ad.backward(_shared_weight_loss(lambda j: shared[j], xs))
+
+    # reference: a fresh leaf per use, so each takes the immediate a.T @ g
+    copies = [[] for _ in counts]
+
+    def fresh(j):
+        copies[j].append(Tensor(w0[j].copy(), requires_grad=True))
+        return copies[j][-1]
+
+    ad.backward(_shared_weight_loss(fresh, xs))
+
+    for j, k in enumerate(counts):
+        assert len(copies[j]) == k + 1
+        per_use = copies[j][0].grad.copy()
+        for leaf in copies[j][1:]:
+            per_use += leaf.grad
+        assert np.linalg.norm(shared[j].grad - per_use) <= 1e-12 * np.linalg.norm(per_use)
+
+        def loss_of(wj, j=j):
+            ws = [Tensor(w) for w in w0]
+            ws[j] = Tensor(wj)
+            return float(_shared_weight_loss(lambda i: ws[i], xs).data)
+
+        fd = fd_grad(loss_of, w0[j].copy())
+        assert np.abs(shared[j].grad - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())

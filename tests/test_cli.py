@@ -202,6 +202,27 @@ def test_probe_reports_both_mses(trained, tmp_path, capsys):
     assert "probe MSE" in capsys.readouterr().out
 
 
+def test_eval_and_probe_without_report_write_no_file(trained, tmp_path, monkeypatch):
+    ck, data, _ = trained
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", ck, "--probe-set", data, "--n-rotations", "2",
+                 "--max-probes", "1"]) == 0
+    assert main(["probe", ck, data, "--probe-seeds", "2"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_and_probe_manifest_sits_next_to_report(trained, tmp_path):
+    ck, data, _ = trained
+    for command, extra in (("eval", ["--probe-set", data, "--n-rotations", "2",
+                                     "--max-probes", "1"]),
+                           ("probe", [data, "--probe-seeds", "2"])):
+        report = str(tmp_path / f"{command}.json")
+        assert main([command, ck, *extra, "--report", report]) == 0
+        manifest = json.load(open(report + ".manifest.json"))
+        assert manifest["command"] == command
+        assert manifest["outputs"] == [report]
+
+
 def test_checkpoint_config_mismatch_is_runtime_error(trained, tmp_path, capsys):
     ck, _, _ = trained
     bad = _with_meta(ck, tmp_path / "bad.ck",

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import small_net_config, toy_corpus, write_raw_checkpoint
+from mjae import autodiff as ad
+from mjae import loss as losses
+from mjae import network, training
 from mjae.autodiff import Tensor
+from mjae.molgraph import to_dense
 from mjae.network import NetworkConfig, init_params
-from mjae.schedule import NoiseSchedule
+from mjae.schedule import NoiseSchedule, alpha_beta
 from mjae.training import (CheckpointError, TrainConfig, adam_step,
                            build_schedules, check_shapes, clip_gradients,
                            init_adam_state, load_checkpoint, save_checkpoint,
-                           train)
+                           train, training_step)
+from mjae.trajectory import perturb_continuous, sample_time
 
 
 def test_config_validation():
@@ -71,6 +76,30 @@ def test_adam_rejects_nan_gradient(rng):
     assert state["step"] == 0
 
 
+def test_adam_matches_textbook_formula_bitwise(rng):
+    """Twelve in-place steps against the out-of-place formula, written out."""
+    shapes = {"w": (3, 4), "b": (4,), "s": ()}
+    params = {k: Tensor(rng.standard_normal(s), requires_grad=True)
+              for k, s in shapes.items()}
+    ref = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = init_adam_state(params)
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    for step in range(1, 13):
+        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        adam_step(params, grads, state, lr, b1, b2, eps)
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            ref[k] = ref[k] - lr * (m[k] / (1.0 - b1 ** step)) / (
+                np.sqrt(v[k] / (1.0 - b2 ** step)) + eps)
+            assert np.array_equal(params[k].data, ref[k])
+            assert np.array_equal(state["m"][k], m[k])
+            assert np.array_equal(state["v"][k], v[k])
+    assert state["step"] == 12
+
+
 def test_clip_gradients():
     grads = {"a": np.array([3.0, 4.0])}
     clipped, norm = clip_gradients(grads, max_norm=2.5)
@@ -127,10 +156,86 @@ def test_train_empty_dataset():
         train([], _quick_cfg())
 
 
+def test_train_one_molecule_is_value_error():
+    with pytest.raises(ValueError, match="1 molecule"):
+        train(toy_corpus(count=1, seed=2), _quick_cfg(), small_net_config())
+
+
+def test_train_epoch_of_rejected_steps_is_runtime_error(monkeypatch):
+    def reject(*args, **kwargs):
+        raise ValueError("adam_step: non-finite gradient for 'x'; step rejected")
+
+    monkeypatch.setattr(training, "adam_step", reject)
+    with pytest.raises(RuntimeError, match="epoch 0"):
+        train(toy_corpus(count=4, seed=2), _quick_cfg(), small_net_config())
+
+
 def test_params_stay_finite_after_training():
     data = toy_corpus(count=4, seed=9)
     params, _ = train(data, _quick_cfg(), small_net_config())
     assert all(np.all(np.isfinite(p.data)) for p in params.values())
+
+
+
+def _two_forward_step(params, net_cfg, cfg, schedules, batch, rngs):
+    """``training_step`` written with a second full ``forward`` per molecule
+    for the anchor, which encodes the conditioner again."""
+    sc_terms, breakdowns, anchors, positives, times = [], [], [], [], []
+    for x0, rng in zip(batch, rngs):
+        t = sample_time(rng, cfg.t_min)
+        times.append(t)
+        sample = perturb_continuous(x0, t, rng, schedules)
+        cond = sample.xt if rng.uniform() < cfg.self_cond_prob else x0
+        scale = {c: 1.0 / alpha_beta(schedules[c], t)[1] for c in ("P", "H", "E")}
+        out = network.forward(params, net_cfg, cond, sample.xt, t, scale=scale)
+        pred = {"P": out["score_P"], "H": out["score_H"], "E": out["score_E"]}
+        term, breakdown = losses.score_matching_loss(
+            pred, sample.score_target, losses.time_weight(schedules, t, cfg.weighting))
+        sc_terms.append(term)
+        breakdowns.append(breakdown)
+        positives.append(out["projection"])
+        anchors.append(network.forward(params, net_cfg, cond, x0, t,
+                                       with_heads=False)["projection"])
+    l_sc = sc_terms[0]
+    for term in sc_terms[1:]:
+        l_sc = ad.add(l_sc, term)
+    l_sc = ad.div(l_sc, Tensor(float(len(batch))))
+    tau = losses.anneal_tau(cfg.tau0, schedules, float(np.mean(times)))
+    l_co = losses.contrastive_loss(anchors, positives, tau)
+    total = losses.combine(l_sc, l_co, cfg.lambda1, cfg.lambda2)
+    ad.backward(total)
+    grads = {k: p.grad for k, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    return float(total.data), grads
+
+
+@pytest.mark.parametrize("self_cond_prob", [0.0, 1.0])
+def test_training_step_encodes_conditioner_once(self_cond_prob, monkeypatch):
+    """One clean-branch encoding per molecule serves the heads pass and the
+    anchor pass; loss and gradients match two full forwards per molecule."""
+    net_cfg = small_net_config()
+    cfg = _quick_cfg(self_cond_prob=self_cond_prob)
+    schedules = build_schedules(cfg)
+    batch = [to_dense(g) for g in toy_corpus(count=4, seed=5)]
+    params = init_params(net_cfg, np.random.default_rng(3))
+
+    def rngs():
+        return [np.random.default_rng([7, i]) for i in range(len(batch))]
+
+    ref_total, ref_grads = _two_forward_step(params, net_cfg, cfg, schedules, batch, rngs())
+    calls = []
+    encode = network.encode
+    monkeypatch.setattr(network, "encode",
+                        lambda x, p, c, branch: calls.append(branch) or encode(x, p, c, branch))
+    report, grads = training_step(params, net_cfg, cfg, schedules, batch, rngs())
+
+    assert calls.count("enc_clean") == len(batch)
+    assert calls.count("enc_noisy") == 2 * len(batch)
+    assert abs(report.total - ref_total) <= 1e-12 * abs(ref_total)
+    assert set(grads) == set(ref_grads)
+    for name, ref in ref_grads.items():
+        assert np.linalg.norm(grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
 # -- checkpoints ----------------------------------------------------------
