@@ -18,7 +18,7 @@ from mjae.evalsuite import canonical_hash
 from mjae.molgraph import ELEMENT_INDEX, make_graph, parse_molecule
 from mjae.network import NetworkConfig
 from mjae.sampling import SamplerConfig, generate
-from mjae.training import TrainConfig, build_schedules, train
+from mjae.training import TrainConfig, train
 
 
 def water():
@@ -58,7 +58,7 @@ def main(argv=None):
 
     sampler = SamplerConfig(steps=args.steps, lam=0.0, n_atoms=template.n,
                             seed=args.seed, t_end=0.01)
-    samples = generate(params, net, build_schedules(cfg), sampler, args.samples)
+    samples = generate(params, net, cfg.schedule, sampler, args.samples)
     hits = sum(canonical_hash(g) == target for g in samples)
     print(f"exact bond-graph match: {hits}/{args.samples} "
           f"({100.0 * hits / args.samples:.0f}%)")

@@ -47,34 +47,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r})"
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return slice_(self, idx)
 
@@ -166,14 +138,6 @@ def _unary(a, op, fwd, dfn):
     return _make(out, ((a, lambda g: dfn(g, a.data, out)),), op)
 
 
-def neg(a):
-    return _unary(a, "neg", np.negative, lambda g, x, y: -g)
-
-
-def exp(a):
-    return _unary(a, "exp", np.exp, lambda g, x, y: g * y)
-
-
 def log(a):
     return _unary(a, "log", np.log, lambda g, x, y: g / x)
 
@@ -188,11 +152,6 @@ def sqrt(a):
 
 def abs_(a):
     return _unary(a, "abs", np.abs, lambda g, x, y: g * np.sign(x))
-
-
-def relu(a):
-    return _unary(a, "relu", lambda x: np.maximum(x, 0.0),
-                  lambda g, x, y: g * (x > 0.0))
 
 
 def silu(a):

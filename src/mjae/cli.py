@@ -6,6 +6,7 @@ flags override. Network and noise-schedule flags exist on pretrain only: its
 checkpoint stores both configs, and sample, eval and probe read them back.
 Every completed run that writes a file writes a JSON manifest next to it;
 eval and probe print their report and write a file only with --report.
+Each command that reads a JSONL file prints its malformed lines to stderr.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -28,9 +29,8 @@ from .network import NetworkConfig, init_params
 from .sampling import SamplerConfig, generate
 from .schedule import NoiseSchedule
 from .selftest import run_selftest
-from .training import (CheckpointError, TrainConfig, build_schedules,
-                       check_shapes, init_adam_state, load_checkpoint,
-                       save_checkpoint, train)
+from .training import (CheckpointError, TrainConfig, check_shapes,
+                       init_adam_state, load_checkpoint, save_checkpoint, train)
 
 __version__ = "0.1.0"
 
@@ -92,6 +92,14 @@ def read_dataset(path):
     return graphs, diagnostics
 
 
+def _read_reporting(path):
+    """``read_dataset`` that prints each rejected line to stderr."""
+    graphs, diagnostics = read_dataset(path)
+    for d in diagnostics:
+        print(f"rejected: {d}", file=sys.stderr)
+    return graphs, diagnostics
+
+
 def _train_config(args):
     sched = NoiseSchedule(
         kind=args.schedule_kind, beta_min=args.beta_min, beta_max=args.beta_max,
@@ -113,9 +121,7 @@ def _net_config(args):
 
 def cmd_ingest(args):
     started = time.time()
-    graphs, diagnostics = read_dataset(args.input)
-    for d in diagnostics:
-        print(f"rejected: {d}", file=sys.stderr)
+    graphs, diagnostics = _read_reporting(args.input)
     if not graphs:
         print("error: no valid records", file=sys.stderr)
         return 1
@@ -130,16 +136,14 @@ def cmd_ingest(args):
 
 def cmd_pretrain(args):
     started = time.time()
-    graphs, diagnostics = read_dataset(args.dataset)
+    graphs, _ = _read_reporting(args.dataset)
     if not graphs:
         print("error: no valid records in dataset", file=sys.stderr)
         return 1
     cfg = _train_config(args)
     net_cfg = _net_config(args)
-    history = []
 
     def log_epoch(epoch, entry):
-        history.append(entry)
         print(f"epoch {epoch:4d}  total {entry['total']:.4f}  "
               f"sc {entry['l_sc']:.4f}  co {entry['l_co']:.4f}")
 
@@ -155,12 +159,24 @@ def cmd_pretrain(args):
     return 0
 
 
+# Settings that were once config fields, with the one value every checkpoint
+# written before their removal stores; any other value is refused.
+RETIRED_META = {"net": {"share_encoders": False, "cutoff": 5.0}}
+
+
 def _meta_config(meta, key, cls):
     """``cls`` built from the checkpoint's ``meta[key]``, which must name every
     field of ``cls`` with a value of the field's type."""
     values = meta.get(key) if isinstance(meta, dict) else None
     if not isinstance(values, dict):
         raise CheckpointError(f"checkpoint meta has no {key!r} config")
+    values = dict(values)
+    for name, only in RETIRED_META.get(key, {}).items():
+        if name in values:
+            value = values.pop(name)
+            if type(value) is not type(only) or value != only:
+                raise CheckpointError(f"checkpoint meta {key}.{name} is {value!r}; "
+                                      f"this retired setting must be {only!r}")
     unknown = set(values) - {f.name for f in fields(cls)}
     if unknown:
         raise CheckpointError(f"checkpoint meta {key!r} has unknown keys {sorted(unknown)}")
@@ -186,11 +202,10 @@ def _load_model(path):
 def cmd_sample(args):
     started = time.time()
     params, net_cfg, meta = _load_model(args.checkpoint)
-    schedules = build_schedules(
-        TrainConfig(schedule=_meta_config(meta, "schedule", NoiseSchedule)))
+    schedule = _meta_config(meta, "schedule", NoiseSchedule)
     cfg = SamplerConfig(steps=args.steps, lam=args.lam, n_atoms=args.n_atoms,
                         seed=args.seed, t_end=args.t_min)
-    graphs = generate(params, net_cfg, schedules, cfg, args.count)
+    graphs = generate(params, net_cfg, schedule, cfg, args.count)
     with open(args.out, "w") as fh:
         for g in graphs:
             fh.write(serialize_molecule(g) + "\n")
@@ -206,13 +221,16 @@ def cmd_eval(args):
     report = {}
     params, net_cfg, _ = _load_model(args.checkpoint)
     if args.probe_set:
-        probes, _ = read_dataset(args.probe_set)
+        probes, _ = _read_reporting(args.probe_set)
+        if not probes:
+            print("error: no valid records in probe set", file=sys.stderr)
+            return 1
         rep = symmetry_report(params, net_cfg, probes[:args.max_probes],
                               n_rotations=args.n_rotations, seed=args.seed)
         report["symmetry"] = rep.as_dict()
     if args.samples and args.reference:
-        samples, _ = read_dataset(args.samples)
-        reference, _ = read_dataset(args.reference)
+        samples, _ = _read_reporting(args.samples)
+        reference, _ = _read_reporting(args.reference)
         report["generation"] = generation_metrics(samples, reference)
     if not report:
         print("error: nothing to evaluate (need --probe-set or --samples/--reference)",
@@ -227,7 +245,7 @@ def cmd_eval(args):
 
 def cmd_probe(args):
     started = time.time()
-    graphs, _ = read_dataset(args.dataset)
+    graphs, _ = _read_reporting(args.dataset)
     if not graphs:
         print("error: no valid records in dataset", file=sys.stderr)
         return 1

@@ -127,9 +127,9 @@ def _reflection_check(params, net_cfg, dense, t):
     """Point reflection P -> -P: the frame axes map (e1, e2, e3) ->
     (-e1, e2, -e3) while the invariant coefficients are unchanged, so the e2
     component of the 3D score survives the reflection and e1/e3 flip."""
-    base_frames = molecule_frames(dense.P, cutoff=net_cfg.cutoff)
+    base_frames = molecule_frames(dense.P)
     refl = DenseTensors(H=dense.H, E=dense.E, P=-dense.P)
-    refl_frames = molecule_frames(refl.P, cutoff=net_cfg.cutoff)
+    refl_frames = molecule_frames(refl.P)
     worst_axes = max(np.abs(refl_frames[:, 0] + base_frames[:, 0]).max(),
                      np.abs(refl_frames[:, 1] - base_frames[:, 1]).max(),
                      np.abs(refl_frames[:, 2] + base_frames[:, 2]).max())

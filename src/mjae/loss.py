@@ -24,21 +24,12 @@ class LossReport:
     per_component: dict  # P/H/E breakdown of the score-matching term
 
 
-def time_weight(schedules, t, weighting="beta2"):
-    """Per-component loss weights; "beta2" is the likelihood weighting
-    beta(t)^2 that keeps per-time magnitudes comparable."""
-    if weighting == "uniform":
-        return {c: 1.0 for c in COMPONENTS}
-    if weighting != "beta2":
-        raise ValueError(f"unknown weighting {weighting!r}")
-    return {c: alpha_beta(schedules[c], t)[1] ** 2 for c in COMPONENTS}
-
-
-def score_matching_loss(pred, target, weights):
+def score_matching_loss(pred, target, weight):
     """Weighted MSE between predicted and conditional scores, summed over
     components. ``pred`` maps component -> Tensor, ``target`` maps component
-    -> array, ``weights`` maps component -> scalar. Returns (scalar Tensor,
-    per-component float dict)."""
+    -> array, and the scalar ``weight`` multiplies every component's term.
+    Returns (scalar Tensor, per-component float dict)."""
+    weight = Tensor(weight)
     total = None
     breakdown = {}
     for comp in COMPONENTS:
@@ -47,7 +38,7 @@ def score_matching_loss(pred, target, weights):
         if p.shape != tgt.shape:
             raise ad.ShapeError(
                 f"score_matching_loss[{comp}]: pred {p.shape} vs target {tgt.shape}")
-        term = ad.mul(ad.mean(ad.square(ad.sub(p, Tensor(tgt)))), Tensor(weights[comp]))
+        term = ad.mul(ad.mean(ad.square(ad.sub(p, Tensor(tgt)))), weight)
         breakdown[comp] = float(term.data)
         total = term if total is None else ad.add(total, term)
     return total, breakdown
@@ -80,9 +71,9 @@ def contrastive_loss(anchors, positives, tau):
     return ad.mul(Tensor(-1.0), ad.mean(ad.log(diag)))
 
 
-def anneal_tau(tau0, schedules, t):
+def anneal_tau(tau0, schedule, t):
     """Monotone temperature annealing tau(t) = tau0 * (0.5 + beta(t))."""
-    return tau0 * (0.5 + alpha_beta(schedules["P"], t)[1])
+    return tau0 * (0.5 + alpha_beta(schedule, t)[1])
 
 
 def total_loss(l_sc, l_co, lambda1=1.0, lambda2=0.01, per_component=None):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frames import molecule_frames
+from .frames import DEFAULT_CUTOFF, molecule_frames
 from .molgraph import N_BOND_CATEGORIES, feature_width
 
 
@@ -35,7 +35,6 @@ class NetworkConfig:
     latent: int = 128          # L, node feature width
     rounds: int = 3            # message-passing rounds per encoder
     n_rbf: int = 16
-    cutoff: float = 5.0
     gcn_layers: int = 3
     heads: int = 4
     head_dim: int = 32
@@ -43,7 +42,6 @@ class NetworkConfig:
     d_contrast: int = 64       # projection head output width
     hidden: int = 64           # head MLP hidden width
     edge_hidden: int = 32
-    share_encoders: bool = False
 
     @property
     def h_width(self):
@@ -95,8 +93,7 @@ def init_params(cfg, rng):
         p[f"{name}.w"] = _dense_init(rng, fan_in, fan_out)
         p[f"{name}.b"] = np.zeros(fan_out)
 
-    branches = ("enc_clean",) if cfg.share_encoders else ("enc_clean", "enc_noisy")
-    for branch in branches:
+    for branch in ("enc_clean", "enc_noisy"):
         p[f"{branch}.embed"] = _dense_init(rng, cfg.h_width, cfg.latent)
         for k in range(cfg.rounds):
             p[f"{branch}.r{k}.filter"] = _dense_init(rng, cfg.n_rbf, cfg.latent)
@@ -140,18 +137,16 @@ def _rbf_features(positions, cfg):
     """Smooth radial basis expansion of pairwise distances within the cutoff."""
     n = positions.shape[0]
     d = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
-    centers = np.linspace(0.0, cfg.cutoff, cfg.n_rbf)
-    gamma = (cfg.n_rbf / cfg.cutoff) ** 2
+    centers = np.linspace(0.0, DEFAULT_CUTOFF, cfg.n_rbf)
+    gamma = (cfg.n_rbf / DEFAULT_CUTOFF) ** 2
     rbf = np.exp(-gamma * (d[:, :, None] - centers[None, None, :]) ** 2)
-    envelope = 0.5 * (np.cos(np.pi * np.clip(d / cfg.cutoff, 0.0, 1.0)) + 1.0)
+    envelope = 0.5 * (np.cos(np.pi * np.clip(d / DEFAULT_CUTOFF, 0.0, 1.0)) + 1.0)
     np.fill_diagonal(envelope, 0.0)
     return (rbf * envelope[:, :, None]).reshape(n * n, cfg.n_rbf)
 
 
 def encode(tensors, params, cfg, branch):
     """Invariant node features from distance-featurized message passing."""
-    if cfg.share_encoders:
-        branch = "enc_clean"
     n = tensors.n
     rbf = Tensor(_rbf_features(tensors.P, cfg))  # (n*n, n_rbf) constant
     h = ad.matmul(Tensor(tensors.H), params[f"{branch}.embed"])
@@ -286,10 +281,10 @@ def forward(params, cfg, x0, xt, t, with_heads=True, scale=None, f0=None):
     representation, the unit-norm projection, and (when ``with_heads``) the
     three score heads evaluated on ``xt``. Passing back the ``f0`` of an
     earlier call on the same ``x0`` and ``params`` skips that encoding.
-    Frames for the 3D head are built from the noisy positions. ``scale`` maps
-    component names to scalars multiplying the head outputs; passing 1/beta(t)
-    turns the O(1) head outputs into a noise-prediction parametrization of the
-    score, which keeps the heads well-conditioned near t = 0.
+    Frames for the 3D head are built from the noisy positions. ``scale`` is
+    one float multiplying all three head outputs; passing 1/beta(t) turns the
+    O(1) head outputs into a noise-prediction parametrization of the score,
+    which keeps the heads well-conditioned near t = 0.
     """
     emb = fourier_embed(t, cfg.d_time)
     if f0 is None:
@@ -300,12 +295,11 @@ def forward(params, cfg, x0, xt, t, with_heads=True, scale=None, f0=None):
     latent = fuse_gcn(node, w, params, cfg)
     out = {"f0": f0, "latent": latent, "projection": project(latent, params, cfg)}
     if with_heads:
-        out["score_P"] = score_3d(latent, molecule_frames(xt.P, cutoff=cfg.cutoff),
-                                  params)
+        out["score_P"] = score_3d(latent, molecule_frames(xt.P), params)
         out["score_E"] = score_2d(latent, params, cfg, x0.E, xt.E)
         out["score_H"] = score_h(latent, params)
         if scale is not None:
+            factor = Tensor(float(scale))
             for comp in ("P", "H", "E"):
-                out[f"score_{comp}"] = ad.mul(out[f"score_{comp}"],
-                                              Tensor(float(scale[comp])))
+                out[f"score_{comp}"] = ad.mul(out[f"score_{comp}"], factor)
     return out

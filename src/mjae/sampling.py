@@ -3,8 +3,9 @@
 The reverse family dy = [f(t) y - (1 + lam^2)/2 g^2(t) s(y, t)] dt
 + lam g(t) dB shares its marginals across lam (lam = 0 is the
 probability-flow ODE, lam = 1 the reverse SDE). Generation integrates it with
-Euler-Maruyama per component from the prior down to a small terminal time,
-then argmax-quantizes the one-hot channels back into a molecule.
+Euler-Maruyama from the prior down to a small terminal time, with one noise
+schedule for P, H and E, then argmax-quantizes the one-hot channels back into
+a molecule.
 """
 
 from __future__ import annotations
@@ -35,14 +36,9 @@ class SamplerConfig:
             raise ValueError("lam must be >= 0")
 
 
-def _component_step(y, score, t, dt, schedule, lam, noise):
-    f, g = drift_diffusion(schedule, t)
-    drift = f * y - 0.5 * (1.0 + lam * lam) * g * g * score
-    return y - drift * dt + lam * g * np.sqrt(dt) * noise
-
-
-def reverse_step(state, t, dt, scores, schedules, lam, rng):
-    """One Euler-Maruyama step of the reverse family on all three components.
+def reverse_step(state, t, dt, scores, schedule, lam, rng):
+    """One Euler-Maruyama step of the reverse family on all three components,
+    which share the drift and diffusion of ``schedule`` at ``t``.
 
     Position noise stays zero-CoM, edge noise stays symmetric, so the state
     remains inside the data gauge throughout the integration.
@@ -50,54 +46,58 @@ def reverse_step(state, t, dt, scores, schedules, lam, rng):
     for comp in ("P", "H", "E"):
         if not np.all(np.isfinite(scores[comp])):
             raise FloatingPointError(f"non-finite {comp} score at t={t:.4f}")
+    f, g = drift_diffusion(schedule, t)
+
+    def step(y, score, noise):
+        drift = f * y - 0.5 * (1.0 + lam * lam) * g * g * score
+        return y - drift * dt + lam * g * np.sqrt(dt) * noise
+
     z_p = project_zero_com(rng.standard_normal(state.P.shape)) if lam > 0 else 0.0
     z_h = rng.standard_normal(state.H.shape) if lam > 0 else 0.0
     z_e = symmetrize_edge_noise(rng.standard_normal(state.E.shape)) if lam > 0 else 0.0
-    new = DenseTensors(
-        P=_component_step(state.P, scores["P"], t, dt, schedules["P"], lam, z_p),
-        H=_component_step(state.H, scores["H"], t, dt, schedules["H"], lam, z_h),
-        E=_component_step(state.E, scores["E"], t, dt, schedules["E"], lam, z_e),
-    )
+    new = DenseTensors(P=step(state.P, scores["P"], z_p), H=step(state.H, scores["H"], z_h),
+                       E=step(state.E, scores["E"], z_e))
     if not all(np.all(np.isfinite(x)) for x in (new.P, new.H, new.E)):
         raise FloatingPointError(f"non-finite state after reverse step at t={t:.4f}")
     return new
 
 
-def prior_sample(n_atoms, schedules, rng):
+def prior_sample(n_atoms, schedule, rng):
     """Terminal-time prior: N(0, beta(T)^2) per component, gauge-projected."""
-    scale = {c: alpha_beta(schedules[c], HORIZON)[1] for c in ("P", "H", "E")}
-    p = scale["P"] * project_zero_com(rng.standard_normal((n_atoms, 3)))
-    h = scale["H"] * rng.standard_normal((n_atoms, feature_width()))
-    e = scale["E"] * symmetrize_edge_noise(
+    scale = alpha_beta(schedule, HORIZON)[1]
+    p = scale * project_zero_com(rng.standard_normal((n_atoms, 3)))
+    h = scale * rng.standard_normal((n_atoms, feature_width()))
+    e = scale * symmetrize_edge_noise(
         rng.standard_normal((n_atoms, n_atoms, N_BOND_CATEGORIES)))
     return DenseTensors(P=p, H=h, E=e)
 
 
-def generate_one(params, net_cfg, schedules, cfg, rng):
+def generate_one(params, net_cfg, schedule, cfg, rng):
     """Integrate one reverse path from the prior and quantize.
 
     The clean-conditioner branch receives the evolving state itself (the only
     structure available at generation time).
     """
-    state = prior_sample(cfg.n_atoms, schedules, rng)
+    state = prior_sample(cfg.n_atoms, schedule, rng)
     dt = (HORIZON - cfg.t_end) / cfg.steps
     for k in range(cfg.steps):
         t = HORIZON - k * dt
-        scale = {c: 1.0 / alpha_beta(schedules[c], t)[1] for c in ("P", "H", "E")}
+        scale = 1.0 / alpha_beta(schedule, t)[1]
         out = forward(params, net_cfg, state, state, t, scale=scale)
         scores = {"P": out["score_P"].data, "H": out["score_H"].data,
                   "E": out["score_E"].data}
-        state = reverse_step(state, t, dt, scores, schedules, cfg.lam, rng)
+        state = reverse_step(state, t, dt, scores, schedule, cfg.lam, rng)
     return quantize(state)
 
 
-def generate(params, net_cfg, schedules, cfg, count):
-    """Generate ``count`` molecules; one child rng stream per sample index."""
+def generate(params, net_cfg, schedule, cfg, count):
+    """Generate ``count`` molecules under the NoiseSchedule ``schedule``; one
+    child rng stream per sample index."""
     params = detach_params(params)
     out = []
     for i in range(count):
         rng = np.random.default_rng([cfg.seed, i])
-        out.append(generate_one(params, net_cfg, schedules, cfg, rng))
+        out.append(generate_one(params, net_cfg, schedule, cfg, rng))
     return out
 
 

@@ -58,16 +58,13 @@ def _primitive_cases(rng):
         ("transpose", lambda x: reduce(ad.transpose(x))),
         ("sum", lambda x: ad.square(ad.sum_(x))),
         ("mean", lambda x: reduce(ad.mean(x, axis=0))),
-        ("relu", lambda x: reduce(ad.relu(x))),
         ("silu", lambda x: reduce(ad.silu(x))),
         ("softmax", lambda x: reduce(ad.softmax(x, axis=-1))),
-        ("exp", lambda x: reduce(ad.exp(x))),
         ("log", lambda x: reduce(ad.log(ad.add(ad.square(x), Tensor(1.0))))),
         ("square", lambda x: reduce(ad.square(x))),
         ("sqrt", lambda x: reduce(ad.sqrt(ad.add(ad.square(x), Tensor(0.5))))),
         ("abs", lambda x: reduce(ad.abs_(x))),
         ("broadcast", lambda x: reduce(ad.broadcast(ad.reshape(ad.mean(x, axis=0), (1, 4)), (6, 4)))),
-        ("neg", lambda x: reduce(ad.neg(x))),
     ]
 
 
@@ -76,7 +73,7 @@ def gradcheck_primitive(builder, rng, probes=5):
     worst = 0.0
     for _ in range(probes):
         base = rng.standard_normal((4, 4))
-        base += 0.2 * np.sign(base)  # keep relu/abs away from their kinks
+        base += 0.2 * np.sign(base)  # keep abs away from its kink
         x = Tensor(base.copy(), requires_grad=True)
         loss = builder(x)
         ad.backward(loss)

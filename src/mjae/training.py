@@ -25,6 +25,8 @@ from .trajectory import perturb_continuous, sample_time
 
 CHECKPOINT_MAGIC = b"MJAECKPT"
 CHECKPOINT_VERSION = 1
+GRAD_CLIP = 10.0           # global gradient norm cap before each Adam step
+DIVERGENCE_LIMIT = 1e6     # a total loss above this stops training
 
 
 class CheckpointError(ValueError):
@@ -36,20 +38,14 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 8
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     lambda1: float = 1.0
     lambda2: float = 0.01
     schedule: NoiseSchedule = field(default_factory=NoiseSchedule)
     t_min: float = 1e-3
     tau0: float = 0.5
-    weighting: str = "beta2"
     lr_schedule: str = "constant"   # "constant" or "cosine"
-    grad_clip: float = 10.0
     self_cond_prob: float = 0.0    # fraction of steps conditioning on x_t itself
-    divergence_limit: float = 1e6
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -61,8 +57,8 @@ class TrainConfig:
 
 
 def build_schedules(cfg):
-    """Identical schedule for all three components (distinct ones permitted)."""
-    return {"P": cfg.schedule, "H": cfg.schedule, "E": cfg.schedule}
+    """The one NoiseSchedule that P, H and E share."""
+    return cfg.schedule
 
 
 # -- optimizer -----------------------------------------------------------
@@ -116,12 +112,15 @@ def clip_gradients(grads, max_norm):
 
 # -- training loop -------------------------------------------------------
 
-def training_step(params, net_cfg, cfg, schedules, batch, rngs):
+def training_step(params, net_cfg, cfg, batch, rngs):
     """One optimizer-ready pass over a batch of DenseTensors.
 
     Returns (loss report, gradient map). ``rngs`` supplies one independent
-    stream per molecule so results do not depend on scheduling order.
+    stream per molecule so results do not depend on scheduling order. The
+    heads are scaled by 1/beta(t) and the score-matching term is weighted by
+    beta(t)^2 (likelihood weighting), both from ``cfg.schedule``.
     """
+    schedule = cfg.schedule
     sc_terms = []
     breakdowns = []
     anchors = []
@@ -130,13 +129,12 @@ def training_step(params, net_cfg, cfg, schedules, batch, rngs):
     for x0, rng in zip(batch, rngs):
         t = sample_time(rng, cfg.t_min)
         times.append(t)
-        sample = perturb_continuous(x0, t, rng, schedules)
+        sample = perturb_continuous(x0, t, rng, schedule)
         cond = sample.xt if rng.uniform() < cfg.self_cond_prob else x0
-        scale = {c: 1.0 / alpha_beta(schedules[c], t)[1] for c in ("P", "H", "E")}
-        out = forward(params, net_cfg, cond, sample.xt, t, scale=scale)
-        weights = losses.time_weight(schedules, t, cfg.weighting)
+        beta = alpha_beta(schedule, t)[1]
+        out = forward(params, net_cfg, cond, sample.xt, t, scale=1.0 / beta)
         pred = {"P": out["score_P"], "H": out["score_H"], "E": out["score_E"]}
-        term, breakdown = losses.score_matching_loss(pred, sample.score_target, weights)
+        term, breakdown = losses.score_matching_loss(pred, sample.score_target, beta ** 2)
         sc_terms.append(term)
         breakdowns.append(breakdown)
         positives.append(out["projection"])
@@ -147,7 +145,7 @@ def training_step(params, net_cfg, cfg, schedules, batch, rngs):
     for term in sc_terms[1:]:
         l_sc = ad.add(l_sc, term)
     l_sc = ad.div(l_sc, ad.Tensor(float(len(batch))))
-    tau = losses.anneal_tau(cfg.tau0, schedules, float(np.mean(times)))
+    tau = losses.anneal_tau(cfg.tau0, schedule, float(np.mean(times)))
     l_co = losses.contrastive_loss(anchors, positives, tau)
     total = losses.combine(l_sc, l_co, cfg.lambda1, cfg.lambda2)
     report = losses.total_loss(l_sc, l_co, cfg.lambda1, cfg.lambda2,
@@ -169,7 +167,7 @@ def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):
 
     History entries carry the epoch means of the total/score/contrastive
     losses. A dataset of fewer than 2 molecules raises ``ValueError``.
-    Divergence (total loss beyond the configured limit) and an epoch whose
+    Divergence (total loss beyond DIVERGENCE_LIMIT) and an epoch whose
     every step was rejected raise ``RuntimeError``.
     """
     if not dataset:
@@ -183,10 +181,10 @@ def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):
     if params is None:
         params = init_params(net_cfg, root)
     state = init_adam_state(params)
-    schedules = build_schedules(cfg)
     history = []
-    steps_per_epoch = max(1, len(dense) // cfg.batch_size)
-    total_steps = max(1, cfg.epochs * steps_per_epoch)
+    # every full batch, and a final partial one of at least 2 molecules
+    steps_per_epoch = len(dense) // cfg.batch_size + (len(dense) % cfg.batch_size >= 2)
+    total_steps = cfg.epochs * steps_per_epoch
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, 1000 + epoch]).permutation(len(dense))
         reports = []
@@ -196,18 +194,18 @@ def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):
                 continue
             batch = [dense[i] for i in idx]
             rngs = [np.random.default_rng([cfg.seed, epoch, start, int(i)]) for i in idx]
-            report, grads = training_step(params, net_cfg, cfg, schedules, batch, rngs)
-            if report.total > cfg.divergence_limit:
+            report, grads = training_step(params, net_cfg, cfg, batch, rngs)
+            if report.total > DIVERGENCE_LIMIT:
                 raise RuntimeError(
                     f"training diverged at epoch {epoch}: total loss {report.total:g}")
-            grads, _ = clip_gradients(grads, cfg.grad_clip)
+            grads, _ = clip_gradients(grads, GRAD_CLIP)
             if cfg.lr_schedule == "cosine":
                 frac = min(1.0, state["step"] / total_steps)
                 cur_lr = cfg.lr * (0.1 + 0.45 * (1.0 + np.cos(np.pi * frac)))
             else:
                 cur_lr = cfg.lr
             try:
-                adam_step(params, grads, state, cur_lr, cfg.beta1, cfg.beta2, cfg.eps)
+                adam_step(params, grads, state, cur_lr)
             except ValueError:
                 continue  # rejected step; parameters unchanged
             reports.append(report)

@@ -1,7 +1,7 @@
 """Forward trajectory augmentation.
 
-Continuous branch: closed-form joint Gaussian perturbation of (P, H, E) with
-per-component schedules, plus the conditional score targets -z / beta(t).
+Continuous branch: closed-form joint Gaussian perturbation of (P, H, E) under
+one shared noise schedule, plus the conditional score targets -z / beta(t).
 Position noise is projected onto the zero center-of-mass subspace and edge
 noise is symmetrized, so perturbed states stay inside the same gauge and
 symmetry class as the data.
@@ -45,32 +45,24 @@ def symmetrize_edge_noise(z):
     return sym
 
 
-def perturb_continuous(x0, t, rng, schedules):
-    """Closed-form forward perturbation x_t = alpha(t) x0 + beta(t) z per component.
+def perturb_continuous(x0, t, rng, schedule):
+    """Closed-form forward perturbation x_t = alpha(t) x0 + beta(t) z of every
+    component under the one NoiseSchedule ``schedule``.
 
-    ``schedules`` maps component names "P"/"H"/"E" to NoiseSchedule objects.
     Rejects t where beta(t) = 0 (undefined score target); with the default
-    VP schedules this means t must be positive.
+    VP schedule this means t must be positive.
     """
-    coeffs = {}
-    for comp in ("P", "H", "E"):
-        a, b = alpha_beta(schedules[comp], t)
-        if b <= 0.0:
-            raise ValueError(f"beta(t)=0 for component {comp} at t={t}: "
-                             "score target undefined")
-        coeffs[comp] = (a, b)
+    a, b = alpha_beta(schedule, t)
+    if b <= 0.0:
+        raise ValueError(f"beta(t)=0 at t={t}: score target undefined")
 
     z_p = project_zero_com(rng.standard_normal(x0.P.shape))
     z_h = rng.standard_normal(x0.H.shape)
     z_e = symmetrize_edge_noise(rng.standard_normal(x0.E.shape))
     noise = {"P": z_p, "H": z_h, "E": z_e}
 
-    xt = DenseTensors(
-        P=coeffs["P"][0] * x0.P + coeffs["P"][1] * z_p,
-        H=coeffs["H"][0] * x0.H + coeffs["H"][1] * z_h,
-        E=coeffs["E"][0] * x0.E + coeffs["E"][1] * z_e,
-    )
-    score_target = {c: -noise[c] / coeffs[c][1] for c in noise}
+    xt = DenseTensors(P=a * x0.P + b * z_p, H=a * x0.H + b * z_h, E=a * x0.E + b * z_e)
+    score_target = {c: -noise[c] / b for c in noise}
     return TrajectorySample(x0=x0, xt=xt, t=t, noise=noise, score_target=score_target)
 
 

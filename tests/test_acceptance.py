@@ -24,7 +24,7 @@ from mjae.network import NetworkConfig, init_params
 from mjae.sampling import SamplerConfig, generate, reverse_paths_1d
 from mjae.schedule import NoiseSchedule, alpha_beta
 from mjae.trajectory import perturb_absorbing, perturb_continuous
-from mjae.training import TrainConfig, build_schedules, train
+from mjae.training import TrainConfig, train
 
 VP = NoiseSchedule(kind="VP")
 
@@ -118,14 +118,13 @@ def test_criterion_03_se3_contracts():
 def test_criterion_04_forward_trajectory():
     t0 = time.time()
     rng = np.random.default_rng(4)
-    schedules = {"P": VP, "H": VP, "E": VP}
 
     # conditional score targets vs finite-difference log-density gradients
     worst_fd = 0.0
     for graph in toy_corpus(count=3, seed=2):
         x0 = to_dense(graph)
         for t in (0.2, 0.6, 0.9):
-            sample = perturb_continuous(x0, t, rng, schedules)
+            sample = perturb_continuous(x0, t, rng, VP)
             a, b = alpha_beta(VP, t)
             h = 1e-5
             for comp, clean in (("P", x0.P), ("H", x0.H), ("E", x0.E)):
@@ -214,7 +213,7 @@ def test_criterion_08_overfit_one_generation():
                       seed=0, self_cond_prob=0.5)
     params, _ = train([water] * 16, cfg, net)
     sampler = SamplerConfig(steps=300, lam=0.0, n_atoms=3, seed=0, t_end=0.01)
-    samples = generate(params, net, build_schedules(cfg), sampler, 50)
+    samples = generate(params, net, cfg.schedule, sampler, 50)
     hits = sum(canonical_hash(g) == target for g in samples)
     _finish("criterion 8 (overfit-one generation)", hits >= 40,
             f"exact bond-graph match in {hits}/50 samples (need >= 40)",

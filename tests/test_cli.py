@@ -141,6 +141,22 @@ def test_pretrain_lambda2_zero_ablation(tmp_path):
     assert os.path.exists(ck)
 
 
+def test_pretrain_loss_log_is_the_printed_history(tmp_path, capsys):
+    ck, log = _pretrain(tmp_path, extra=["--epochs", "2"])
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("epoch")]
+    hist = json.load(open(log))
+    assert [h["epoch"] for h in hist] == [0, 1]
+    assert [f"{h['total']:.4f}" for h in hist] == [line.split()[3] for line in printed]
+
+
+def test_pretrain_reports_rejected_lines(tmp_path, capsys):
+    data = _write_dataset(tmp_path / "data.jsonl", malformed=1)
+    assert main(["pretrain", data, "--out", str(tmp_path / "m.ck"), "--epochs", "1",
+                 "--batch-size", "3", *NET_FLAGS]) == 0
+    assert "rejected: line 7: " in capsys.readouterr().err
+
+
 def test_pretrain_missing_dataset_is_usage_error():
     with pytest.raises(SystemExit) as e:
         main(["pretrain", "--out", "x.ck"])
@@ -185,6 +201,25 @@ def test_eval_symmetry_and_metrics(trained, tmp_path):
     rep = json.load(open(report))
     assert rep["symmetry"]["rotation_equivariance_3d"] < 1e-4
     assert rep["generation"]["atom_tv"] == 0.0
+
+
+def test_eval_and_probe_report_rejected_lines(trained, tmp_path, capsys):
+    ck, _, _ = trained
+    data = _write_dataset(tmp_path / "data.jsonl", count=2, malformed=1)
+    assert main(["eval", ck, "--probe-set", data, "--n-rotations", "2",
+                 "--max-probes", "1"]) == 0
+    assert capsys.readouterr().err == f"rejected: {read_dataset(data)[1][0]}\n"
+    assert main(["probe", ck, data, "--probe-seeds", "2"]) == 0
+    assert "rejected: line 3: " in capsys.readouterr().err
+
+
+def test_eval_probe_set_without_valid_records_is_runtime_error(trained, tmp_path, capsys):
+    ck, _, _ = trained
+    data = _write_dataset(tmp_path / "bad.jsonl", count=0, malformed=2)
+    assert main(["eval", ck, "--probe-set", data]) == 1
+    err = capsys.readouterr().err
+    assert err.count("rejected: line ") == 2
+    assert "error: no valid records in probe set" in err
 
 
 def test_eval_nothing_to_do(trained):
@@ -249,12 +284,30 @@ def test_round_trip_reads_net_and_schedule_from_checkpoint(tmp_path):
 
     def direct(kind):
         sched = NoiseSchedule(kind=kind)
-        graphs = generate(params, NET, {"P": sched, "H": sched, "E": sched}, sampler, 2)
+        graphs = generate(params, NET, sched, sampler, 2)
         return "".join(serialize_molecule(g) + "\n" for g in graphs).encode()
 
     written = open(out, "rb").read()
     assert written == direct("VE")
     assert written != direct("VP")  # the schedule matters, so it came from the checkpoint
+
+
+def test_previous_format_meta_serves_sample_eval_and_probe(trained, tmp_path):
+    # checkpoints written before share_encoders and cutoff became constants
+    # store them in meta["net"] at the one value the code now fixes
+    ck, data, _ = trained
+    old = _with_meta(ck, tmp_path / "old.ck",
+                     lambda m: m | {"net": m["net"] | {"share_encoders": False,
+                                                       "cutoff": 5.0}})
+    assert set(load_checkpoint(old)[2]["net"]) >= {"share_encoders", "cutoff"}
+    flags = ["--count", "2", "--n-atoms", "3", "--steps", "4", "--seed", "5"]
+    new_out, old_out = str(tmp_path / "new.jsonl"), str(tmp_path / "old.jsonl")
+    assert main(["sample", ck, "--out", new_out, *flags]) == 0
+    assert main(["sample", old, "--out", old_out, *flags]) == 0
+    assert open(old_out, "rb").read() == open(new_out, "rb").read()
+    assert main(["eval", old, "--probe-set", data, "--n-rotations", "2",
+                 "--max-probes", "1"]) == 0
+    assert main(["probe", old, data, "--probe-seeds", "2"]) == 0
 
 
 def test_sample_rejects_net_flags(trained, tmp_path):
@@ -286,6 +339,9 @@ def test_checkpoint_without_schedule_serves_eval_not_sample(trained, tmp_path, c
      "unknown keys ['steps']"),
     (lambda m: m | {"schedule": m["schedule"] | {"kind": None}}, "schedule.kind is None"),
     (lambda m: m | {"schedule": m["schedule"] | {"kind": "XX"}}, "unknown schedule kind"),
+    (lambda m: m | {"net": m["net"] | {"share_encoders": True}},
+     "net.share_encoders is True"),
+    (lambda m: m | {"net": m["net"] | {"cutoff": 4.0}}, "net.cutoff is 4.0"),
 ])
 def test_checkpoint_meta_errors_name_the_key(trained, tmp_path, capsys, edit, message):
     ck, _, _ = trained

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
-from conftest import fd_grad, water_graph
+from conftest import fd_grad, small_net_config, toy_corpus
 from mjae import autodiff as ad
+from mjae import network, training
 from mjae.autodiff import Tensor
 from mjae.loss import (COMPONENTS, anneal_tau, combine, contrastive_loss,
-                       score_matching_loss, time_weight, total_loss,
-                       verify_decomposition)
+                       score_matching_loss, total_loss, verify_decomposition)
 from mjae.molgraph import DenseTensors, to_dense
+from mjae.network import init_params
 from mjae.schedule import NoiseSchedule, alpha_beta
 
 VP = NoiseSchedule(kind="VP")
-SCHEDULES = {"P": VP, "H": VP, "E": VP}
+VE = NoiseSchedule(kind="VE")
+
+
+def _weight(t):
+    """The likelihood weighting beta(t)^2 that training_step applies."""
+    return alpha_beta(VP, t)[1] ** 2
 
 
 def _pred_target(rng, offset=0.0):
@@ -21,18 +27,41 @@ def _pred_target(rng, offset=0.0):
     return pred, target
 
 
-def test_time_weight():
-    w = time_weight(SCHEDULES, 0.5)
-    b = alpha_beta(VP, 0.5)[1]
-    assert all(abs(v - b * b) < 1e-12 for v in w.values())
-    assert time_weight(SCHEDULES, 0.5, "uniform") == {c: 1.0 for c in COMPONENTS}
-    with pytest.raises(ValueError):
-        time_weight(SCHEDULES, 0.5, "bogus")
+def test_time_weight(monkeypatch):
+    # training_step scales the heads by 1/beta(t) and weights the
+    # score-matching term by beta(t)^2, both from the config's one schedule
+    seen = []
+    real_forward = network.forward
+
+    def spy_forward(params, cfg, x0, xt, t, **kw):
+        if kw.get("with_heads", True):
+            seen.append({"t": t, "scale": kw["scale"]})
+        return real_forward(params, cfg, x0, xt, t, **kw)
+
+    def spy_loss(pred, target, weight):
+        seen[-1]["weight"] = weight
+        return score_matching_loss(pred, target, weight)
+
+    monkeypatch.setattr(training, "forward", spy_forward)
+    monkeypatch.setattr(training.losses, "score_matching_loss", spy_loss)
+    net_cfg = small_net_config()
+    params = init_params(net_cfg, np.random.default_rng(0))
+    batch = [to_dense(g) for g in toy_corpus(count=3, seed=5)]
+    for schedule in (VP, VE):
+        seen.clear()
+        rngs = [np.random.default_rng([9, i]) for i in range(3)]
+        cfg = training.TrainConfig(batch_size=3, schedule=schedule)
+        training.training_step(params, net_cfg, cfg, batch, rngs)
+        assert len(seen) == 3
+        for call in seen:
+            beta = alpha_beta(schedule, call["t"])[1]
+            assert call["scale"] == 1.0 / beta
+            assert call["weight"] == beta ** 2
 
 
 def test_score_matching_zero_at_target(rng):
     pred, target = _pred_target(rng)
-    loss, breakdown = score_matching_loss(pred, target, time_weight(SCHEDULES, 0.5))
+    loss, breakdown = score_matching_loss(pred, target, _weight(0.5))
     assert float(loss.data) == 0.0
     assert all(v == 0.0 for v in breakdown.values())
 
@@ -40,19 +69,19 @@ def test_score_matching_zero_at_target(rng):
 def test_score_matching_constant_offset(rng):
     c = 0.7
     pred, target = _pred_target(rng, offset=c)
-    w = time_weight(SCHEDULES, 0.3)
+    w = _weight(0.3)
     loss, breakdown = score_matching_loss(pred, target, w)
     for comp in COMPONENTS:
-        assert abs(breakdown[comp] - w[comp] * c * c) < 1e-12
+        assert abs(breakdown[comp] - w * c * c) < 1e-12
     assert abs(float(loss.data) - sum(breakdown.values())) < 1e-12
 
 
 def test_score_matching_pred_zero_second_moment(rng):
     pred, target = _pred_target(rng)
     zero_pred = {c: Tensor(np.zeros_like(target[c])) for c in COMPONENTS}
-    w = time_weight(SCHEDULES, 0.6)
+    w = _weight(0.6)
     loss, _ = score_matching_loss(zero_pred, target, w)
-    expect = sum(w[c] * (target[c] ** 2).mean() for c in COMPONENTS)
+    expect = sum(w * (target[c] ** 2).mean() for c in COMPONENTS)
     assert abs(float(loss.data) - expect) < 1e-12
 
 
@@ -60,7 +89,7 @@ def test_score_matching_shape_mismatch(rng):
     pred, target = _pred_target(rng)
     pred["H"] = Tensor(np.zeros((2, 2)))
     with pytest.raises(ad.ShapeError, match="H"):
-        score_matching_loss(pred, target, time_weight(SCHEDULES, 0.5))
+        score_matching_loss(pred, target, _weight(0.5))
 
 
 # -- contrastive ----------------------------------------------------------
@@ -139,7 +168,7 @@ def test_contrastive_gradient_matches_fd(rng):
 
 
 def test_anneal_tau_monotone():
-    taus = [anneal_tau(0.5, SCHEDULES, t) for t in np.linspace(1e-3, 1.0, 50)]
+    taus = [anneal_tau(0.5, VP, t) for t in np.linspace(1e-3, 1.0, 50)]
     assert all(t1 <= t2 for t1, t2 in zip(taus, taus[1:]))
     assert abs(taus[-1] - 0.5 * (0.5 + alpha_beta(VP, 1.0)[1])) < 1e-12
 

@@ -107,18 +107,6 @@ def test_encode_symmetric_molecule_identical_features(cfg, params):
     assert np.abs(f[1] - f[2]).max() < 1e-6
 
 
-def test_shared_encoder_config(rng):
-    cfg = NetworkConfig(latent=8, rounds=1, n_rbf=4, gcn_layers=1, heads=1,
-                        head_dim=4, d_time=4, d_contrast=4, hidden=8,
-                        edge_hidden=4, share_encoders=True)
-    params = init_params(cfg, rng)
-    assert not any(k.startswith("enc_noisy") for k in params)
-    dense = _dense(np.random.default_rng(1))
-    a = encode(dense, params, cfg, "enc_clean").data
-    b = encode(dense, params, cfg, "enc_noisy").data
-    assert np.array_equal(a, b)
-
-
 # -- fusion ---------------------------------------------------------------
 
 def test_fuse_zero_weights(cfg, params, rng):
@@ -210,7 +198,7 @@ def _latent(cfg, params, dense, t=0.5):
 def test_score_3d_zero_head_weights(cfg, params, rng):
     dense = _dense(rng)
     latent = _latent(cfg, params, dense)
-    frames = molecule_frames(dense.P, cutoff=cfg.cutoff)
+    frames = molecule_frames(dense.P)
     zeroed = dict(params)
     for k in ("head3d.l1.w", "head3d.l1.b", "head3d.l2.w", "head3d.l2.b"):
         zeroed[k] = Tensor(np.zeros_like(params[k].data))
@@ -220,7 +208,7 @@ def test_score_3d_zero_head_weights(cfg, params, rng):
 def test_score_3d_zero_com(cfg, params, rng):
     dense = _dense(rng)
     latent = _latent(cfg, params, dense)
-    frames = molecule_frames(dense.P, cutoff=cfg.cutoff)
+    frames = molecule_frames(dense.P)
     field = score_3d(latent, frames, params).data
     assert np.abs(field.mean(axis=0)).max() < 1e-12
 

@@ -9,11 +9,9 @@ from mjae.network import init_params
 from mjae.sampling import (SamplerConfig, generate, prior_sample, quantize,
                            reverse_paths_1d, reverse_step)
 from mjae.schedule import NoiseSchedule, alpha_beta
-from mjae.training import TrainConfig, build_schedules
 
 VP = NoiseSchedule(kind="VP")
 VE = NoiseSchedule(kind="VE")
-SCHEDULES = {"P": VP, "H": VP, "E": VP}
 
 
 def _state(rng, n=4):
@@ -38,9 +36,9 @@ def test_config_validation():
 def test_reverse_step_ode_deterministic(rng):
     state = _state(rng)
     scores = _scores(rng, state)
-    a = reverse_step(state, 0.5, 1e-3, scores, SCHEDULES, 0.0,
+    a = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
                      np.random.default_rng(0))
-    b = reverse_step(state, 0.5, 1e-3, scores, SCHEDULES, 0.0,
+    b = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
                      np.random.default_rng(99))
     for comp in ("P", "H", "E"):
         assert np.array_equal(getattr(a, comp), getattr(b, comp))
@@ -51,14 +49,13 @@ def test_reverse_step_zero_score_ve(rng):
     zeros = {c: np.zeros_like(v) for c, v in
              (("P", state.P), ("H", state.H), ("E", state.E))}
     # lam=0, VE (f=0), zero score: the state is a fixed point
-    ve = {"P": VE, "H": VE, "E": VE}
-    out = reverse_step(state, 0.5, 1e-3, zeros, ve, 0.0, np.random.default_rng(0))
+    out = reverse_step(state, 0.5, 1e-3, zeros, VE, 0.0, np.random.default_rng(0))
     assert np.array_equal(out.H, state.H)
     # lam=1: pure noise injection of magnitude lam g sqrt(dt)
     from mjae.schedule import drift_diffusion
     g = drift_diffusion(VE, 0.5)[1]
     dt = 1e-3
-    draws = [(reverse_step(state, 0.5, dt, zeros, ve, 1.0,
+    draws = [(reverse_step(state, 0.5, dt, zeros, VE, 1.0,
                            np.random.default_rng(s)).H - state.H)
              for s in range(200)]
     std = np.std(np.stack(draws))
@@ -70,7 +67,7 @@ def test_reverse_step_rejects_nonfinite(rng):
     scores = _scores(rng, state)
     scores["P"][0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="P score"):
-        reverse_step(state, 0.5, 1e-3, scores, SCHEDULES, 0.0,
+        reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
                      np.random.default_rng(0))
 
 
@@ -81,7 +78,7 @@ def test_reverse_step_gauge_preserved(rng):
                          E=rng.standard_normal((5, 5, N_BOND_CATEGORIES)))
     scores = _scores(rng, state)
     scores["P"] -= scores["P"].mean(axis=0)
-    out = reverse_step(state, 0.7, 1e-3, scores, SCHEDULES, 1.0,
+    out = reverse_step(state, 0.7, 1e-3, scores, VP, 1.0,
                        np.random.default_rng(0))
     assert np.abs(out.P.mean(axis=0)).max() < 1e-9
 
@@ -89,18 +86,18 @@ def test_reverse_step_gauge_preserved(rng):
 def test_reverse_step_rotation_equivariance(rng):
     state = _state(rng)
     scores = _scores(rng, state)
-    base = reverse_step(state, 0.5, 1e-3, scores, SCHEDULES, 0.0,
+    base = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
                         np.random.default_rng(0))
     r = random_rotation(rng)
     rot_state = DenseTensors(P=state.P @ r.T, H=state.H, E=state.E)
     rot_scores = dict(scores, P=scores["P"] @ r.T)
-    got = reverse_step(rot_state, 0.5, 1e-3, rot_scores, SCHEDULES, 0.0,
+    got = reverse_step(rot_state, 0.5, 1e-3, rot_scores, VP, 0.0,
                        np.random.default_rng(0))
     assert np.abs(got.P - base.P @ r.T).max() < 1e-9
 
 
 def test_prior_sample_gauge(rng):
-    prior = prior_sample(6, SCHEDULES, rng)
+    prior = prior_sample(6, VP, rng)
     assert np.abs(prior.P.mean(axis=0)).max() < 1e-12
     assert np.allclose(prior.E, np.swapaxes(prior.E, 0, 1))
     assert prior.H.shape == (6, feature_width())
@@ -139,10 +136,9 @@ def test_quantize_constant_shift_invariance(rng):
 def test_generate_deterministic_and_valid(rng):
     net_cfg = small_net_config()
     params = init_params(net_cfg, rng)
-    schedules = build_schedules(TrainConfig())
     cfg = SamplerConfig(steps=5, lam=0.0, n_atoms=4, seed=3)
-    a = generate(params, net_cfg, schedules, cfg, 2)
-    b = generate(params, net_cfg, schedules, cfg, 2)
+    a = generate(params, net_cfg, VP, cfg, 2)
+    b = generate(params, net_cfg, VP, cfg, 2)
     for ga, gb in zip(a, b):
         assert np.array_equal(ga.bonds, gb.bonds)
         assert np.allclose(ga.positions, gb.positions)

@@ -27,9 +27,7 @@ def test_config_validation():
 
 def test_build_schedules():
     cfg = TrainConfig(schedule=NoiseSchedule(kind="VE"))
-    scheds = build_schedules(cfg)
-    assert set(scheds) == {"P", "H", "E"}
-    assert all(s.kind == "VE" for s in scheds.values())
+    assert build_schedules(cfg) is cfg.schedule
 
 
 # -- adam -----------------------------------------------------------------
@@ -151,6 +149,29 @@ def test_train_cosine_schedule_changes_history():
     assert const != cos
 
 
+@pytest.mark.parametrize("count, batch_size, epochs, steps", [
+    (6, 4, 3, 6),   # a final batch of 2 runs every epoch
+    (5, 4, 3, 3),   # a final batch of 1 is skipped
+    (3, 4, 2, 2),   # one partial batch per epoch
+    (8, 4, 2, 4),   # batches divide the corpus evenly
+])
+def test_cosine_lr_spans_the_batches_train_runs(monkeypatch, count, batch_size,
+                                                epochs, steps):
+    lrs = []
+
+    def spy(params, grads, state, lr):
+        lrs.append(lr)
+        return adam_step(params, grads, state, lr)
+
+    monkeypatch.setattr(training, "adam_step", spy)
+    cfg = _quick_cfg(epochs=epochs, batch_size=batch_size, lr_schedule="cosine")
+    train(toy_corpus(count=count, seed=11), cfg, small_net_config())
+    assert len(lrs) == steps
+    assert lrs[0] == cfg.lr
+    assert all(a > b for a, b in zip(lrs, lrs[1:]))
+    assert min(lrs) > 0.1 * cfg.lr  # the floor is only reached after the run
+
+
 def test_train_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
         train([], _quick_cfg())
@@ -177,20 +198,19 @@ def test_params_stay_finite_after_training():
 
 
 
-def _two_forward_step(params, net_cfg, cfg, schedules, batch, rngs):
+def _two_forward_step(params, net_cfg, cfg, batch, rngs):
     """``training_step`` written with a second full ``forward`` per molecule
     for the anchor, which encodes the conditioner again."""
     sc_terms, breakdowns, anchors, positives, times = [], [], [], [], []
     for x0, rng in zip(batch, rngs):
         t = sample_time(rng, cfg.t_min)
         times.append(t)
-        sample = perturb_continuous(x0, t, rng, schedules)
+        sample = perturb_continuous(x0, t, rng, cfg.schedule)
         cond = sample.xt if rng.uniform() < cfg.self_cond_prob else x0
-        scale = {c: 1.0 / alpha_beta(schedules[c], t)[1] for c in ("P", "H", "E")}
-        out = network.forward(params, net_cfg, cond, sample.xt, t, scale=scale)
+        beta = alpha_beta(cfg.schedule, t)[1]
+        out = network.forward(params, net_cfg, cond, sample.xt, t, scale=1.0 / beta)
         pred = {"P": out["score_P"], "H": out["score_H"], "E": out["score_E"]}
-        term, breakdown = losses.score_matching_loss(
-            pred, sample.score_target, losses.time_weight(schedules, t, cfg.weighting))
+        term, breakdown = losses.score_matching_loss(pred, sample.score_target, beta ** 2)
         sc_terms.append(term)
         breakdowns.append(breakdown)
         positives.append(out["projection"])
@@ -200,7 +220,7 @@ def _two_forward_step(params, net_cfg, cfg, schedules, batch, rngs):
     for term in sc_terms[1:]:
         l_sc = ad.add(l_sc, term)
     l_sc = ad.div(l_sc, Tensor(float(len(batch))))
-    tau = losses.anneal_tau(cfg.tau0, schedules, float(np.mean(times)))
+    tau = losses.anneal_tau(cfg.tau0, cfg.schedule, float(np.mean(times)))
     l_co = losses.contrastive_loss(anchors, positives, tau)
     total = losses.combine(l_sc, l_co, cfg.lambda1, cfg.lambda2)
     ad.backward(total)
@@ -216,19 +236,18 @@ def test_training_step_encodes_conditioner_once(self_cond_prob, monkeypatch):
     anchor pass; loss and gradients match two full forwards per molecule."""
     net_cfg = small_net_config()
     cfg = _quick_cfg(self_cond_prob=self_cond_prob)
-    schedules = build_schedules(cfg)
     batch = [to_dense(g) for g in toy_corpus(count=4, seed=5)]
     params = init_params(net_cfg, np.random.default_rng(3))
 
     def rngs():
         return [np.random.default_rng([7, i]) for i in range(len(batch))]
 
-    ref_total, ref_grads = _two_forward_step(params, net_cfg, cfg, schedules, batch, rngs())
+    ref_total, ref_grads = _two_forward_step(params, net_cfg, cfg, batch, rngs())
     calls = []
     encode = network.encode
     monkeypatch.setattr(network, "encode",
                         lambda x, p, c, branch: calls.append(branch) or encode(x, p, c, branch))
-    report, grads = training_step(params, net_cfg, cfg, schedules, batch, rngs())
+    report, grads = training_step(params, net_cfg, cfg, batch, rngs())
 
     assert calls.count("enc_clean") == len(batch)
     assert calls.count("enc_noisy") == 2 * len(batch)

@@ -10,7 +10,6 @@ from mjae.trajectory import (T_MIN, perturb_absorbing, perturb_continuous,
 
 VP = NoiseSchedule(kind="VP")
 VE = NoiseSchedule(kind="VE")
-SCHEDULES = {"P": VP, "H": VP, "E": VP}
 
 
 class FakeRng:
@@ -41,7 +40,7 @@ def test_symmetrize_edge_noise(rng):
 def test_perturb_algebra(rng):
     x0 = to_dense(water_graph())
     t = 0.37
-    sample = perturb_continuous(x0, t, rng, SCHEDULES)
+    sample = perturb_continuous(x0, t, rng, VP)
     a, b = alpha_beta(VP, t)
     for comp, clean in (("P", x0.P), ("H", x0.H), ("E", x0.E)):
         z = sample.noise[comp]
@@ -64,7 +63,7 @@ def test_scalar_substitution():
 def test_small_t_limit_with_zero_noise():
     x0 = to_dense(water_graph())
     zeros = FakeRng([np.zeros_like(x0.P), np.zeros_like(x0.H), np.zeros_like(x0.E)])
-    sample = perturb_continuous(x0, 1e-6, zeros, SCHEDULES)
+    sample = perturb_continuous(x0, 1e-6, zeros, VP)
     assert np.allclose(sample.xt.P, x0.P, atol=1e-6)
     assert np.allclose(sample.xt.H, x0.H, atol=1e-6)
 
@@ -73,7 +72,7 @@ def test_score_target_matches_log_density_gradient(rng):
     # independent oracle: central finite difference of log N(x_t; a x0, b^2)
     x0 = to_dense(water_graph())
     t = 0.6
-    sample = perturb_continuous(x0, t, rng, SCHEDULES)
+    sample = perturb_continuous(x0, t, rng, VP)
     a, b = alpha_beta(VP, t)
 
     def logp(x, mean):
@@ -90,10 +89,9 @@ def test_score_target_matches_log_density_gradient(rng):
 def test_t_zero_rejected_for_vp(rng):
     x0 = to_dense(water_graph())
     with pytest.raises(ValueError, match="score target undefined"):
-        perturb_continuous(x0, 0.0, rng, SCHEDULES)
+        perturb_continuous(x0, 0.0, rng, VP)
     # VE has beta(0) = sigma_min > 0, so t=0 is fine there
-    ve = {"P": VE, "H": VE, "E": VE}
-    sample = perturb_continuous(x0, 0.0, rng, ve)
+    sample = perturb_continuous(x0, 0.0, rng, VE)
     assert np.isfinite(sample.score_target["P"]).all()
 
 
@@ -106,10 +104,10 @@ def test_rotation_equivariance_with_matched_noise(rng):
         z_p = rng.standard_normal(x0.P.shape)
         z_h = rng.standard_normal(x0.H.shape)
         z_e = rng.standard_normal(x0.E.shape)
-        plain = perturb_continuous(x0, t, FakeRng([z_p, z_h, z_e]), SCHEDULES)
+        plain = perturb_continuous(x0, t, FakeRng([z_p, z_h, z_e]), VP)
         rotated_x0 = DenseTensors(H=x0.H, E=x0.E, P=x0.P @ r.T)
         rot = perturb_continuous(rotated_x0, t,
-                                 FakeRng([z_p @ r.T, z_h, z_e]), SCHEDULES)
+                                 FakeRng([z_p @ r.T, z_h, z_e]), VP)
         assert np.abs(rot.xt.P - plain.xt.P @ r.T).max() < 1e-6
         # H and E components are decoupled from the pose
         assert np.abs(rot.xt.H - plain.xt.H).max() == 0.0
@@ -124,10 +122,10 @@ def test_permutation_equivariance(rng):
     z_h = rng.standard_normal(x0.H.shape)
     # feed symmetric edge noise so the permuted draw stays in the same class
     z_e = symmetrize_edge_noise(rng.standard_normal(x0.E.shape))
-    plain = perturb_continuous(x0, 0.4, FakeRng([z_p, z_h, z_e]), SCHEDULES)
+    plain = perturb_continuous(x0, 0.4, FakeRng([z_p, z_h, z_e]), VP)
     permuted = perturb_continuous(
         to_dense(permute(g, perm)), 0.4,
-        FakeRng([z_p[perm], z_h[perm], z_e[np.ix_(perm, perm)]]), SCHEDULES)
+        FakeRng([z_p[perm], z_h[perm], z_e[np.ix_(perm, perm)]]), VP)
     assert np.abs(permuted.xt.P - plain.xt.P[perm]).max() < 1e-9
     assert np.abs(permuted.xt.H - plain.xt.H[perm]).max() < 1e-9
     assert np.abs(permuted.xt.E - plain.xt.E[np.ix_(perm, perm)]).max() < 1e-9
