@@ -4,6 +4,10 @@ A ``Tensor`` wraps a numpy array and, when gradients are requested, links back
 to its parents so that ``backward`` can replay the chain rule. The recorded
 graph is single-use: after ``backward`` the tape is cleared and a second call
 raises. Dense tensors of rank <= 4 only; no GPU, no higher-order derivatives.
+
+Two primitives fuse what the network does most often into one tape node:
+``linear`` (matmul plus bias) and ``ragged_message`` (the per-pair message
+sum of a batch of molecules, each pairing only its own atoms).
 """
 
 from __future__ import annotations
@@ -66,10 +70,10 @@ def _unbroadcast(grad, shape):
 
 
 def _make(data, parents, op):
-    requires = any(p.requires_grad for p, _ in parents)
-    if not requires:
-        return Tensor(data, _op=op)
-    return Tensor(data, requires_grad=True, _parents=parents, _op=op)
+    for p, _ in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=parents, _op=op)
+    return Tensor(data, _op=op)
 
 
 # -- elementwise binary primitives --------------------------------------
@@ -80,11 +84,16 @@ def _binary(a, b, op, fwd, da, db):
         out = fwd(a.data, b.data)
     except ValueError as e:
         raise ShapeError(f"{op}: incompatible shapes {a.shape} vs {b.shape}") from e
-    parents = (
-        (a, lambda g: _unbroadcast(da(g, a.data, b.data), a.shape)),
-        (b, lambda g: _unbroadcast(db(g, a.data, b.data), b.shape)),
-    )
-    return _make(out, parents, op)
+    return _make(out, ((a, _operand_grad(da, a, b, a.shape, out.shape)),
+                       (b, _operand_grad(db, a, b, b.shape, out.shape))), op)
+
+
+def _operand_grad(d, a, b, shape, out_shape):
+    """Gradient of one operand of a binary primitive, summed back to the
+    operand's ``shape`` only when the primitive broadcast it."""
+    if shape == out_shape:
+        return lambda g: d(g, a.data, b.data)
+    return lambda g: _unbroadcast(d(g, a.data, b.data), shape)
 
 
 def add(a, b):
@@ -128,6 +137,48 @@ def matmul(a, b):
         (b, _RightOperandGrad(a.data)),
     )
     return _make(out, parents, "matmul")
+
+
+def linear(x, w, b):
+    """``x @ w + b`` for a row batch ``x`` (m, k), weight ``w`` (k, n) and
+    bias ``b`` (n,), as one tape node. The weight gradient is a
+    ``_RightOperandGrad``, so ``backward`` stacks it with the weight's other
+    uses."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise ShapeError(f"linear: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    out = x.data @ w.data
+    out += b.data
+    parents = (
+        (x, lambda g: g @ w.data.T),
+        (w, _RightOperandGrad(x.data)),
+        (b, lambda g: g.sum(axis=0)),
+    )
+    return _make(out, parents, "linear")
+
+
+def ragged_message(filt, x, cols, starts, mirror):
+    """Per-atom message sum ``msgs_i = sum_j filt_ij x_j`` over ragged pair rows.
+
+    Pair row p of ``filt`` (P, L) pairs atom i with atom ``cols[p]`` of ``x``
+    (N, L). The rows of atom i form one non-empty block that starts at row
+    ``starts[i]``; blocks follow atom order and cover all P rows. ``mirror[p]``
+    is the row of the reversed pair (j, i), so the ``x`` gradient is the same
+    block sum over the mirrored rows: ``dx_j = sum_i filt_ij g_i``.
+    """
+    filt, x = as_tensor(filt), as_tensor(x)
+    if (filt.data.ndim != 2 or x.data.ndim != 2 or filt.shape[1] != x.shape[1]
+            or filt.shape[0] != len(cols) or x.shape[0] != len(starts)):
+        raise ShapeError(f"ragged_message: filt {filt.shape} and x {x.shape} do not "
+                         f"match {len(cols)} pair rows of {len(starts)} atoms")
+    xj = x.data[cols]
+    out = np.add.reduceat(filt.data * xj, starts, axis=0)
+    parents = (
+        (filt, lambda g: g[cols[mirror]] * xj),
+        (x, lambda g: np.add.reduceat(filt.data[mirror] * g[cols], starts, axis=0)),
+    )
+    return _make(out, parents, "ragged_message")
 
 
 # -- elementwise unary primitives ---------------------------------------
@@ -223,13 +274,26 @@ def concat(tensors, axis=0):
     return _make(out, parents, "concat")
 
 
+def _is_basic_index(idx):
+    """True for an index of ints and slices, which selects each element at
+    most once; numpy calls this basic indexing."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(i, (int, np.integer, slice)) for i in parts)
+
+
 def slice_(a, idx):
+    """``a[idx]``. Backward writes a basic (int and slice) index into a zero
+    buffer by assignment; a fancy index, which may repeat elements, adds."""
     a = as_tensor(a)
     out = a.data[idx]
+    basic = _is_basic_index(idx)
 
     def _grad(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        if basic:
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
         return full
 
     return _make(out, ((a, _grad),), "slice")
@@ -251,16 +315,6 @@ def transpose(a):
         raise ShapeError(f"transpose: rank {a.data.ndim} < 2")
     return _make(a.data.swapaxes(-1, -2),
                  ((a, lambda g: g.swapaxes(-1, -2)),), "transpose")
-
-
-def broadcast(a, shape):
-    """Expand ``a`` to ``shape`` (leading-dimension expansion and size-1 axes)."""
-    a = as_tensor(a)
-    try:
-        out = np.broadcast_to(a.data, shape).copy()
-    except ValueError as e:
-        raise ShapeError(f"broadcast: {a.shape} -> {shape}") from e
-    return _make(out, ((a, lambda g: _unbroadcast(g, a.shape)),), "broadcast")
 
 
 # -- backward ------------------------------------------------------------

@@ -142,6 +142,10 @@ def cmd_pretrain(args):
         return 1
     cfg = _train_config(args)
     net_cfg = _net_config(args)
+    if len(graphs) > 1 and len(graphs) % cfg.batch_size == 1:
+        print(f"note: {len(graphs)} molecules in batches of {cfg.batch_size} leave a "
+              "final batch of 1 molecule, which training skips every epoch "
+              "(the contrastive loss needs 2)", file=sys.stderr)
 
     def log_epoch(epoch, entry):
         print(f"epoch {epoch:4d}  total {entry['total']:.4f}  "
@@ -218,6 +222,11 @@ def cmd_sample(args):
 
 def cmd_eval(args):
     started = time.time()
+    for given, missing in (("samples", "reference"), ("reference", "samples")):
+        if getattr(args, given) and not getattr(args, missing):
+            print(f"error: --{given} needs --{missing} for the generation metrics",
+                  file=sys.stderr)
+            return 2
     report = {}
     params, net_cfg, _ = _load_model(args.checkpoint)
     if args.probe_set:

@@ -61,10 +61,9 @@ def contrastive_loss(anchors, positives, tau):
     p = ad.concat([ad.reshape(x, (1, d)) for x in positives], axis=0)
     # ||a_i - p_j||^2 = |a_i|^2 + |p_j|^2 - 2 a_i . p_j
     a2 = ad.reshape(ad.sum_(ad.square(a), axis=1), (b, 1))
-    p2 = ad.reshape(ad.sum_(ad.square(p), axis=1), (1, b))
+    p2 = ad.sum_(ad.square(p), axis=1)
     cross = ad.matmul(a, ad.transpose(p))
-    dist2 = ad.add(ad.sub(ad.broadcast(a2, (b, b)), ad.mul(Tensor(2.0), cross)),
-                   ad.broadcast(p2, (b, b)))
+    dist2 = ad.add(ad.sub(a2, ad.mul(Tensor(2.0), cross)), p2)
     logits = ad.mul(dist2, Tensor(-1.0 / (tau * tau)))
     probs = ad.softmax(logits, axis=-1)
     diag = ad.reshape(probs, (b * b,))[np.arange(b) * (b + 1)]

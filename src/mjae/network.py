@@ -1,7 +1,9 @@
 """Twin-encoder score network.
 
 Two distance-featurized invariant message-passing encoders (one for the clean
-conditioner, one for the noisy input) produce node features f0 and ft. A
+conditioner, one for the noisy input) produce node features f0 and ft. Each
+encoder runs a whole list of molecules as one ragged batch: atom rows are
+stacked and messages pass over the atom pairs of each molecule only. A
 row-wise MLP fuses [Emd(t) | f0 | ft] into 3D node features, an edge MLP of
 [Emd(t) | E0 | Et] produces a weighted adjacency W, and a dense residual GCN
 over (nodes, W) yields the latent representation. Three heads decode it:
@@ -127,14 +129,15 @@ def detach_params(params):
 
 
 def _mlp2(x, params, prefix, act=ad.silu):
-    h = act(ad.add(ad.matmul(x, params[f"{prefix}.l1.w"]), params[f"{prefix}.l1.b"]))
-    return ad.add(ad.matmul(h, params[f"{prefix}.l2.w"]), params[f"{prefix}.l2.b"])
+    h = act(ad.linear(x, params[f"{prefix}.l1.w"], params[f"{prefix}.l1.b"]))
+    return ad.linear(h, params[f"{prefix}.l2.w"], params[f"{prefix}.l2.b"])
 
 
 # -- encoder -------------------------------------------------------------
 
-def _rbf_features(positions, cfg):
-    """Smooth radial basis expansion of pairwise distances within the cutoff."""
+def rbf_features(positions, cfg):
+    """Smooth radial basis expansion of pairwise distances within the cutoff:
+    one row per ordered atom pair (i, j), in row-major (i, j) order."""
     n = positions.shape[0]
     d = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
     centers = np.linspace(0.0, DEFAULT_CUTOFF, cfg.n_rbf)
@@ -145,20 +148,49 @@ def _rbf_features(positions, cfg):
     return (rbf * envelope[:, :, None]).reshape(n * n, cfg.n_rbf)
 
 
-def encode(tensors, params, cfg, branch):
-    """Invariant node features from distance-featurized message passing."""
-    n = tensors.n
-    rbf = Tensor(_rbf_features(tensors.P, cfg))  # (n*n, n_rbf) constant
-    h = ad.matmul(Tensor(tensors.H), params[f"{branch}.embed"])
+def pair_layout(sizes):
+    """Index arrays of the ragged pair rows of a batch of molecules with
+    ``sizes`` atoms, their atoms stacked in order.
+
+    Each molecule of n atoms has n^2 pair rows (i, j), ordered by (molecule,
+    i, j). Returns ``(cols, starts, mirror)``: the stacked index of atom j of
+    each row, the first row of each atom's block, and the row of the reversed
+    pair (j, i); the arguments of ``autodiff.ragged_message``.
+    """
+    cols, starts, mirror = [], [], []
+    atom0 = row0 = 0
+    for n in sizes:
+        cols.append(atom0 + np.tile(np.arange(n), n))
+        starts.append(row0 + n * np.arange(n))
+        mirror.append(row0 + np.arange(n * n).reshape(n, n).T.reshape(n * n))
+        atom0 += n
+        row0 += n * n
+    return tuple(np.concatenate(part) for part in (cols, starts, mirror))
+
+
+def encode(mols, params, cfg, branch, rbf=None):
+    """Invariant node features of each DenseTensors in ``mols`` from
+    distance-featurized message passing: one (n_b, L) Tensor per molecule.
+
+    The molecules run as one ragged batch, so each round is a few GEMMs over
+    all atoms and pairs. ``rbf`` gives each molecule's ``rbf_features`` rows
+    when the caller already has them.
+    """
+    sizes = [m.n for m in mols]
+    if rbf is None:
+        rbf = [rbf_features(m.P, cfg) for m in mols]
+    cols, starts, mirror = pair_layout(sizes)
+    pair_rbf = Tensor(np.concatenate(rbf))  # (sum n_b^2, n_rbf) constant
+    h = ad.matmul(Tensor(np.concatenate([m.H for m in mols])), params[f"{branch}.embed"])
     for k in range(cfg.rounds):
-        filt = ad.reshape(ad.matmul(rbf, params[f"{branch}.r{k}.filter"]),
-                          (n, n, cfg.latent))
+        filt = ad.matmul(pair_rbf, params[f"{branch}.r{k}.filter"])
         x = ad.matmul(h, params[f"{branch}.r{k}.msg"])
-        msgs = ad.sum_(ad.mul(filt, ad.reshape(x, (1, n, cfg.latent))), axis=1)
-        upd = ad.concat([h, msgs], axis=1)
-        h = ad.add(h, ad.silu(ad.add(ad.matmul(upd, params[f"{branch}.r{k}.upd.w"]),
-                                     params[f"{branch}.r{k}.upd.b"])))
-    return h
+        msgs = ad.ragged_message(filt, x, cols, starts, mirror)
+        upd = ad.linear(ad.concat([h, msgs], axis=1), params[f"{branch}.r{k}.upd.w"],
+                        params[f"{branch}.r{k}.upd.b"])
+        h = ad.add(h, ad.silu(upd))
+    bounds = np.cumsum([0] + sizes)
+    return [h[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 # -- fusion --------------------------------------------------------------
@@ -167,8 +199,7 @@ def fuse(f0, ft, emb, params, cfg):
     """Row-wise MLP of [Emd(t) | f0 | ft] -> 3D node representation."""
     if f0.shape[0] != ft.shape[0]:
         raise ad.ShapeError(f"fuse: branch sizes differ ({f0.shape[0]} vs {ft.shape[0]})")
-    n = f0.shape[0]
-    emb_rows = ad.broadcast(ad.reshape(Tensor(emb), (1, cfg.d_time)), (n, cfg.d_time))
+    emb_rows = Tensor(np.broadcast_to(emb, (f0.shape[0], cfg.d_time)))
     return _mlp2(ad.concat([emb_rows, f0, ft], axis=1), params, "fuse")
 
 
@@ -202,8 +233,9 @@ def fuse_gcn(node, w, params, cfg):
     w_norm = ad.mul(ad.mul(w, ad.reshape(dinv, (n, 1))), ad.reshape(dinv, (1, n)))
     h = node
     for layer in range(cfg.gcn_layers):
-        mixed = ad.matmul(ad.matmul(w_norm, h), params[f"gcn.l{layer}.w"])
-        h = ad.add(h, ad.silu(ad.add(mixed, params[f"gcn.l{layer}.b"])))
+        mixed = ad.linear(ad.matmul(w_norm, h), params[f"gcn.l{layer}.w"],
+                          params[f"gcn.l{layer}.b"])
+        h = ad.add(h, ad.silu(mixed))
     return LatentRepresentation(node_h=h, pooled=ad.mean(h, axis=0))
 
 
@@ -215,13 +247,9 @@ def score_3d(latent, basis, params):
     zero-CoM subspace."""
     coeffs = _mlp2(latent.node_h, params, "head3d")  # (n, 3) invariant scalars
     n = coeffs.shape[0]
-    parts = []
-    for k in range(3):
-        ck = ad.broadcast(coeffs[:, k:k + 1], (n, 3))
-        parts.append(ad.mul(ck, Tensor(basis[:, k, :])))
-    field = ad.add(ad.add(parts[0], parts[1]), parts[2])
-    com = ad.broadcast(ad.reshape(ad.mean(field, axis=0), (1, 3)), (n, 3))
-    return ad.sub(field, com)
+    # field_n = sum_k c_nk e_nk
+    field = ad.sum_(ad.mul(ad.reshape(coeffs, (n, 3, 1)), Tensor(basis)), axis=1)
+    return ad.sub(field, ad.mean(field, axis=0))
 
 
 def score_2d(latent, params, cfg, e0=None, et=None):
@@ -243,16 +271,23 @@ def score_2d(latent, params, cfg, e0=None, et=None):
         maps.append(ad.reshape(att, (n * n, 1)))
     hi = ad.reshape(h, (n, 1, cfg.latent))
     hj = ad.reshape(h, (1, n, cfg.latent))
-    pair_sum = ad.reshape(ad.add(ad.broadcast(hi, (n, n, cfg.latent)),
-                                 ad.broadcast(hj, (n, n, cfg.latent))),
-                          (n * n, cfg.latent))
     pair_prod = ad.reshape(ad.mul(hi, hj), (n * n, cfg.latent))
     raw = Tensor(np.concatenate([
         np.asarray(e0, dtype=np.float64).reshape(n * n, cfg.e_width),
         np.asarray(et, dtype=np.float64).reshape(n * n, cfg.e_width),
     ], axis=1))
-    stacked = ad.concat(maps + [pair_sum, pair_prod, raw], axis=1)
-    edge = _mlp2(stacked, params, "head2d")           # (n*n, e)
+    # l1 reads rows [maps | h_i + h_j | h_i * h_j | raw]; its pair-sum block is
+    # (h_i + h_j) W_s = u_i + u_j with u = h W_s, so no (n^2, L) sum is built
+    w1 = params["head2d.l1.w"]
+    sum_rows = slice(cfg.heads, cfg.heads + cfg.latent)
+    other_rows = np.r_[0:cfg.heads, cfg.heads + cfg.latent:w1.shape[0]]
+    u = ad.matmul(h, w1[sum_rows])
+    pair_sum = ad.add(ad.reshape(u, (n, 1, cfg.edge_hidden)),
+                      ad.reshape(u, (1, n, cfg.edge_hidden)))
+    pre = ad.add(ad.linear(ad.concat(maps + [pair_prod, raw], axis=1), w1[other_rows],
+                           params["head2d.l1.b"]),
+                 ad.reshape(pair_sum, (n * n, cfg.edge_hidden)))
+    edge = ad.linear(ad.silu(pre), params["head2d.l2.w"], params["head2d.l2.b"])  # (n*n, e)
     mirror = np.arange(n * n).reshape(n, n).T.reshape(n * n)
     sym = ad.mul(ad.add(edge, edge[mirror]), Tensor(0.5 * (1.0 - np.eye(n)).reshape(n * n, 1)))
     return ad.reshape(sym, (n, n, cfg.e_width))
@@ -268,32 +303,36 @@ def project(latent, params, cfg):
     x = ad.reshape(latent.pooled, (1, cfg.latent))
     out = _mlp2(x, params, "proj")
     norm = ad.sqrt(ad.add(ad.sum_(ad.square(out)), Tensor(1e-12)))
-    return ad.reshape(ad.div(out, ad.broadcast(ad.reshape(norm, (1, 1)),
-                                               (1, cfg.d_contrast))), (cfg.d_contrast,))
+    return ad.reshape(ad.div(out, norm), (cfg.d_contrast,))
 
 
 # -- full forward --------------------------------------------------------
 
-def forward(params, cfg, x0, xt, t, with_heads=True, scale=None, f0=None):
+def forward(params, cfg, x0, xt, t, with_heads=True, scale=None, f0=None, ft=None):
     """Run the full pipeline on one (clean, noisy, time) triple.
 
-    Returns a dict with the clean-branch encoding ``f0`` of ``x0``, the latent
-    representation, the unit-norm projection, and (when ``with_heads``) the
-    three score heads evaluated on ``xt``. Passing back the ``f0`` of an
-    earlier call on the same ``x0`` and ``params`` skips that encoding.
+    Returns a dict with the latent representation, the unit-norm projection,
+    and (when ``with_heads``) the three score heads evaluated on ``xt``.
+    ``f0`` and ``ft`` are the clean-branch encoding of ``x0`` and the
+    noisy-branch encoding of ``xt`` when the caller has already encoded them
+    (``training_step`` encodes a whole batch at once); otherwise they are
+    encoded here, from one set of pair features when ``x0`` is ``xt``.
     Frames for the 3D head are built from the noisy positions. ``scale`` is
     one float multiplying all three head outputs; passing 1/beta(t) turns the
     O(1) head outputs into a noise-prediction parametrization of the score,
     which keeps the heads well-conditioned near t = 0.
     """
     emb = fourier_embed(t, cfg.d_time)
+    rbf_t = None
+    if ft is None:
+        rbf_t = [rbf_features(xt.P, cfg)]
+        ft = encode([xt], params, cfg, "enc_noisy", rbf_t)[0]
     if f0 is None:
-        f0 = encode(x0, params, cfg, "enc_clean")
-    ft = encode(xt, params, cfg, "enc_noisy")
+        f0 = encode([x0], params, cfg, "enc_clean", rbf_t if x0 is xt else None)[0]
     node = fuse(f0, ft, emb, params, cfg)
     w = edge_condition(x0.E, xt.E, emb, params, cfg)
     latent = fuse_gcn(node, w, params, cfg)
-    out = {"f0": f0, "latent": latent, "projection": project(latent, params, cfg)}
+    out = {"latent": latent, "projection": project(latent, params, cfg)}
     if with_heads:
         out["score_P"] = score_3d(latent, molecule_frames(xt.P), params)
         out["score_E"] = score_2d(latent, params, cfg, x0.E, xt.E)

@@ -15,7 +15,7 @@ from .autodiff import Tensor
 from .evalsuite import symmetry_report
 from .loss import verify_decomposition
 from .molgraph import make_graph
-from .network import NetworkConfig, init_params
+from .network import NetworkConfig, init_params, pair_layout
 from .schedule import NoiseSchedule, alpha_beta
 
 
@@ -42,6 +42,9 @@ def _primitive_cases(rng):
     c2 = rng.standard_normal((4, 4))
     c3 = rng.standard_normal((4, 4))
     c4 = 2.0 + rng.uniform(size=(4, 4))
+    b = rng.standard_normal(3)
+    f = rng.standard_normal((10, 4))
+    one, two = pair_layout((4,)), pair_layout((1, 3))
 
     def reduce(t):
         return ad.sum_(ad.mul(t, t))
@@ -54,6 +57,7 @@ def _primitive_cases(rng):
         ("matmul", lambda x: reduce(ad.matmul(x, Tensor(w)))),
         ("concat", lambda x: reduce(ad.concat([x, ad.mul(x, Tensor(2.0))], axis=0))),
         ("slice", lambda x: reduce(x[1:3, :2])),
+        ("slice fancy", lambda x: reduce(x[np.array([0, 2, 0])])),
         ("reshape", lambda x: reduce(ad.reshape(x, (2, 8)))),
         ("transpose", lambda x: reduce(ad.transpose(x))),
         ("sum", lambda x: ad.square(ad.sum_(x))),
@@ -64,7 +68,13 @@ def _primitive_cases(rng):
         ("square", lambda x: reduce(ad.square(x))),
         ("sqrt", lambda x: reduce(ad.sqrt(ad.add(ad.square(x), Tensor(0.5))))),
         ("abs", lambda x: reduce(ad.abs_(x))),
-        ("broadcast", lambda x: reduce(ad.broadcast(ad.reshape(ad.mean(x, axis=0), (1, 4)), (6, 4)))),
+        ("linear", lambda x: reduce(ad.linear(x, Tensor(w), Tensor(b)))),
+        ("linear weight", lambda x: reduce(ad.linear(Tensor(c1), x, ad.mean(x, axis=0)))),
+        # one 4-atom molecule whose 4 pair rows of atom i are copies of x[i]
+        ("ragged_message filt", lambda x: reduce(ad.ragged_message(
+            ad.reshape(ad.concat([x] * 4, axis=1), (16, 4)), Tensor(c2), *one))),
+        # molecules of 1 and 3 atoms: 4 atoms, 10 pair rows
+        ("ragged_message x", lambda x: reduce(ad.ragged_message(Tensor(f), x, *two))),
     ]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as losses
 from .molgraph import to_dense
-from .network import NetworkConfig, forward, init_params
+from .network import NetworkConfig, encode, forward, init_params, rbf_features
 from .schedule import NoiseSchedule, alpha_beta
 from .trajectory import perturb_continuous, sample_time
 
@@ -119,26 +119,43 @@ def training_step(params, net_cfg, cfg, batch, rngs):
     stream per molecule so results do not depend on scheduling order. The
     heads are scaled by 1/beta(t) and the score-matching term is weighted by
     beta(t)^2 (likelihood weighting), both from ``cfg.schedule``.
+
+    Each branch encodes the whole batch in one ragged pass: the clean branch
+    each molecule's conditioner, the noisy branch each x_t (for the heads)
+    and each x_0 (for the contrastive anchor). Pair features are computed
+    once per positions array.
     """
     schedule = cfg.schedule
+    times, samples, conds = [], [], []
+    for x0, rng in zip(batch, rngs):
+        t = sample_time(rng, cfg.t_min)
+        times.append(t)
+        samples.append(perturb_continuous(x0, t, rng, schedule))
+        conds.append(samples[-1].xt if rng.uniform() < cfg.self_cond_prob else x0)
+    rbf_0 = [rbf_features(x0.P, net_cfg) for x0 in batch]
+    rbf_t = [rbf_features(s.xt.P, net_cfg) for s in samples]
+    rbf_cond = [r0 if cond is x0 else rt
+                for cond, x0, r0, rt in zip(conds, batch, rbf_0, rbf_t)]
+    f0 = encode(conds, params, net_cfg, "enc_clean", rbf_cond)
+    ft = encode([s.xt for s in samples] + list(batch), params, net_cfg, "enc_noisy",
+                rbf_t + rbf_0)
+
     sc_terms = []
     breakdowns = []
     anchors = []
     positives = []
-    times = []
-    for x0, rng in zip(batch, rngs):
-        t = sample_time(rng, cfg.t_min)
-        times.append(t)
-        sample = perturb_continuous(x0, t, rng, schedule)
-        cond = sample.xt if rng.uniform() < cfg.self_cond_prob else x0
+    b = len(batch)
+    for i, (x0, sample, cond, t) in enumerate(zip(batch, samples, conds, times)):
         beta = alpha_beta(schedule, t)[1]
-        out = forward(params, net_cfg, cond, sample.xt, t, scale=1.0 / beta)
+        out = forward(params, net_cfg, cond, sample.xt, t, scale=1.0 / beta,
+                      f0=f0[i], ft=ft[i])
         pred = {"P": out["score_P"], "H": out["score_H"], "E": out["score_E"]}
         term, breakdown = losses.score_matching_loss(pred, sample.score_target, beta ** 2)
         sc_terms.append(term)
         breakdowns.append(breakdown)
         positives.append(out["projection"])
-        anchor = forward(params, net_cfg, cond, x0, t, with_heads=False, f0=out["f0"])
+        anchor = forward(params, net_cfg, cond, x0, t, with_heads=False,
+                         f0=f0[i], ft=ft[b + i])
         anchors.append(anchor["projection"])
 
     l_sc = sc_terms[0]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import fd_grad
 from mjae import autodiff as ad
 from mjae.autodiff import ShapeError, TapeError, Tensor
+from mjae.network import pair_layout
 
 
 def test_matmul_shape_rule():
@@ -65,11 +66,16 @@ def test_grad_accumulates_over_reuse(rng):
 
 
 def test_broadcast_unbroadcast(rng):
+    # a binary primitive broadcasts its operands; backward sums each
+    # operand's gradient back to that operand's shape
     x = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
     y = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    ad.backward(ad.sum_(ad.mul(ad.broadcast(x, (3, 4)), y)))
-    assert x.grad.shape == (1, 4)
-    assert np.allclose(x.grad, y.data.sum(axis=0, keepdims=True))
+    z = Tensor(rng.standard_normal(4), requires_grad=True)
+    ad.backward(ad.sum_(ad.mul(ad.mul(x, y), z)))
+    assert x.grad.shape == (1, 4) and z.grad.shape == (4,)
+    assert np.allclose(x.grad, (y.data * z.data).sum(axis=0, keepdims=True))
+    assert np.allclose(y.grad, x.data * z.data)
+    assert np.allclose(z.grad, (x.data * y.data).sum(axis=0))
 
 
 # -- finite-difference gradient checks ------------------------------------
@@ -106,7 +112,6 @@ CASES = {
     "reshape": lambda x, c: ad.sum_(ad.square(ad.reshape(x, (x.data.size,)))),
     "transpose": lambda x, c: ad.sum_(ad.mul(ad.transpose(x), Tensor(c.T))),
     "slice": lambda x, c: ad.sum_(ad.square(x[1:, :2])),
-    "broadcast": lambda x, c: ad.sum_(ad.square(ad.broadcast(x, (5,) + x.shape))),
 }
 
 
@@ -129,6 +134,62 @@ def test_silu_gradient_at_extreme_inputs():
     assert np.all(np.isfinite(out))
     # tanh rounds the far negative tail of the sigmoid to 0: absolute accuracy
     assert np.allclose(out, x0 / (1.0 + np.exp(-np.clip(x0, -700, 700))), rtol=1e-12, atol=1e-12)
+
+
+def test_slice_gradient_basic_and_fancy_indices(rng):
+    """A basic index is written back, a fancy one accumulated: a row that a
+    fancy index picks twice gets both contributions."""
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    ad.backward(ad.add(ad.sum_(x[1:3, 0]), ad.sum_(x[np.array([0, 2, 0])])))
+    expect = np.zeros((4, 3))
+    expect[1:3, 0] = 1.0
+    expect[0] += 2.0
+    expect[2] += 1.0
+    assert np.array_equal(x.grad, expect)
+    _check(lambda t: ad.sum_(ad.square(t[2])), rng.standard_normal((3, 4)))
+    _check(lambda t: ad.sum_(ad.square(t[np.array([2, 0, 2])])), rng.standard_normal((3, 4)))
+
+
+def test_linear_gradients_of_each_operand(rng):
+    x0 = rng.standard_normal((5, 4))
+    w0 = rng.standard_normal((4, 3))
+    b0 = rng.standard_normal(3)
+    out = ad.linear(Tensor(x0), Tensor(w0), Tensor(b0)).data
+    assert np.array_equal(out, x0 @ w0 + b0)
+    _check(lambda x: ad.sum_(ad.square(ad.linear(x, Tensor(w0), Tensor(b0)))), x0)
+    _check(lambda w: ad.sum_(ad.square(ad.linear(Tensor(x0), w, Tensor(b0)))), w0)
+    _check(lambda b: ad.sum_(ad.square(ad.linear(Tensor(x0), Tensor(w0), b))), b0)
+    with pytest.raises(ShapeError, match="linear"):
+        ad.linear(Tensor(x0), Tensor(w0), Tensor(np.zeros(4)))
+
+
+def _ragged_reference(filt, x, sizes):
+    """msgs_i = sum_j filt_ij x_j molecule by molecule, from dense blocks."""
+    out, row, atom = [], 0, 0
+    for n in sizes:
+        block = filt[row:row + n * n].reshape(n, n, -1)
+        out.append((block * x[atom:atom + n][None, :, :]).sum(axis=1))
+        row += n * n
+        atom += n
+    return np.concatenate(out)
+
+
+def test_ragged_message_matches_dense_blocks_and_fd(rng):
+    sizes = (1, 3, 2)
+    cols, starts, mirror = pair_layout(sizes)
+    filt0 = rng.standard_normal((sum(n * n for n in sizes), 4))
+    x0 = rng.standard_normal((sum(sizes), 4))
+    out = ad.ragged_message(Tensor(filt0), Tensor(x0), cols, starts, mirror).data
+    assert np.allclose(out, _ragged_reference(filt0, x0, sizes), rtol=1e-13, atol=1e-13)
+    weights = Tensor(rng.standard_normal(x0.shape))
+
+    def loss(filt, x):
+        return ad.sum_(ad.mul(ad.ragged_message(filt, x, cols, starts, mirror), weights))
+
+    _check(lambda f: loss(f, Tensor(x0)), filt0)   # filt need not be symmetric
+    _check(lambda x: loss(Tensor(filt0), x), x0)
+    with pytest.raises(ShapeError, match="ragged_message"):
+        ad.ragged_message(Tensor(filt0[1:]), Tensor(x0), cols, starts, mirror)
 
 
 def test_matmul_gradient(rng):

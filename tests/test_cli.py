@@ -157,6 +157,18 @@ def test_pretrain_reports_rejected_lines(tmp_path, capsys):
     assert "rejected: line 7: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count, notes", [(7, 1), (6, 0), (8, 0)])
+def test_pretrain_notes_a_skipped_final_batch(tmp_path, capsys, count, notes):
+    data = _write_dataset(tmp_path / "data.jsonl", count=count)
+    assert main(["pretrain", data, "--out", str(tmp_path / "m.ck"), "--epochs", "1",
+                 "--batch-size", "3", *NET_FLAGS]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("note: ")]
+    assert len(lines) == notes
+    if notes:
+        assert "7 molecules in batches of 3" in lines[0] and "batch of 1" in lines[0]
+
+
 def test_pretrain_missing_dataset_is_usage_error():
     with pytest.raises(SystemExit) as e:
         main(["pretrain", "--out", "x.ck"])
@@ -225,6 +237,17 @@ def test_eval_probe_set_without_valid_records_is_runtime_error(trained, tmp_path
 def test_eval_nothing_to_do(trained):
     ck, _, _ = trained
     assert main(["eval", ck]) == 2
+
+
+@pytest.mark.parametrize("given, missing", [("samples", "reference"),
+                                            ("reference", "samples")])
+def test_eval_generation_flag_without_its_partner_is_usage_error(trained, capsys,
+                                                                 given, missing):
+    ck, data, _ = trained
+    rc = main(["eval", ck, "--probe-set", data, f"--{given}", data,
+               "--n-rotations", "2", "--max-probes", "1"])
+    assert rc == 2
+    assert f"error: --{given} needs --{missing}" in capsys.readouterr().err
 
 
 def test_probe_reports_both_mses(trained, tmp_path, capsys):

@@ -137,7 +137,7 @@ def test_contrastive_gradient_pulls_positive_closer(rng):
         anchors = [_unit(a_raw), _unit(other)]
         pt = Tensor(p_data, requires_grad=True)
         norm = ad.sqrt(ad.sum_(ad.square(pt)))
-        positives = [ad.div(pt, ad.broadcast(ad.reshape(norm, (1,)), (3,))),
+        positives = [ad.div(pt, norm),
                      _unit(other)]
         return pt, contrastive_loss(anchors, positives, tau=0.5)
 

@@ -5,7 +5,8 @@ from conftest import random_molecule, small_net_config, toy_corpus
 from mjae import autodiff as ad
 from mjae.autodiff import Tensor
 from mjae.evalsuite import random_rotation
-from mjae.molgraph import DenseTensors, ELEMENT_INDEX, make_graph, permute, to_dense
+from mjae.molgraph import (DenseTensors, ELEMENT_INDEX, ELEMENTS, N_BOND_CATEGORIES,
+                           feature_width, make_graph, permute, to_dense)
 from mjae.network import (LatentRepresentation, NetworkConfig, detach_params,
                           edge_condition, encode, forward, fourier_embed,
                           fourier_frequencies, fuse, fuse_gcn, init_params,
@@ -79,19 +80,19 @@ def test_fourier_no_collisions_on_grid():
 
 def test_encode_rigid_motion_invariance(cfg, params, rng):
     dense = _dense(rng)
-    base = encode(dense, params, cfg, "enc_clean").data
+    base = encode([dense], params, cfg, "enc_clean")[0].data
     for _ in range(5):
         r = random_rotation(rng)
         moved = DenseTensors(H=dense.H, E=dense.E, P=dense.P @ r.T + rng.standard_normal(3))
-        got = encode(moved, params, cfg, "enc_clean").data
+        got = encode([moved], params, cfg, "enc_clean")[0].data
         assert np.abs(got - base).max() < 1e-5
 
 
 def test_encode_permutation_equivariance(cfg, params, rng):
     g = random_molecule(rng, 2)
     perm = rng.permutation(g.n)
-    base = encode(to_dense(g), params, cfg, "enc_clean").data
-    got = encode(to_dense(permute(g, perm)), params, cfg, "enc_clean").data
+    base = encode([to_dense(g)], params, cfg, "enc_clean")[0].data
+    got = encode([to_dense(permute(g, perm))], params, cfg, "enc_clean")[0].data
     assert np.abs(got - base[perm]).max() < 1e-9
 
 
@@ -103,15 +104,51 @@ def test_encode_symmetric_molecule_identical_features(cfg, params):
     bonds[0, 2] = bonds[2, 0] = 2
     pos = [[0.0, 0, 0], [1.16, 0, 0], [-1.16, 0, 0]]
     g = make_graph(types, [0, 0, 0], bonds, pos)
-    f = encode(to_dense(g), params, cfg, "enc_clean").data
+    f = encode([to_dense(g)], params, cfg, "enc_clean")[0].data
     assert np.abs(f[1] - f[2]).max() < 1e-6
+
+
+def _molecule_of(rng, n):
+    """DenseTensors of n atoms: random types, one-hot H, and positions in a
+    2.4-wide cube, so every pair is within the cutoff."""
+    H = np.zeros((n, feature_width()))
+    H[np.arange(n), rng.integers(0, len(ELEMENTS), size=n)] = 1.0
+    H[:, len(ELEMENTS)] = 1.0
+    return DenseTensors(H=H, E=np.zeros((n, n, N_BOND_CATEGORIES)),
+                        P=rng.uniform(-1.2, 1.2, size=(n, 3)))
+
+
+def test_batched_encode_matches_molecules_alone(cfg, params, rng):
+    """One ragged pass over molecules of 1, 2, 5 and 14 atoms gives each
+    molecule's features and gradients as encoding it alone does."""
+    mols = [_molecule_of(rng, n) for n in (1, 2, 5, 14)]
+    weights = [rng.standard_normal((m.n, cfg.latent)) for m in mols]
+
+    def grads_of(groups):
+        leaves = {k: Tensor(v.data, requires_grad=True) for k, v in params.items()}
+        feats = [f for group in groups for f in encode(group, leaves, cfg, "enc_noisy")]
+        loss = ad.sum_(ad.mul(feats[0], Tensor(weights[0])))
+        for f, w in zip(feats[1:], weights[1:]):
+            loss = ad.add(loss, ad.sum_(ad.mul(f, Tensor(w))))
+        ad.backward(loss)
+        return [f.data for f in feats], {k: v.grad for k, v in leaves.items()
+                                         if v.grad is not None}
+
+    batched, batched_grads = grads_of([mols])
+    alone, alone_grads = grads_of([[m] for m in mols])
+    for got, ref in zip(batched, alone):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert set(batched_grads) == set(alone_grads)
+    assert all(k.startswith("enc_noisy.") for k in batched_grads)
+    for name, ref in alone_grads.items():
+        assert np.linalg.norm(batched_grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
 # -- fusion ---------------------------------------------------------------
 
 def test_fuse_zero_weights(cfg, params, rng):
     dense = _dense(rng)
-    f = encode(dense, params, cfg, "enc_clean")
+    f = encode([dense], params, cfg, "enc_clean")[0]
     zeroed = {k: Tensor(np.zeros_like(v.data)) for k, v in params.items()}
     out = fuse(f, f, fourier_embed(0.3, cfg.d_time), zeroed, cfg)
     assert np.all(out.data == 0.0)
@@ -119,8 +156,8 @@ def test_fuse_zero_weights(cfg, params, rng):
 
 def test_fuse_sensitive_to_clean_branch(cfg, params, rng):
     dense = _dense(rng)
-    f0 = encode(dense, params, cfg, "enc_clean")
-    ft = encode(dense, params, cfg, "enc_noisy")
+    f0 = encode([dense], params, cfg, "enc_clean")[0]
+    ft = encode([dense], params, cfg, "enc_noisy")[0]
     emb = fourier_embed(0.3, cfg.d_time)
     base = fuse(f0, ft, emb, params, cfg).data
     shuffled = Tensor(f0.data[::-1].copy())

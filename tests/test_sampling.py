@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import small_net_config, toy_corpus, water_graph
+from mjae import network
 from mjae.evalsuite import random_rotation
 from mjae.molgraph import (DenseTensors, N_BOND_CATEGORIES, feature_width,
                            to_dense)
@@ -147,6 +148,20 @@ def test_generate_deterministic_and_valid(rng):
         assert np.all(np.diag(ga.bonds) == 0)
         assert np.all(ga.bonds < N_BOND_CATEGORIES)
         assert np.allclose(ga.positions.mean(axis=0), 0.0, atol=1e-9)
+
+
+def test_generate_pair_features_once_per_nfe(rng, monkeypatch):
+    """The state is both conditioner and input, so both encoders share one
+    set of pair features per network evaluation."""
+    net_cfg = small_net_config()
+    params = init_params(net_cfg, rng)
+    cfg = SamplerConfig(steps=5, lam=0.0, n_atoms=4, seed=3)
+    calls = []
+    original = network.rbf_features
+    monkeypatch.setattr(network, "rbf_features",
+                        lambda positions, c: calls.append(1) or original(positions, c))
+    generate(params, net_cfg, VP, cfg, 2)
+    assert len(calls) == 2 * cfg.steps
 
 
 # -- analytic OU toy ------------------------------------------------------

@@ -230,6 +230,19 @@ def _two_forward_step(params, net_cfg, cfg, batch, rngs):
     return float(total.data), grads
 
 
+def _spy(monkeypatch, name, record, modules=(network, training)):
+    """Replace function ``name`` in each of ``modules`` by a wrapper that
+    calls ``record(*args)`` first."""
+    original = getattr(network, name)
+
+    def wrapper(*args, **kwargs):
+        record(*args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+
+
 @pytest.mark.parametrize("self_cond_prob", [0.0, 1.0])
 def test_training_step_encodes_conditioner_once(self_cond_prob, monkeypatch):
     """One clean-branch encoding per molecule serves the heads pass and the
@@ -243,18 +256,32 @@ def test_training_step_encodes_conditioner_once(self_cond_prob, monkeypatch):
         return [np.random.default_rng([7, i]) for i in range(len(batch))]
 
     ref_total, ref_grads = _two_forward_step(params, net_cfg, cfg, batch, rngs())
-    calls = []
-    encode = network.encode
-    monkeypatch.setattr(network, "encode",
-                        lambda x, p, c, branch: calls.append(branch) or encode(x, p, c, branch))
+    encoded = []   # one branch name per molecule encoded
+    _spy(monkeypatch, "encode",
+         lambda mols, p, c, branch, *rest: encoded.extend([branch] * len(mols)))
     report, grads = training_step(params, net_cfg, cfg, batch, rngs())
 
-    assert calls.count("enc_clean") == len(batch)
-    assert calls.count("enc_noisy") == 2 * len(batch)
+    assert encoded.count("enc_clean") == len(batch)
+    assert encoded.count("enc_noisy") == 2 * len(batch)
     assert abs(report.total - ref_total) <= 1e-12 * abs(ref_total)
     assert set(grads) == set(ref_grads)
     for name, ref in ref_grads.items():
         assert np.linalg.norm(grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
+@pytest.mark.parametrize("self_cond_prob", [0.0, 0.5, 1.0])
+def test_training_step_pair_features_once_per_positions(self_cond_prob, monkeypatch):
+    """Pair features are computed once per positions array: for x_0 and x_t
+    of each molecule, 2 per molecule where three encodings need them."""
+    batch = [to_dense(g) for g in toy_corpus(count=8, seed=5)]
+    net_cfg = small_net_config()
+    params = init_params(net_cfg, np.random.default_rng(3))
+    seen = []
+    _spy(monkeypatch, "rbf_features", lambda positions, c: seen.append(positions))
+    training_step(params, net_cfg, _quick_cfg(self_cond_prob=self_cond_prob), batch,
+                  [np.random.default_rng([7, i]) for i in range(len(batch))])
+    assert len(seen) == 2 * len(batch)
+    assert len({id(p) for p in seen}) == len(seen)
 
 
 # -- checkpoints ----------------------------------------------------------
