@@ -158,27 +158,37 @@ def linear(x, w, b):
     return _make(out, parents, "linear")
 
 
-def ragged_message(filt, x, cols, starts, mirror):
-    """Per-atom message sum ``msgs_i = sum_j filt_ij x_j`` over ragged pair rows.
+def ragged_message(filt, x, sizes):
+    """Per-atom message sum ``msgs_i = sum_j filt_ij x_j`` of a batch of molecules.
 
-    Pair row p of ``filt`` (P, L) pairs atom i with atom ``cols[p]`` of ``x``
-    (N, L). The rows of atom i form one non-empty block that starts at row
-    ``starts[i]``; blocks follow atom order and cover all P rows. ``mirror[p]``
-    is the row of the reversed pair (j, i), so the ``x`` gradient is the same
-    block sum over the mirrored rows: ``dx_j = sum_i filt_ij g_i``.
+    ``x`` (N, L) stacks the atoms of molecules of ``sizes`` atoms in order, and
+    ``filt`` (P, L) stacks each molecule's n^2 pair rows (i, j) in row-major
+    order. Each molecule's rows form an (n, n, L) block summed over j; the ``x``
+    gradient sums the same block over i: ``dx_j = sum_i filt_ij g_i``.
     """
     filt, x = as_tensor(filt), as_tensor(x)
     if (filt.data.ndim != 2 or x.data.ndim != 2 or filt.shape[1] != x.shape[1]
-            or filt.shape[0] != len(cols) or x.shape[0] != len(starts)):
+            or filt.shape[0] != sum(n * n for n in sizes) or x.shape[0] != sum(sizes)):
         raise ShapeError(f"ragged_message: filt {filt.shape} and x {x.shape} do not "
-                         f"match {len(cols)} pair rows of {len(starts)} atoms")
-    xj = x.data[cols]
-    out = np.add.reduceat(filt.data * xj, starts, axis=0)
+                         f"match molecules of {list(sizes)} atoms")
+    width = x.shape[1]
+    blocks, atom, row = [], 0, 0
+    for n in sizes:  # (atoms of the molecule, its (n, n, L) pair block)
+        blocks.append((slice(atom, atom + n), filt.data[row:row + n * n].reshape(n, n, width)))
+        atom, row = atom + n, row + n * n
+
+    def block_sums(v, axis):
+        out = np.empty_like(x.data)
+        for atoms, block in blocks:
+            out[atoms] = (block * np.expand_dims(v[atoms], 1 - axis)).sum(axis=axis)
+        return out
+
     parents = (
-        (filt, lambda g: g[cols[mirror]] * xj),
-        (x, lambda g: np.add.reduceat(filt.data[mirror] * g[cols], starts, axis=0)),
+        (filt, lambda g: np.concatenate(
+            [(g[atoms, None] * x.data[atoms]).reshape(-1, width) for atoms, _ in blocks])),
+        (x, lambda g: block_sums(g, 0)),
     )
-    return _make(out, parents, "ragged_message")
+    return _make(block_sums(x.data, 1), parents, "ragged_message")
 
 
 # -- elementwise unary primitives ---------------------------------------

@@ -136,12 +136,15 @@ def cmd_ingest(args):
 
 def cmd_pretrain(args):
     started = time.time()
+    try:
+        cfg, net_cfg = _train_config(args), _net_config(args)
+    except ValueError as e:  # a flag value no config accepts
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     graphs, _ = _read_reporting(args.dataset)
     if not graphs:
         print("error: no valid records in dataset", file=sys.stderr)
         return 1
-    cfg = _train_config(args)
-    net_cfg = _net_config(args)
     if len(graphs) > 1 and len(graphs) % cfg.batch_size == 1:
         print(f"note: {len(graphs)} molecules in batches of {cfg.batch_size} leave a "
               "final batch of 1 molecule, which training skips every epoch "
@@ -292,6 +295,13 @@ def _emit_report(report, path):
 
 # -- parser --------------------------------------------------------------
 
+def positive_int(text):
+    """argparse type of a count or width: an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def build_parser(defaults):
     parser = argparse.ArgumentParser(prog="mjae",
                                      description="Joint 2D/3D molecular trajectory "
@@ -311,8 +321,8 @@ def build_parser(defaults):
     p = sub.add_parser("pretrain", help="train the score network")
     p.add_argument("dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=int(defaults.get("train.epochs", 50)))
-    p.add_argument("--batch-size", type=int, default=int(defaults.get("train.batch_size", 8)))
+    p.add_argument("--epochs", type=positive_int, default=defaults.get("train.epochs", 50))
+    p.add_argument("--batch-size", type=positive_int, default=defaults.get("train.batch_size", 8))
     p.add_argument("--lr", type=float, default=float(defaults.get("train.lr", 1e-4)))
     p.add_argument("--self-cond-prob", type=float,
                    default=float(defaults.get("train.self_cond_prob", 0.0)))
@@ -325,11 +335,11 @@ def build_parser(defaults):
     p.add_argument("--sigma-min", type=float, default=float(defaults.get("schedule.sigma_min", 0.01)))
     p.add_argument("--sigma-max", type=float, default=float(defaults.get("schedule.sigma_max", 1.0)))
     p.add_argument("--t-min", type=float, default=float(defaults.get("trajectory.t_min", 1e-3)))
-    p.add_argument("--latent", type=int, default=int(defaults.get("net.latent", 128)))
-    p.add_argument("--rounds", type=int, default=int(defaults.get("net.rounds", 3)))
-    p.add_argument("--gcn-layers", type=int, default=int(defaults.get("net.gcn_layers", 3)))
-    p.add_argument("--d-time", type=int, default=int(defaults.get("net.d_time", 64)))
-    p.add_argument("--d-contrast", type=int, default=int(defaults.get("net.d_contrast", 64)))
+    p.add_argument("--latent", type=positive_int, default=defaults.get("net.latent", 128))
+    p.add_argument("--rounds", type=positive_int, default=defaults.get("net.rounds", 3))
+    p.add_argument("--gcn-layers", type=positive_int, default=defaults.get("net.gcn_layers", 3))
+    p.add_argument("--d-time", type=positive_int, default=defaults.get("net.d_time", 64))
+    p.add_argument("--d-contrast", type=positive_int, default=defaults.get("net.d_contrast", 64))
     p.add_argument("--lambda1", type=float, default=float(defaults.get("loss.lambda1", 1.0)))
     p.add_argument("--lambda2", type=float, default=float(defaults.get("loss.lambda2", 0.01)))
     p.add_argument("--tau0", type=float, default=float(defaults.get("loss.tau0", 0.5)))
@@ -339,10 +349,10 @@ def build_parser(defaults):
     p = sub.add_parser("sample", help="generate molecules from a checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--n-atoms", type=int, default=8)
+    p.add_argument("--count", type=positive_int, default=10)
+    p.add_argument("--n-atoms", type=positive_int, default=8)
     p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--steps", type=int, default=int(defaults.get("schedule.steps", 1000)))
+    p.add_argument("--steps", type=positive_int, default=defaults.get("schedule.steps", 1000))
     p.add_argument("--t-min", type=float, default=float(defaults.get("trajectory.t_min", 1e-3)))
     common(p)
     p.set_defaults(fn=cmd_sample)
@@ -353,15 +363,15 @@ def build_parser(defaults):
     p.add_argument("--samples", default=None)
     p.add_argument("--reference", default=None)
     p.add_argument("--report", default=None)
-    p.add_argument("--n-rotations", type=int, default=20)
-    p.add_argument("--max-probes", type=int, default=10)
+    p.add_argument("--n-rotations", type=positive_int, default=20)
+    p.add_argument("--max-probes", type=positive_int, default=10)
     common(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("probe", help="frozen-embedding linear probe")
     p.add_argument("checkpoint")
     p.add_argument("dataset")
-    p.add_argument("--probe-seeds", type=int, default=5)
+    p.add_argument("--probe-seeds", type=positive_int, default=5)
     p.add_argument("--report", default=None)
     common(p)
     p.set_defaults(fn=cmd_probe)

@@ -49,7 +49,7 @@ class SymmetryReport:
 
 
 def _heads(params, cfg, dense, t):
-    out = forward(params, cfg, dense, dense, t)
+    out = forward(params, cfg, [dense], [dense], [t])[0]
     return {k: out[k].data for k in ("score_P", "score_E", "score_H")} | {
         "projection": out["projection"].data}
 
@@ -133,7 +133,7 @@ def _reflection_check(params, net_cfg, dense, t):
     worst_axes = max(np.abs(refl_frames[:, 0] + base_frames[:, 0]).max(),
                      np.abs(refl_frames[:, 1] - base_frames[:, 1]).max(),
                      np.abs(refl_frames[:, 2] + base_frames[:, 2]).max())
-    base_out = forward(params, net_cfg, dense, dense, t)
+    base_out = forward(params, net_cfg, [dense], [dense], [t])[0]
     got = _heads(params, net_cfg, refl, t)
     coeffs = _mlp2(base_out["latent"].node_h, params, "head3d").data  # invariant
     # predicted reflected field: e1/e3 components flip, e2 survives
@@ -182,9 +182,9 @@ def gaussian_score_toy(schedule, mu=1.0, sigma=1.0, hidden=64, d_time=16,
     def net(x, t_arr):
         emb = fourier_embed(t_arr, d_time)
         inp = Tensor(np.concatenate([x[:, None], emb], axis=1))
-        h = ad.silu(ad.add(ad.matmul(inp, params["w1"]), params["b1"]))
-        h = ad.silu(ad.add(ad.matmul(h, params["w2"]), params["b2"]))
-        return ad.add(ad.matmul(h, params["w3"]), params["b3"])
+        h = ad.silu(ad.linear(inp, params["w1"], params["b1"]))
+        h = ad.silu(ad.linear(h, params["w2"], params["b2"]))
+        return ad.linear(h, params["w3"], params["b3"])
 
     for step in range(train_steps):
         x0 = mu + sigma * rng.standard_normal(batch)
@@ -280,13 +280,9 @@ def radius_of_gyration(graph):
 
 def pooled_embeddings(params, net_cfg, graphs, t=0.5):
     """Frozen mean-pooled latent per molecule (self-paired, fixed time)."""
-    params = detach_params(params)
-    rows = []
-    for g in graphs:
-        dense = to_dense(g)
-        out = forward(params, net_cfg, dense, dense, t, with_heads=False)
-        rows.append(out["latent"].pooled.data)
-    return np.stack(rows)
+    dense = [to_dense(g) for g in graphs]
+    outs = forward(detach_params(params), net_cfg, dense, dense, [t] * len(dense))
+    return np.stack([out["latent"].pooled.data for out in outs])
 
 
 def ridge_probe_mse(features, labels, seeds, ridge=1e-3, test_frac=0.2):

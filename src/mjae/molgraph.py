@@ -116,42 +116,58 @@ def make_graph(atom_types, charges, bonds, positions):
     return MoleculeGraph(atom_types, charges, bonds, positions)
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind, field):
+    """``value`` if JSON gave it as a ``kind`` (for float, any number; never a
+    bool), else a ParseError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ParseError(f"{field} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def parse_molecule(record):
     """Parse one JSONL molecule record into a validated MoleculeGraph.
 
     Record format:
     ``{"atoms": [{"el": "O", "q": 0, "xyz": [x, y, z]}, ...],
        "bonds": [[i, j, order], ...]}`` with 0-based indices, order in 1..4.
-    Bonds are listed once per pair; the parser symmetrizes.
+    Bonds are listed once per pair; the parser symmetrizes. Every malformed
+    record, including a field of the wrong JSON type, is a ParseError.
     """
     try:
         obj = json.loads(record)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ParseError(f"malformed JSON: {e}") from e
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise ParseError("record missing 'atoms'")
-    atoms = obj["atoms"]
+    atoms = _typed(obj["atoms"], list, "'atoms'")
     if not atoms:
         raise ParseError("molecule has no atoms")
     n = len(atoms)
-    atom_types = []
-    charges = []
-    positions = []
+    atom_types, charges, positions = [], [], []
     for a in atoms:
-        el = a.get("el")
+        el = _typed(_typed(a, dict, "atom").get("el"), str, "atom 'el'")
         if el not in ELEMENT_INDEX:
             raise ParseError(f"unknown element {el!r}")
         atom_types.append(ELEMENT_INDEX[el])
-        charges.append(int(a.get("q", 0)))
-        xyz = a.get("xyz", [0.0, 0.0, 0.0])
+        q = _typed(a.get("q", 0), int, "atom 'q'")
+        if q not in CHARGE_INDEX:
+            raise ParseError(f"formal charge {q} outside {CHARGES}")
+        charges.append(q)
+        xyz = _typed(a.get("xyz", [0.0, 0.0, 0.0]), list, "atom 'xyz'")
         if len(xyz) != 3:
             raise ParseError(f"xyz must have 3 components, got {len(xyz)}")
-        positions.append([float(c) for c in xyz])
+        try:
+            positions.append([float(_typed(c, float, "atom 'xyz' component")) for c in xyz])
+        except OverflowError as e:
+            raise ParseError(f"atom 'xyz' component out of range: {e}") from e
     bonds = np.zeros((n, n), dtype=np.int64)
-    for entry in obj.get("bonds", []):
-        if len(entry) != 3:
+    for entry in _typed(obj.get("bonds", []), list, "'bonds'"):
+        if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"bond entry must be [i, j, order], got {entry}")
-        i, j, order = (int(v) for v in entry)
+        i, j, order = (_typed(v, int, "bond entry value") for v in entry)
         if not (0 <= i < n and 0 <= j < n):
             raise ParseError(f"bond index ({i}, {j}) out of range for n={n}")
         if i == j:

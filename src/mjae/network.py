@@ -3,7 +3,7 @@
 Two distance-featurized invariant message-passing encoders (one for the clean
 conditioner, one for the noisy input) produce node features f0 and ft. Each
 encoder runs a whole list of molecules as one ragged batch: atom rows are
-stacked and messages pass over the atom pairs of each molecule only. A
+stacked and messages pass within each molecule's block of atom pairs. A
 row-wise MLP fuses [Emd(t) | f0 | ft] into 3D node features, an edge MLP of
 [Emd(t) | E0 | Et] produces a weighted adjacency W, and a dense residual GCN
 over (nodes, W) yields the latent representation. Three heads decode it:
@@ -17,6 +17,9 @@ over (nodes, W) yields the latent representation. Three heads decode it:
 A separate projection head maps the mean-pooled latent to a unit-norm
 embedding for the contrastive objective. Everything is built from the
 autodiff primitives so the whole model trains with reverse mode.
+
+``forward`` is the one entry point of training, sampling and eval: it takes a
+batch of (conditioner, input, time) triples and owns every encoding.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ class NetworkConfig:
     d_contrast: int = 64       # projection head output width
     hidden: int = 64           # head MLP hidden width
     edge_hidden: int = 32
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ValueError(f"NetworkConfig.{name} must be >= 1, got {value}")
+        if self.d_time % 2:
+            raise ValueError(f"NetworkConfig.d_time must be even, got {self.d_time}")
 
     @property
     def h_width(self):
@@ -148,44 +158,20 @@ def rbf_features(positions, cfg):
     return (rbf * envelope[:, :, None]).reshape(n * n, cfg.n_rbf)
 
 
-def pair_layout(sizes):
-    """Index arrays of the ragged pair rows of a batch of molecules with
-    ``sizes`` atoms, their atoms stacked in order.
-
-    Each molecule of n atoms has n^2 pair rows (i, j), ordered by (molecule,
-    i, j). Returns ``(cols, starts, mirror)``: the stacked index of atom j of
-    each row, the first row of each atom's block, and the row of the reversed
-    pair (j, i); the arguments of ``autodiff.ragged_message``.
-    """
-    cols, starts, mirror = [], [], []
-    atom0 = row0 = 0
-    for n in sizes:
-        cols.append(atom0 + np.tile(np.arange(n), n))
-        starts.append(row0 + n * np.arange(n))
-        mirror.append(row0 + np.arange(n * n).reshape(n, n).T.reshape(n * n))
-        atom0 += n
-        row0 += n * n
-    return tuple(np.concatenate(part) for part in (cols, starts, mirror))
-
-
-def encode(mols, params, cfg, branch, rbf=None):
+def encode(mols, params, cfg, branch, rbf):
     """Invariant node features of each DenseTensors in ``mols`` from
     distance-featurized message passing: one (n_b, L) Tensor per molecule.
 
-    The molecules run as one ragged batch, so each round is a few GEMMs over
-    all atoms and pairs. ``rbf`` gives each molecule's ``rbf_features`` rows
-    when the caller already has them.
+    ``rbf`` holds each molecule's ``rbf_features`` rows. The molecules run as
+    one ragged batch, so each round is a few GEMMs over all atoms and pairs.
     """
     sizes = [m.n for m in mols]
-    if rbf is None:
-        rbf = [rbf_features(m.P, cfg) for m in mols]
-    cols, starts, mirror = pair_layout(sizes)
     pair_rbf = Tensor(np.concatenate(rbf))  # (sum n_b^2, n_rbf) constant
     h = ad.matmul(Tensor(np.concatenate([m.H for m in mols])), params[f"{branch}.embed"])
     for k in range(cfg.rounds):
         filt = ad.matmul(pair_rbf, params[f"{branch}.r{k}.filter"])
         x = ad.matmul(h, params[f"{branch}.r{k}.msg"])
-        msgs = ad.ragged_message(filt, x, cols, starts, mirror)
+        msgs = ad.ragged_message(filt, x, sizes)
         upd = ad.linear(ad.concat([h, msgs], axis=1), params[f"{branch}.r{k}.upd.w"],
                         params[f"{branch}.r{k}.upd.b"])
         h = ad.add(h, ad.silu(upd))
@@ -252,16 +238,12 @@ def score_3d(latent, basis, params):
     return ad.sub(field, ad.mean(field, axis=0))
 
 
-def score_2d(latent, params, cfg, e0=None, et=None):
+def score_2d(latent, params, cfg, e0, et):
     """Invariant edge score: multi-head attention maps, symmetric pairwise
     node features, and the raw per-edge channels of the conditioner and noisy
     edge tensors -> per-edge MLP, symmetric with zero diagonal."""
     h = latent.node_h
     n = h.shape[0]
-    if e0 is None:
-        e0 = np.zeros((n, n, cfg.e_width))
-    if et is None:
-        et = np.zeros((n, n, cfg.e_width))
     scale = 1.0 / np.sqrt(cfg.head_dim)
     maps = []
     for head in range(cfg.heads):
@@ -308,37 +290,40 @@ def project(latent, params, cfg):
 
 # -- full forward --------------------------------------------------------
 
-def forward(params, cfg, x0, xt, t, with_heads=True, scale=None, f0=None, ft=None):
-    """Run the full pipeline on one (clean, noisy, time) triple.
+def forward(params, cfg, conds, inputs, times, anchors=None):
+    """Run the full pipeline on a batch of (conditioner, input, time) triples.
 
-    Returns a dict with the latent representation, the unit-norm projection,
-    and (when ``with_heads``) the three score heads evaluated on ``xt``.
-    ``f0`` and ``ft`` are the clean-branch encoding of ``x0`` and the
-    noisy-branch encoding of ``xt`` when the caller has already encoded them
-    (``training_step`` encodes a whole batch at once); otherwise they are
-    encoded here, from one set of pair features when ``x0`` is ``xt``.
-    Frames for the 3D head are built from the noisy positions. ``scale`` is
-    one float multiplying all three head outputs; passing 1/beta(t) turns the
-    O(1) head outputs into a noise-prediction parametrization of the score,
-    which keeps the heads well-conditioned near t = 0.
+    Returns one dict per triple: the latent, its unit-norm projection and the
+    three O(1) score heads on the input (callers scale them by 1/beta(t), a
+    noise-prediction parametrization well-conditioned near t = 0). With
+    ``anchors``, each dict also holds ``"anchor"``, the projection of the
+    latent of (conditioner, anchor, time): the molecule's contrastive view.
+
+    The clean branch encodes all conditioners in one pass and the noisy branch
+    all inputs and anchors in another. Pair features are computed once per
+    distinct positions array and the time embedding once per triple.
     """
-    emb = fourier_embed(t, cfg.d_time)
-    rbf_t = None
-    if ft is None:
-        rbf_t = [rbf_features(xt.P, cfg)]
-        ft = encode([xt], params, cfg, "enc_noisy", rbf_t)[0]
-    if f0 is None:
-        f0 = encode([x0], params, cfg, "enc_clean", rbf_t if x0 is xt else None)[0]
+    views = [*inputs, *(anchors or [])]
+    positions = {id(m.P): m.P for m in [*conds, *views]}  # each distinct array once
+    rbf = {key: rbf_features(p, cfg) for key, p in positions.items()}
+    f0 = encode(conds, params, cfg, "enc_clean", [rbf[id(m.P)] for m in conds])
+    ft = encode(views, params, cfg, "enc_noisy", [rbf[id(m.P)] for m in views])
+    outs = []
+    for i, (cond, xt, t) in enumerate(zip(conds, inputs, times)):
+        emb = fourier_embed(t, cfg.d_time)
+        latent = _latent(f0[i], ft[i], cond, xt, emb, params, cfg)
+        out = {"latent": latent, "projection": project(latent, params, cfg),
+               "score_P": score_3d(latent, molecule_frames(xt.P), params),
+               "score_E": score_2d(latent, params, cfg, cond.E, xt.E),
+               "score_H": score_h(latent, params)}
+        if anchors:
+            anchor = _latent(f0[i], ft[len(inputs) + i], cond, anchors[i], emb, params, cfg)
+            out["anchor"] = project(anchor, params, cfg)
+        outs.append(out)
+    return outs
+
+
+def _latent(f0, ft, x0, xt, emb, params, cfg):
+    """Latent of one molecule from its clean and noisy branch encodings."""
     node = fuse(f0, ft, emb, params, cfg)
-    w = edge_condition(x0.E, xt.E, emb, params, cfg)
-    latent = fuse_gcn(node, w, params, cfg)
-    out = {"latent": latent, "projection": project(latent, params, cfg)}
-    if with_heads:
-        out["score_P"] = score_3d(latent, molecule_frames(xt.P), params)
-        out["score_E"] = score_2d(latent, params, cfg, x0.E, xt.E)
-        out["score_H"] = score_h(latent, params)
-        if scale is not None:
-            factor = Tensor(float(scale))
-            for comp in ("P", "H", "E"):
-                out[f"score_{comp}"] = ad.mul(out[f"score_{comp}"], factor)
-    return out
+    return fuse_gcn(node, edge_condition(x0.E, xt.E, emb, params, cfg), params, cfg)

@@ -83,9 +83,8 @@ def generate_one(params, net_cfg, schedule, cfg, rng):
     for k in range(cfg.steps):
         t = HORIZON - k * dt
         scale = 1.0 / alpha_beta(schedule, t)[1]
-        out = forward(params, net_cfg, state, state, t, scale=scale)
-        scores = {"P": out["score_P"].data, "H": out["score_H"].data,
-                  "E": out["score_E"].data}
+        out = forward(params, net_cfg, [state], [state], [t])[0]
+        scores = {c: out[f"score_{c}"].data * scale for c in ("P", "H", "E")}
         state = reverse_step(state, t, dt, scores, schedule, cfg.lam, rng)
     return quantize(state)
 

@@ -15,7 +15,7 @@ from .autodiff import Tensor
 from .evalsuite import symmetry_report
 from .loss import verify_decomposition
 from .molgraph import make_graph
-from .network import NetworkConfig, init_params, pair_layout
+from .network import NetworkConfig, init_params
 from .schedule import NoiseSchedule, alpha_beta
 
 
@@ -44,7 +44,6 @@ def _primitive_cases(rng):
     c4 = 2.0 + rng.uniform(size=(4, 4))
     b = rng.standard_normal(3)
     f = rng.standard_normal((10, 4))
-    one, two = pair_layout((4,)), pair_layout((1, 3))
 
     def reduce(t):
         return ad.sum_(ad.mul(t, t))
@@ -72,9 +71,9 @@ def _primitive_cases(rng):
         ("linear weight", lambda x: reduce(ad.linear(Tensor(c1), x, ad.mean(x, axis=0)))),
         # one 4-atom molecule whose 4 pair rows of atom i are copies of x[i]
         ("ragged_message filt", lambda x: reduce(ad.ragged_message(
-            ad.reshape(ad.concat([x] * 4, axis=1), (16, 4)), Tensor(c2), *one))),
+            ad.reshape(ad.concat([x] * 4, axis=1), (16, 4)), Tensor(c2), (4,)))),
         # molecules of 1 and 3 atoms: 4 atoms, 10 pair rows
-        ("ragged_message x", lambda x: reduce(ad.ragged_message(Tensor(f), x, *two))),
+        ("ragged_message x", lambda x: reduce(ad.ragged_message(Tensor(f), x, (1, 3)))),
     ]
 
 

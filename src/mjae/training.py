@@ -1,7 +1,7 @@
 """Optimizer, training loop, and checkpoint round-trip.
 
 The loop is the combined objective end to end: sample a batch, draw one time
-per molecule, perturb, run the twin-branch forward, take the weighted
+per molecule, perturb, run one batched twin-branch forward, take the weighted
 score-matching + contrastive loss, reverse-mode backward, clipped Adam step.
 Everything is driven by one root seed so a (seed, dataset, config) triple
 fully determines the loss history.
@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as losses
 from .molgraph import to_dense
-from .network import NetworkConfig, encode, forward, init_params, rbf_features
+from .network import NetworkConfig, forward, init_params
 from .schedule import NoiseSchedule, alpha_beta
 from .trajectory import perturb_continuous, sample_time
 
@@ -116,14 +116,11 @@ def training_step(params, net_cfg, cfg, batch, rngs):
     """One optimizer-ready pass over a batch of DenseTensors.
 
     Returns (loss report, gradient map). ``rngs`` supplies one independent
-    stream per molecule so results do not depend on scheduling order. The
-    heads are scaled by 1/beta(t) and the score-matching term is weighted by
-    beta(t)^2 (likelihood weighting), both from ``cfg.schedule``.
-
-    Each branch encodes the whole batch in one ragged pass: the clean branch
-    each molecule's conditioner, the noisy branch each x_t (for the heads)
-    and each x_0 (for the contrastive anchor). Pair features are computed
-    once per positions array.
+    stream per molecule so results do not depend on scheduling order. Each
+    molecule is perturbed to x_t, then one batched ``forward`` of (conditioner,
+    x_t, t) triples with x_0 as the contrastive anchor gives the heads and both
+    projections. The heads are scaled by 1/beta(t) and the score-matching term
+    is weighted by beta(t)^2 (likelihood weighting), both from ``cfg.schedule``.
     """
     schedule = cfg.schedule
     times, samples, conds = [], [], []
@@ -132,38 +129,24 @@ def training_step(params, net_cfg, cfg, batch, rngs):
         times.append(t)
         samples.append(perturb_continuous(x0, t, rng, schedule))
         conds.append(samples[-1].xt if rng.uniform() < cfg.self_cond_prob else x0)
-    rbf_0 = [rbf_features(x0.P, net_cfg) for x0 in batch]
-    rbf_t = [rbf_features(s.xt.P, net_cfg) for s in samples]
-    rbf_cond = [r0 if cond is x0 else rt
-                for cond, x0, r0, rt in zip(conds, batch, rbf_0, rbf_t)]
-    f0 = encode(conds, params, net_cfg, "enc_clean", rbf_cond)
-    ft = encode([s.xt for s in samples] + list(batch), params, net_cfg, "enc_noisy",
-                rbf_t + rbf_0)
+    outs = forward(params, net_cfg, conds, [s.xt for s in samples], times, anchors=batch)
 
-    sc_terms = []
-    breakdowns = []
-    anchors = []
-    positives = []
-    b = len(batch)
-    for i, (x0, sample, cond, t) in enumerate(zip(batch, samples, conds, times)):
+    sc_terms, breakdowns = [], []
+    for out, sample, t in zip(outs, samples, times):
         beta = alpha_beta(schedule, t)[1]
-        out = forward(params, net_cfg, cond, sample.xt, t, scale=1.0 / beta,
-                      f0=f0[i], ft=ft[i])
-        pred = {"P": out["score_P"], "H": out["score_H"], "E": out["score_E"]}
+        inv_beta = ad.Tensor(1.0 / beta)
+        pred = {c: ad.mul(out[f"score_{c}"], inv_beta) for c in ("P", "H", "E")}
         term, breakdown = losses.score_matching_loss(pred, sample.score_target, beta ** 2)
         sc_terms.append(term)
         breakdowns.append(breakdown)
-        positives.append(out["projection"])
-        anchor = forward(params, net_cfg, cond, x0, t, with_heads=False,
-                         f0=f0[i], ft=ft[b + i])
-        anchors.append(anchor["projection"])
 
     l_sc = sc_terms[0]
     for term in sc_terms[1:]:
         l_sc = ad.add(l_sc, term)
     l_sc = ad.div(l_sc, ad.Tensor(float(len(batch))))
     tau = losses.anneal_tau(cfg.tau0, schedule, float(np.mean(times)))
-    l_co = losses.contrastive_loss(anchors, positives, tau)
+    l_co = losses.contrastive_loss([o["anchor"] for o in outs],
+                                   [o["projection"] for o in outs], tau)
     total = losses.combine(l_sc, l_co, cfg.lambda1, cfg.lambda2)
     report = losses.total_loss(l_sc, l_co, cfg.lambda1, cfg.lambda2,
                                _mean_breakdown(breakdowns))
@@ -277,7 +260,7 @@ def load_checkpoint(path):
     (hlen,) = struct.unpack("<Q", blob[12:20])
     try:
         header = json.loads(blob[20:20 + hlen])
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from e
     body = blob[20 + hlen:]
     tensors = {}
@@ -286,7 +269,10 @@ def load_checkpoint(path):
         raw = body[offset:offset + size]
         if len(raw) != size:
             raise CheckpointError(f"truncated checkpoint at tensor {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        try:
+            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        except ValueError as e:  # e.g. a zero-size shape with a dimension numpy cannot hold
+            raise CheckpointError(f"checkpoint tensor {name!r} has shape {shape}: {e}") from e
     params = {k[len("param/"):]: ad.Tensor(v, requires_grad=True)
               for k, v in tensors.items() if k.startswith("param/")}
     state = {
@@ -313,9 +299,8 @@ def _tensor_entries(header):
     for entry in entries:
         name, shape, offset = (_header_field(entry, key, "tensor entry")
                                for key in ("name", "shape", "offset"))
-        if not (isinstance(name, str) and isinstance(offset, int) and offset >= 0
-                and isinstance(shape, list)
-                and all(isinstance(d, int) and d >= 0 for d in shape)):
+        if not (isinstance(name, str) and type(offset) is int and offset >= 0
+                and isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise CheckpointError(f"malformed checkpoint tensor entry {entry!r}")
         yield name, shape, offset
 

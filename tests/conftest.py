@@ -129,3 +129,14 @@ def methane():
 @pytest.fixture
 def small_cfg():
     return small_net_config()
+
+
+def json_values(max_leaves=8):
+    """Hypothesis strategy for any JSON value, with unbounded integers and
+    non-finite floats (which ``json`` writes as NaN and Infinity)."""
+    from hypothesis import strategies as st
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids,
+                                                                  max_size=3),
+        max_leaves=max_leaves)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import fd_grad
 from mjae import autodiff as ad
 from mjae.autodiff import ShapeError, TapeError, Tensor
-from mjae.network import pair_layout
 
 
 def test_matmul_shape_rule():
@@ -176,20 +175,21 @@ def _ragged_reference(filt, x, sizes):
 
 def test_ragged_message_matches_dense_blocks_and_fd(rng):
     sizes = (1, 3, 2)
-    cols, starts, mirror = pair_layout(sizes)
     filt0 = rng.standard_normal((sum(n * n for n in sizes), 4))
     x0 = rng.standard_normal((sum(sizes), 4))
-    out = ad.ragged_message(Tensor(filt0), Tensor(x0), cols, starts, mirror).data
+    out = ad.ragged_message(Tensor(filt0), Tensor(x0), sizes).data
     assert np.allclose(out, _ragged_reference(filt0, x0, sizes), rtol=1e-13, atol=1e-13)
     weights = Tensor(rng.standard_normal(x0.shape))
 
     def loss(filt, x):
-        return ad.sum_(ad.mul(ad.ragged_message(filt, x, cols, starts, mirror), weights))
+        return ad.sum_(ad.mul(ad.ragged_message(filt, x, sizes), weights))
 
     _check(lambda f: loss(f, Tensor(x0)), filt0)   # filt need not be symmetric
     _check(lambda x: loss(Tensor(filt0), x), x0)
     with pytest.raises(ShapeError, match="ragged_message"):
-        ad.ragged_message(Tensor(filt0[1:]), Tensor(x0), cols, starts, mirror)
+        ad.ragged_message(Tensor(filt0[1:]), Tensor(x0), sizes)
+    with pytest.raises(ShapeError, match="ragged_message"):
+        ad.ragged_message(Tensor(filt0), Tensor(x0), (2, 2, 2))
 
 
 def test_matmul_gradient(rng):

@@ -76,6 +76,16 @@ def test_env_config_supplies_defaults(tmp_path, monkeypatch, capsys):
     assert args.schedule_kind == "VE"
 
 
+def test_env_config_count_is_checked_like_its_flag(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "cfg"
+    p.write_text("train.epochs=0\n")
+    monkeypatch.setenv("MJAE_CONFIG", str(p))
+    with pytest.raises(SystemExit) as e:
+        main(["pretrain", "a", "--out", str(tmp_path / "x.ck")])
+    assert e.value.code == 2
+    assert "--epochs: must be a positive integer, got 0" in capsys.readouterr().err
+
+
 # -- ingest ---------------------------------------------------------------
 
 def test_ingest_diagnostics_and_output(tmp_path, capsys):
@@ -90,6 +100,18 @@ def test_ingest_diagnostics_and_output(tmp_path, capsys):
     manifest = json.load(open(out + ".manifest.json"))
     assert manifest["command"] == "ingest"
     assert data in manifest["input_hashes"]
+
+
+def test_ingest_rejects_wrong_json_types_by_line(tmp_path, capsys):
+    data = _write_dataset(tmp_path / "raw.jsonl", count=3)
+    with open(data, "a") as fh:
+        fh.write('{"atoms": [1]}\n{"atoms": [{"el": "C", "q": "x"}]}\n')
+    out = str(tmp_path / "clean.jsonl")
+    assert main(["ingest", data, out]) == 0
+    captured = capsys.readouterr()
+    assert "ingested 3 molecules, rejected 2" in captured.out
+    assert "line 4: atom must be an object" in captured.err
+    assert "line 5: atom 'q' must be an integer" in captured.err
 
 
 def test_ingest_empty_file(tmp_path, capsys):
@@ -331,6 +353,28 @@ def test_previous_format_meta_serves_sample_eval_and_probe(trained, tmp_path):
     assert main(["eval", old, "--probe-set", data, "--n-rotations", "2",
                  "--max-probes", "1"]) == 0
     assert main(["probe", old, data, "--probe-seeds", "2"]) == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pretrain", "{data}", "--out", "{out}", "--epochs", "0"], "--epochs: must be a positive"),
+    (["pretrain", "{data}", "--out", "{out}", "--latent", "0"], "--latent: must be a positive"),
+    (["pretrain", "{data}", "--out", "{out}", "--d-time", "7"], "d_time must be even"),
+    (["sample", "{ck}", "--out", "{out}", "--n-atoms", "0"], "--n-atoms: must be a positive"),
+    (["eval", "{ck}", "--probe-set", "{data}", "--max-probes", "0", "--report", "{out}"],
+     "--max-probes: must be a positive"),
+    (["probe", "{ck}", "{data}", "--probe-seeds", "0", "--report", "{out}"],
+     "--probe-seeds: must be a positive"),
+])
+def test_flags_that_cannot_do_work_are_usage_errors(trained, tmp_path, capsys, argv, message):
+    ck, data, _ = trained
+    argv = [a.format(ck=ck, data=data, out=str(tmp_path / "out")) for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = e.code
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_sample_rejects_net_flags(trained, tmp_path):

@@ -30,16 +30,16 @@ def _pred_target(rng, offset=0.0):
 def test_time_weight(monkeypatch):
     # training_step scales the heads by 1/beta(t) and weights the
     # score-matching term by beta(t)^2, both from the config's one schedule
-    seen = []
+    batches, seen = [], []
     real_forward = network.forward
 
-    def spy_forward(params, cfg, x0, xt, t, **kw):
-        if kw.get("with_heads", True):
-            seen.append({"t": t, "scale": kw["scale"]})
-        return real_forward(params, cfg, x0, xt, t, **kw)
+    def spy_forward(params, cfg, conds, inputs, times, **kw):
+        outs = real_forward(params, cfg, conds, inputs, times, **kw)
+        batches.append((outs, times))
+        return outs
 
     def spy_loss(pred, target, weight):
-        seen[-1]["weight"] = weight
+        seen.append({"pred": pred, "weight": weight})
         return score_matching_loss(pred, target, weight)
 
     monkeypatch.setattr(training, "forward", spy_forward)
@@ -48,14 +48,18 @@ def test_time_weight(monkeypatch):
     params = init_params(net_cfg, np.random.default_rng(0))
     batch = [to_dense(g) for g in toy_corpus(count=3, seed=5)]
     for schedule in (VP, VE):
+        batches.clear()
         seen.clear()
         rngs = [np.random.default_rng([9, i]) for i in range(3)]
         cfg = training.TrainConfig(batch_size=3, schedule=schedule)
         training.training_step(params, net_cfg, cfg, batch, rngs)
-        assert len(seen) == 3
-        for call in seen:
-            beta = alpha_beta(schedule, call["t"])[1]
-            assert call["scale"] == 1.0 / beta
+        assert len(batches) == 1 and len(seen) == 3
+        outs, times = batches[0]
+        for out, t, call in zip(outs, times, seen):
+            beta = alpha_beta(schedule, t)[1]
+            for comp in COMPONENTS:
+                assert np.array_equal(call["pred"][comp].data,
+                                      out[f"score_{comp}"].data * (1.0 / beta))
             assert call["weight"] == beta ** 2
 
 

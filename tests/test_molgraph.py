@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import WATER_RECORD, random_molecule, toy_corpus, water_graph
+from conftest import (WATER_RECORD, json_values, random_molecule, toy_corpus,
+                      water_graph)
 from mjae.molgraph import (CHARGES, ELEMENT_INDEX, ELEMENTS, MAX_ATOMS,
-                           N_BOND_CATEGORIES, ParseError, feature_width,
+                           N_BOND_CATEGORIES, MoleculeGraph, ParseError, feature_width,
                            make_graph, parse_molecule, permute,
                            serialize_molecule, to_dense, validate_valence)
 from mjae.sampling import quantize
@@ -49,6 +50,58 @@ def test_parse_distinct_diagnostics():
             '"bonds":[[0,1,1],[1,0,2]]}')
     with pytest.raises(ParseError, match="no atoms"):
         parse_molecule('{"atoms":[],"bonds":[]}')
+
+
+@pytest.mark.parametrize("record, field", [
+    ('{"atoms": [1]}', "atom must be an object"),
+    ('{"atoms": "CO"}', "'atoms' must be a list"),
+    ('{"atoms": [{"el": ["C"]}]}', "atom 'el' must be a string"),
+    ('{"atoms": [{"el": "C", "xyz": 5}]}', "atom 'xyz' must be a list"),
+    ('{"atoms": [{"el": "C", "xyz": [0, "1", 0]}]}', "atom 'xyz' component must be a number"),
+    ('{"atoms": [{"el": "C", "xyz": [0, 1e999, 0]}]}', "non-finite"),
+    ('{"atoms": [{"el": "C", "xyz": [0, 1' + "0" * 400 + ', 0]}]}', "'xyz' component out of range"),
+    ('{"atoms": [{"el": "C"}], "bonds": 3}', "'bonds' must be a list"),
+    ('{"atoms": [{"el": "C", "q": "x"}]}', "atom 'q' must be an integer"),
+    ('{"atoms": [{"el": "C", "q": 0.7}]}', "atom 'q' must be an integer"),
+    ('{"atoms": [{"el": "C", "q": true}]}', "atom 'q' must be an integer"),
+    ('{"atoms": [{"el": "C", "q": 100000000000000000000}]}', "formal charge"),
+    ('{"atoms": [{"el": "C"}, {"el": "C"}], "bonds": [[0, 1, 1.9]]}', "bond entry value"),
+    ('{"atoms": [{"el": "C"}, {"el": "C"}], "bonds": [[0.5, 1, 1]]}', "bond entry value"),
+    ('{"atoms": [{"el": "C"}, {"el": "C"}], "bonds": [{"i": 0, "j": 1, "o": 1}]}',
+     "bond entry must be"),
+])
+def test_parse_wrong_json_types_name_the_field(record, field):
+    with pytest.raises(ParseError, match=field):
+        parse_molecule(record)
+
+
+def _field(valid):
+    """A record field: usually well-formed, sometimes any JSON value."""
+    return st.one_of(valid, json_values())
+
+
+_ATOMS = st.lists(_field(st.fixed_dictionaries({}, optional={
+    "el": _field(st.sampled_from(ELEMENTS + ("Zz",))),
+    "q": _field(st.integers(-2, 2)),
+    "xyz": _field(st.lists(st.floats(-5, 5), min_size=2, max_size=4)),
+})), max_size=4)
+_BONDS = st.lists(_field(st.lists(st.integers(-1, 5), min_size=3, max_size=3)), max_size=4)
+_RECORDS = st.one_of(
+    st.fixed_dictionaries({"atoms": _field(_ATOMS)}, optional={"bonds": _field(_BONDS)})
+    .map(json.dumps),
+    json_values().map(json.dumps),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_RECORDS)
+def test_only_parse_error_escapes_parse_molecule(record):
+    try:
+        graph = parse_molecule(record)
+    except ParseError:
+        return
+    assert isinstance(graph, MoleculeGraph)
 
 
 def test_make_graph_validation():

@@ -10,7 +10,7 @@ from mjae.molgraph import (DenseTensors, ELEMENT_INDEX, ELEMENTS, N_BOND_CATEGOR
 from mjae.network import (LatentRepresentation, NetworkConfig, detach_params,
                           edge_condition, encode, forward, fourier_embed,
                           fourier_frequencies, fuse, fuse_gcn, init_params,
-                          project, score_2d, score_3d, score_h)
+                          project, rbf_features, score_2d, score_3d, score_h)
 from mjae.frames import molecule_frames
 
 
@@ -26,6 +26,16 @@ def params(cfg):
 
 def _dense(rng, n_heavy=2):
     return to_dense(random_molecule(rng, n_heavy))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("latent", 0, "NetworkConfig.latent must be >= 1, got 0"),
+    ("heads", -2, "NetworkConfig.heads must be >= 1, got -2"),
+    ("d_time", 7, "NetworkConfig.d_time must be even, got 7"),
+])
+def test_network_config_names_an_unusable_field(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        NetworkConfig(**{field: value})
 
 
 # -- time embedding -------------------------------------------------------
@@ -78,21 +88,25 @@ def test_fourier_no_collisions_on_grid():
 
 # -- encoder --------------------------------------------------------------
 
+def _encode(mols, params, cfg, branch):
+    return encode(mols, params, cfg, branch, [rbf_features(m.P, cfg) for m in mols])
+
+
 def test_encode_rigid_motion_invariance(cfg, params, rng):
     dense = _dense(rng)
-    base = encode([dense], params, cfg, "enc_clean")[0].data
+    base = _encode([dense], params, cfg, "enc_clean")[0].data
     for _ in range(5):
         r = random_rotation(rng)
         moved = DenseTensors(H=dense.H, E=dense.E, P=dense.P @ r.T + rng.standard_normal(3))
-        got = encode([moved], params, cfg, "enc_clean")[0].data
+        got = _encode([moved], params, cfg, "enc_clean")[0].data
         assert np.abs(got - base).max() < 1e-5
 
 
 def test_encode_permutation_equivariance(cfg, params, rng):
     g = random_molecule(rng, 2)
     perm = rng.permutation(g.n)
-    base = encode([to_dense(g)], params, cfg, "enc_clean")[0].data
-    got = encode([to_dense(permute(g, perm))], params, cfg, "enc_clean")[0].data
+    base = _encode([to_dense(g)], params, cfg, "enc_clean")[0].data
+    got = _encode([to_dense(permute(g, perm))], params, cfg, "enc_clean")[0].data
     assert np.abs(got - base[perm]).max() < 1e-9
 
 
@@ -104,7 +118,7 @@ def test_encode_symmetric_molecule_identical_features(cfg, params):
     bonds[0, 2] = bonds[2, 0] = 2
     pos = [[0.0, 0, 0], [1.16, 0, 0], [-1.16, 0, 0]]
     g = make_graph(types, [0, 0, 0], bonds, pos)
-    f = encode([to_dense(g)], params, cfg, "enc_clean")[0].data
+    f = _encode([to_dense(g)], params, cfg, "enc_clean")[0].data
     assert np.abs(f[1] - f[2]).max() < 1e-6
 
 
@@ -126,7 +140,7 @@ def test_batched_encode_matches_molecules_alone(cfg, params, rng):
 
     def grads_of(groups):
         leaves = {k: Tensor(v.data, requires_grad=True) for k, v in params.items()}
-        feats = [f for group in groups for f in encode(group, leaves, cfg, "enc_noisy")]
+        feats = [f for group in groups for f in _encode(group, leaves, cfg, "enc_noisy")]
         loss = ad.sum_(ad.mul(feats[0], Tensor(weights[0])))
         for f, w in zip(feats[1:], weights[1:]):
             loss = ad.add(loss, ad.sum_(ad.mul(f, Tensor(w))))
@@ -148,7 +162,7 @@ def test_batched_encode_matches_molecules_alone(cfg, params, rng):
 
 def test_fuse_zero_weights(cfg, params, rng):
     dense = _dense(rng)
-    f = encode([dense], params, cfg, "enc_clean")[0]
+    f = _encode([dense], params, cfg, "enc_clean")[0]
     zeroed = {k: Tensor(np.zeros_like(v.data)) for k, v in params.items()}
     out = fuse(f, f, fourier_embed(0.3, cfg.d_time), zeroed, cfg)
     assert np.all(out.data == 0.0)
@@ -156,8 +170,8 @@ def test_fuse_zero_weights(cfg, params, rng):
 
 def test_fuse_sensitive_to_clean_branch(cfg, params, rng):
     dense = _dense(rng)
-    f0 = encode([dense], params, cfg, "enc_clean")[0]
-    ft = encode([dense], params, cfg, "enc_noisy")[0]
+    f0 = _encode([dense], params, cfg, "enc_clean")[0]
+    ft = _encode([dense], params, cfg, "enc_noisy")[0]
     emb = fourier_embed(0.3, cfg.d_time)
     base = fuse(f0, ft, emb, params, cfg).data
     shuffled = Tensor(f0.data[::-1].copy())
@@ -228,8 +242,7 @@ def test_fuse_gcn_closed_form_single_layer(rng):
 # -- heads ----------------------------------------------------------------
 
 def _latent(cfg, params, dense, t=0.5):
-    out = forward(params, cfg, dense, dense, t, with_heads=False)
-    return out["latent"]
+    return forward(params, cfg, [dense], [dense], [t])[0]["latent"]
 
 
 def test_score_3d_zero_head_weights(cfg, params, rng):
@@ -253,7 +266,7 @@ def test_score_3d_zero_com(cfg, params, rng):
 def test_score_2d_symmetric_zero_diag(cfg, params, rng):
     dense = _dense(rng)
     latent = _latent(cfg, params, dense)
-    out = score_2d(latent, params, cfg).data
+    out = score_2d(latent, params, cfg, dense.E, dense.E).data
     assert np.array_equal(out, np.swapaxes(out, 0, 1))
     n = out.shape[0]
     assert np.all(out[np.arange(n), np.arange(n)] == 0.0)
@@ -290,11 +303,11 @@ def test_project_distinct_molecules(cfg, params):
 
 def test_forward_symmetries(cfg, params, rng):
     dense = _dense(rng, n_heavy=3)
-    base = forward(params, cfg, dense, dense, 0.5)
+    base = forward(params, cfg, [dense], [dense], [0.5])[0]
     for _ in range(5):
         r = random_rotation(rng)
         moved = DenseTensors(H=dense.H, E=dense.E, P=dense.P @ r.T)
-        got = forward(params, cfg, moved, moved, 0.5)
+        got = forward(params, cfg, [moved], [moved], [0.5])[0]
         assert np.abs(got["score_P"].data - base["score_P"].data @ r.T).max() < 1e-4
         assert np.abs(got["score_E"].data - base["score_E"].data).max() < 1e-5
         assert np.abs(got["score_H"].data - base["score_H"].data).max() < 1e-5
@@ -303,7 +316,7 @@ def test_forward_symmetries(cfg, params, rng):
 
 def test_forward_gradients_flow_to_all_heads(cfg, params, rng):
     dense = _dense(rng)
-    out = forward(params, cfg, dense, dense, 0.5)
+    out = forward(params, cfg, [dense], [dense], [0.5])[0]
     loss = ad.add(ad.sum_(ad.square(out["score_P"])),
                   ad.add(ad.sum_(ad.square(out["score_E"])),
                          ad.add(ad.sum_(ad.square(out["score_H"])),
@@ -314,6 +327,43 @@ def test_forward_gradients_flow_to_all_heads(cfg, params, rng):
     for prefix in ("enc_clean", "enc_noisy", "fuse", "edge", "gcn", "att",
                    "head2d", "head3d", "headh", "proj"):
         assert any(k.startswith(prefix) for k in touched), prefix
+
+
+def test_batched_forward_matches_molecules_alone(cfg, params, rng):
+    """One forward over triples of 1, 2, 5 and 14 atoms gives each triple's
+    outputs, anchor view and gradients as a forward of that triple alone."""
+    conds = [_molecule_of(rng, n) for n in (1, 2, 5, 14)]
+    inputs = [DenseTensors(H=m.H + 0.3 * rng.standard_normal(m.H.shape),
+                           E=m.E + 0.3 * rng.standard_normal(m.E.shape),
+                           P=m.P + 0.2 * rng.standard_normal(m.P.shape)) for m in conds]
+    times = [0.1, 0.4, 0.7, 0.95]
+    keys = ("projection", "anchor", "score_P", "score_E", "score_H")
+
+    def run(groups):
+        leaves = {k: Tensor(v.data, requires_grad=True) for k, v in params.items()}
+        outs = [out for idx in groups for out in forward(
+            leaves, cfg, [conds[i] for i in idx], [inputs[i] for i in idx],
+            [times[i] for i in idx], anchors=[conds[i] for i in idx])]
+        # a fixed random linear functional of every output (the projections
+        # have unit norm, so their squares would have no gradient)
+        terms = [ad.sum_(ad.mul(out[k], Tensor(np.random.default_rng([i, j]).standard_normal(
+            out[k].shape)))) for i, out in enumerate(outs) for j, k in enumerate(keys)]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = ad.add(loss, term)
+        ad.backward(loss)
+        values = [{k: out[k].data for k in keys} | {"latent": out["latent"].node_h.data}
+                  for out in outs]
+        return values, {k: v.grad for k, v in leaves.items() if v.grad is not None}
+
+    batched, batched_grads = run([range(4)])
+    alone, alone_grads = run([[i] for i in range(4)])
+    for got, ref in zip(batched, alone):
+        for k in ref:
+            assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k]), k
+    assert set(batched_grads) == set(alone_grads) == set(params)
+    for name, ref in alone_grads.items():
+        assert np.linalg.norm(batched_grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
 def test_detach_params(cfg, params):

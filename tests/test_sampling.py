@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import small_net_config, toy_corpus, water_graph
-from mjae import network
+from mjae import network, sampling
 from mjae.evalsuite import random_rotation
 from mjae.molgraph import (DenseTensors, N_BOND_CATEGORIES, feature_width,
                            to_dense)
@@ -162,6 +162,32 @@ def test_generate_pair_features_once_per_nfe(rng, monkeypatch):
                         lambda positions, c: calls.append(1) or original(positions, c))
     generate(params, net_cfg, VP, cfg, 2)
     assert len(calls) == 2 * cfg.steps
+
+
+@pytest.mark.parametrize("schedule", [VP, VE])
+def test_generate_scales_heads_by_inverse_beta(schedule, rng, monkeypatch):
+    """Each network evaluation hands the reverse step the O(1) heads times
+    1/beta(t) of the schedule: the noise-prediction parametrization."""
+    net_cfg = small_net_config()
+    params = init_params(net_cfg, rng)
+    outs, steps = [], []
+    real_forward, real_step = sampling.forward, sampling.reverse_step
+
+    def spy_forward(*args, **kwargs):
+        outs.append(real_forward(*args, **kwargs))
+        return outs[-1]
+
+    def spy_step(state, t, dt, scores, *rest):
+        inv_beta = 1.0 / alpha_beta(schedule, t)[1]
+        for comp in ("P", "H", "E"):
+            assert np.array_equal(scores[comp], outs[-1][0][f"score_{comp}"].data * inv_beta)
+        steps.append(t)
+        return real_step(state, t, dt, scores, *rest)
+
+    monkeypatch.setattr(sampling, "forward", spy_forward)
+    monkeypatch.setattr(sampling, "reverse_step", spy_step)
+    generate(params, net_cfg, schedule, SamplerConfig(steps=4, n_atoms=3, seed=1), 1)
+    assert len(steps) == len(outs) == 4
 
 
 # -- analytic OU toy ------------------------------------------------------

@@ -1,7 +1,12 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import small_net_config, toy_corpus, write_raw_checkpoint
+from conftest import json_values, small_net_config, toy_corpus, write_raw_checkpoint
 from mjae import autodiff as ad
 from mjae import loss as losses
 from mjae import network, training
@@ -9,7 +14,8 @@ from mjae.autodiff import Tensor
 from mjae.molgraph import to_dense
 from mjae.network import NetworkConfig, init_params
 from mjae.schedule import NoiseSchedule, alpha_beta
-from mjae.training import (CheckpointError, TrainConfig, adam_step,
+from mjae.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError,
+                           TrainConfig, adam_step,
                            build_schedules, check_shapes, clip_gradients,
                            init_adam_state, load_checkpoint, save_checkpoint,
                            train, training_step)
@@ -199,8 +205,9 @@ def test_params_stay_finite_after_training():
 
 
 def _two_forward_step(params, net_cfg, cfg, batch, rngs):
-    """``training_step`` written with a second full ``forward`` per molecule
-    for the anchor, which encodes the conditioner again."""
+    """``training_step`` written with one ``forward`` of one molecule per
+    view: the heads on (conditioner, x_t, t) and the anchor from a second full
+    forward on (conditioner, x_0, t), which encodes the conditioner again."""
     sc_terms, breakdowns, anchors, positives, times = [], [], [], [], []
     for x0, rng in zip(batch, rngs):
         t = sample_time(rng, cfg.t_min)
@@ -208,14 +215,13 @@ def _two_forward_step(params, net_cfg, cfg, batch, rngs):
         sample = perturb_continuous(x0, t, rng, cfg.schedule)
         cond = sample.xt if rng.uniform() < cfg.self_cond_prob else x0
         beta = alpha_beta(cfg.schedule, t)[1]
-        out = network.forward(params, net_cfg, cond, sample.xt, t, scale=1.0 / beta)
-        pred = {"P": out["score_P"], "H": out["score_H"], "E": out["score_E"]}
+        out = network.forward(params, net_cfg, [cond], [sample.xt], [t])[0]
+        pred = {c: ad.mul(out[f"score_{c}"], Tensor(1.0 / beta)) for c in ("P", "H", "E")}
         term, breakdown = losses.score_matching_loss(pred, sample.score_target, beta ** 2)
         sc_terms.append(term)
         breakdowns.append(breakdown)
         positives.append(out["projection"])
-        anchors.append(network.forward(params, net_cfg, cond, x0, t,
-                                       with_heads=False)["projection"])
+        anchors.append(network.forward(params, net_cfg, [cond], [x0], [t])[0]["projection"])
     l_sc = sc_terms[0]
     for term in sc_terms[1:]:
         l_sc = ad.add(l_sc, term)
@@ -230,17 +236,15 @@ def _two_forward_step(params, net_cfg, cfg, batch, rngs):
     return float(total.data), grads
 
 
-def _spy(monkeypatch, name, record, modules=(network, training)):
-    """Replace function ``name`` in each of ``modules`` by a wrapper that
-    calls ``record(*args)`` first."""
+def _spy(monkeypatch, name, record):
+    """Replace ``network.name`` by a wrapper that calls ``record(*args)`` first."""
     original = getattr(network, name)
 
     def wrapper(*args, **kwargs):
         record(*args)
         return original(*args, **kwargs)
 
-    for module in modules:
-        monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(network, name, wrapper)
 
 
 @pytest.mark.parametrize("self_cond_prob", [0.0, 1.0])
@@ -271,17 +275,22 @@ def test_training_step_encodes_conditioner_once(self_cond_prob, monkeypatch):
 
 @pytest.mark.parametrize("self_cond_prob", [0.0, 0.5, 1.0])
 def test_training_step_pair_features_once_per_positions(self_cond_prob, monkeypatch):
-    """Pair features are computed once per positions array: for x_0 and x_t
-    of each molecule, 2 per molecule where three encodings need them."""
+    """An 8-molecule step is one encoding pass per branch, pair features once
+    per positions array (x_0 and x_t of each molecule) and one time embedding
+    per molecule."""
     batch = [to_dense(g) for g in toy_corpus(count=8, seed=5)]
     net_cfg = small_net_config()
     params = init_params(net_cfg, np.random.default_rng(3))
-    seen = []
+    seen, encodes, embeds = [], [], []
     _spy(monkeypatch, "rbf_features", lambda positions, c: seen.append(positions))
+    _spy(monkeypatch, "encode", lambda *args: encodes.append(args[3]))
+    _spy(monkeypatch, "fourier_embed", lambda t, d: embeds.append(t))
     training_step(params, net_cfg, _quick_cfg(self_cond_prob=self_cond_prob), batch,
                   [np.random.default_rng([7, i]) for i in range(len(batch))])
     assert len(seen) == 2 * len(batch)
     assert len({id(p) for p in seen}) == len(seen)
+    assert encodes == ["enc_clean", "enc_noisy"]
+    assert len(embeds) == len(batch)
 
 
 # -- checkpoints ----------------------------------------------------------
@@ -362,6 +371,9 @@ def test_raw_checkpoint_header_loads(tmp_path):
     ({"tensors": [GOOD_ENTRY | {"shape": [-2]}], "adam_step": 0}, "malformed"),
     ({"tensors": [GOOD_ENTRY | {"offset": "0"}], "adam_step": 0}, "malformed"),
     ({"tensors": [GOOD_ENTRY | {"name": 7}], "adam_step": 0}, "malformed"),
+    ({"tensors": [GOOD_ENTRY | {"shape": [True]}], "adam_step": 0}, "malformed"),
+    ({"tensors": [GOOD_ENTRY | {"offset": True}], "adam_step": 0}, "malformed"),
+    ({"tensors": [GOOD_ENTRY | {"shape": [0, 2 ** 63]}], "adam_step": 0}, "has shape"),
 ])
 def test_checkpoint_malformed_header_is_checkpoint_error(tmp_path, header, message):
     path = write_raw_checkpoint(tmp_path / "bad.ck", header, np.arange(2.0).tobytes())
@@ -388,3 +400,35 @@ def test_checkpoint_missing_tensor(rng):
     del params["proj.l2.b"]
     with pytest.raises(CheckpointError, match="missing"):
         check_shapes(params, cfg)
+
+
+_ENTRIES = st.lists(st.one_of(st.fixed_dictionaries({
+    "name": st.sampled_from(["param/w", "adam_m/w", "adam_v/w", 7]),
+    "shape": st.one_of(st.lists(st.sampled_from([0, 1, 2, True, -1, 2 ** 63]), max_size=3),
+                       json_values(2)),
+    "offset": st.sampled_from([0, 8, 16, -8, True, "0", None]),
+}), json_values(2)), max_size=3)
+_HEADERS = st.fixed_dictionaries({"tensors": _ENTRIES, "adam_step": json_values(2)},
+                                 optional={"meta": json_values(4)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_HEADERS, st.binary(max_size=48)),
+                 st.tuples(json_values(), st.binary(max_size=16)), st.binary(max_size=64)))
+def test_only_checkpoint_error_escapes_load_checkpoint(case):
+    """A file that starts like a checkpoint, then holds any header and body
+    (or any bytes at all), loads or raises CheckpointError."""
+    fd, path = tempfile.mkstemp(suffix=".ck")
+    os.close(fd)
+    try:
+        if isinstance(case, bytes):
+            with open(path, "wb") as fh:
+                fh.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + case)
+        else:
+            write_raw_checkpoint(path, *case)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+    finally:
+        os.remove(path)
