@@ -81,13 +81,16 @@ def read_dataset(path):
     """Parse a JSONL dataset; returns (graphs, diagnostics with line numbers)."""
     graphs = []
     diagnostics = []
-    with open(path) as fh:
+    # bytes that are not UTF-8 pass the read as lone surrogates, so each line
+    # is decoded, and rejected, on its own
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                graphs.append(parse_molecule(line))
-            except ParseError as e:
+                graphs.append(parse_molecule(line.encode("utf-8", "surrogateescape")
+                                             .decode("utf-8")))
+            except (ParseError, UnicodeDecodeError) as e:
                 diagnostics.append(f"line {lineno}: {e}")
     return graphs, diagnostics
 
@@ -208,10 +211,14 @@ def _load_model(path):
 
 def cmd_sample(args):
     started = time.time()
+    try:
+        cfg = SamplerConfig(steps=args.steps, lam=args.lam, n_atoms=args.n_atoms,
+                            seed=args.seed, t_end=args.t_min)
+    except ValueError as e:  # a flag value no config accepts
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     params, net_cfg, meta = _load_model(args.checkpoint)
     schedule = _meta_config(meta, "schedule", NoiseSchedule)
-    cfg = SamplerConfig(steps=args.steps, lam=args.lam, n_atoms=args.n_atoms,
-                        seed=args.seed, t_end=args.t_min)
     graphs = generate(params, net_cfg, schedule, cfg, args.count)
     with open(args.out, "w") as fh:
         for g in graphs:
@@ -397,7 +404,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

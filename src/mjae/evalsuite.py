@@ -48,12 +48,6 @@ class SymmetryReport:
         return asdict(self)
 
 
-def _heads(params, cfg, dense, t):
-    out = forward(params, cfg, [dense], [dense], [t])[0]
-    return {k: out[k].data for k in ("score_P", "score_E", "score_H")} | {
-        "projection": out["projection"].data}
-
-
 def _rotate(dense, r):
     return DenseTensors(H=dense.H, E=dense.E, P=dense.P @ r.T)
 
@@ -63,7 +57,9 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
     """Max symmetry residuals of the full model over a probe set.
 
     Equivariance / invariance is architectural, so a random-init model should
-    already pass; residuals are float round-off only.
+    already pass; residuals are float round-off only. Each probe molecule's
+    views (itself, its rotations, its permutations and its point reflection)
+    run as one ``forward``.
     """
     params = detach_params(params)
     rng = np.random.default_rng(seed)
@@ -72,13 +68,19 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
     pattern_ok = True
     for graph in probe_set:
         dense = to_dense(graph)
-        base = _heads(params, net_cfg, dense, t)
+        rotations = [random_rotation(rng) for _ in range(n_rotations)]
+        perms = [rng.permutation(graph.n) for _ in range(n_permutations)]
+        views = [dense, *(_rotate(dense, r) for r in rotations),
+                 *(to_dense(permute(graph, perm)) for perm in perms),
+                 DenseTensors(H=dense.H, E=dense.E, P=-dense.P)]
+        outs = forward(params, net_cfg, views, views, [t] * len(views))
+        heads = [{k: out[k].data for k in ("score_P", "score_E", "score_H", "projection")}
+                 for out in outs]
+        base = heads[0]
         mol = {"n": graph.n}
 
         worst3d = worst2d = worsth = worstemb = 0.0
-        for _ in range(n_rotations):
-            r = random_rotation(rng)
-            got = _heads(params, net_cfg, _rotate(dense, r), t)
+        for r, got in zip(rotations, heads[1:]):
             worst3d = max(worst3d, np.abs(got["score_P"] - base["score_P"] @ r.T).max())
             worst2d = max(worst2d, np.abs(got["score_E"] - base["score_E"]).max())
             worsth = max(worsth, np.abs(got["score_H"] - base["score_H"]).max())
@@ -87,9 +89,7 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
         mol["rotation_2d"] = worst2d
 
         worstperm = 0.0
-        for _ in range(n_permutations):
-            perm = rng.permutation(graph.n)
-            got = _heads(params, net_cfg, to_dense(permute(graph, perm)), t)
+        for perm, got in zip(perms, heads[1 + n_rotations:]):
             worstperm = max(
                 worstperm,
                 np.abs(got["score_P"] - base["score_P"][perm]).max(),
@@ -99,7 +99,7 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
             )
         mol["permutation"] = worstperm
 
-        worstrefl, ok = _reflection_check(params, net_cfg, dense, t)
+        worstrefl, ok = _reflection_check(params, dense, outs[0], outs[-1])
         mol["reflection"] = worstrefl
         per_molecule.append(mol)
 
@@ -123,26 +123,27 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
     )
 
 
-def _reflection_check(params, net_cfg, dense, t):
+def _reflection_check(params, dense, base_out, refl_out):
     """Point reflection P -> -P: the frame axes map (e1, e2, e3) ->
     (-e1, e2, -e3) while the invariant coefficients are unchanged, so the e2
-    component of the 3D score survives the reflection and e1/e3 flip."""
+    component of the 3D score survives the reflection and e1/e3 flip.
+
+    ``base_out`` and ``refl_out`` are the forward outputs of ``dense`` and of
+    its reflection."""
     base_frames = molecule_frames(dense.P)
-    refl = DenseTensors(H=dense.H, E=dense.E, P=-dense.P)
-    refl_frames = molecule_frames(refl.P)
+    refl_frames = molecule_frames(-dense.P)
     worst_axes = max(np.abs(refl_frames[:, 0] + base_frames[:, 0]).max(),
                      np.abs(refl_frames[:, 1] - base_frames[:, 1]).max(),
                      np.abs(refl_frames[:, 2] + base_frames[:, 2]).max())
-    base_out = forward(params, net_cfg, [dense], [dense], [t])[0]
-    got = _heads(params, net_cfg, refl, t)
     coeffs = _mlp2(base_out["latent"].node_h, params, "head3d").data  # invariant
     # predicted reflected field: e1/e3 components flip, e2 survives
     raw = (-coeffs[:, :1] * base_frames[:, 0] + coeffs[:, 1:2] * base_frames[:, 1]
            - coeffs[:, 2:] * base_frames[:, 2])
     predicted = raw - raw.mean(axis=0, keepdims=True)
-    worst = max(worst_axes, np.abs(got["score_P"] - predicted).max())
+    got = refl_out["score_P"].data
+    worst = max(worst_axes, np.abs(got - predicted).max())
     # negative control: a plain sign flip would miss the surviving e2 part
-    plain = np.abs(got["score_P"] + base_out["score_P"].data).max()
+    plain = np.abs(got + base_out["score_P"].data).max()
     e2_mag = np.abs(coeffs[:, 1]).max()
     pattern_ok = bool(plain > 1e-8 or e2_mag < 1e-10)
     return float(worst), pattern_ok

@@ -290,6 +290,11 @@ def project(latent, params, cfg):
 
 # -- full forward --------------------------------------------------------
 
+# Pair rows (sum of n^2 over conditioners, inputs and anchors) one forward
+# encodes at once; each row costs a few KB of tape across encoders and heads.
+MAX_PAIR_ROWS = 1 << 14
+
+
 def forward(params, cfg, conds, inputs, times, anchors=None):
     """Run the full pipeline on a batch of (conditioner, input, time) triples.
 
@@ -301,9 +306,15 @@ def forward(params, cfg, conds, inputs, times, anchors=None):
 
     The clean branch encodes all conditioners in one pass and the noisy branch
     all inputs and anchors in another. Pair features are computed once per
-    distinct positions array and the time embedding once per triple.
+    distinct positions array and the time embedding once per triple. A batch
+    of more than ``MAX_PAIR_ROWS`` pair rows runs as its two halves, so callers
+    hand over their whole set and the working set stays bounded.
     """
     views = [*inputs, *(anchors or [])]
+    if len(conds) > 1 and sum(m.n * m.n for m in [*conds, *views]) > MAX_PAIR_ROWS:
+        h = len(conds) // 2
+        return (forward(params, cfg, conds[:h], inputs[:h], times[:h], anchors and anchors[:h])
+                + forward(params, cfg, conds[h:], inputs[h:], times[h:], anchors and anchors[h:]))
     positions = {id(m.P): m.P for m in [*conds, *views]}  # each distinct array once
     rbf = {key: rbf_features(p, cfg) for key, p in positions.items()}
     f0 = encode(conds, params, cfg, "enc_clean", [rbf[id(m.P)] for m in conds])

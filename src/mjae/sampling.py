@@ -10,6 +10,7 @@ a molecule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,24 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+            raise ValueError(f"SamplerConfig.steps must be >= 1, got {self.steps}")
+        if not (self.lam >= 0 and math.isfinite(self.lam)):
+            raise ValueError(f"SamplerConfig.lam must be finite and >= 0, got {self.lam}")
+        if not 0 < self.t_end < HORIZON:
+            raise ValueError(f"SamplerConfig.t_end must be in (0, {HORIZON}), got {self.t_end}")
+
+
+def euler_maruyama(y, score, f, g, lam, dt, noise):
+    """One Euler-Maruyama update of the reverse family at drift ``f`` and
+    diffusion ``g``: y - (f y - (1 + lam^2)/2 g^2 s) dt + lam g sqrt(dt) z."""
+    drift = f * y - 0.5 * (1.0 + lam * lam) * g * g * score
+    return y - drift * dt + lam * g * np.sqrt(dt) * noise
+
+
+def time_grid(t_end, steps):
+    """(t, dt) of each of ``steps`` uniform steps from HORIZON down to ``t_end``."""
+    dt = (HORIZON - t_end) / steps
+    return [(HORIZON - k * dt, dt) for k in range(steps)]
 
 
 def reverse_step(state, t, dt, scores, schedule, lam, rng):
@@ -47,16 +63,11 @@ def reverse_step(state, t, dt, scores, schedule, lam, rng):
         if not np.all(np.isfinite(scores[comp])):
             raise FloatingPointError(f"non-finite {comp} score at t={t:.4f}")
     f, g = drift_diffusion(schedule, t)
-
-    def step(y, score, noise):
-        drift = f * y - 0.5 * (1.0 + lam * lam) * g * g * score
-        return y - drift * dt + lam * g * np.sqrt(dt) * noise
-
     z_p = project_zero_com(rng.standard_normal(state.P.shape)) if lam > 0 else 0.0
     z_h = rng.standard_normal(state.H.shape) if lam > 0 else 0.0
     z_e = symmetrize_edge_noise(rng.standard_normal(state.E.shape)) if lam > 0 else 0.0
-    new = DenseTensors(P=step(state.P, scores["P"], z_p), H=step(state.H, scores["H"], z_h),
-                       E=step(state.E, scores["E"], z_e))
+    new = DenseTensors(**{c: euler_maruyama(getattr(state, c), scores[c], f, g, lam, dt, z)
+                          for c, z in (("P", z_p), ("H", z_h), ("E", z_e))})
     if not all(np.all(np.isfinite(x)) for x in (new.P, new.H, new.E)):
         raise FloatingPointError(f"non-finite state after reverse step at t={t:.4f}")
     return new
@@ -72,32 +83,25 @@ def prior_sample(n_atoms, schedule, rng):
     return DenseTensors(P=p, H=h, E=e)
 
 
-def generate_one(params, net_cfg, schedule, cfg, rng):
-    """Integrate one reverse path from the prior and quantize.
-
-    The clean-conditioner branch receives the evolving state itself (the only
-    structure available at generation time).
-    """
-    state = prior_sample(cfg.n_atoms, schedule, rng)
-    dt = (HORIZON - cfg.t_end) / cfg.steps
-    for k in range(cfg.steps):
-        t = HORIZON - k * dt
-        scale = 1.0 / alpha_beta(schedule, t)[1]
-        out = forward(params, net_cfg, [state], [state], [t])[0]
-        scores = {c: out[f"score_{c}"].data * scale for c in ("P", "H", "E")}
-        state = reverse_step(state, t, dt, scores, schedule, cfg.lam, rng)
-    return quantize(state)
-
-
 def generate(params, net_cfg, schedule, cfg, count):
     """Generate ``count`` molecules under the NoiseSchedule ``schedule``; one
-    child rng stream per sample index."""
+    child rng stream per sample index.
+
+    The ``count`` reverse paths advance together: each step is one ``forward``
+    of every state, then one reverse step per path on its own stream. Each
+    state is also its own clean conditioner (the only structure available at
+    generation time).
+    """
     params = detach_params(params)
-    out = []
-    for i in range(count):
-        rng = np.random.default_rng([cfg.seed, i])
-        out.append(generate_one(params, net_cfg, schedule, cfg, rng))
-    return out
+    rngs = [np.random.default_rng([cfg.seed, i]) for i in range(count)]
+    states = [prior_sample(cfg.n_atoms, schedule, rng) for rng in rngs]
+    for t, dt in time_grid(cfg.t_end, cfg.steps):
+        scale = 1.0 / alpha_beta(schedule, t)[1]
+        outs = forward(params, net_cfg, states, states, [t] * count)
+        states = [reverse_step(state, t, dt, {c: out[f"score_{c}"].data * scale for c in "PHE"},
+                               schedule, cfg.lam, rng)
+                  for state, out, rng in zip(states, outs, rngs)]
+    return [quantize(state) for state in states]
 
 
 def quantize(tensors):
@@ -130,12 +134,8 @@ def reverse_paths_1d(schedule, score_fn, lam, steps, n_paths, rng, t_end=1e-3,
         x = alpha_beta(schedule, HORIZON)[1] * rng.standard_normal(n_paths)
     else:
         x = np.array(x_init, dtype=np.float64)
-    dt = (HORIZON - t_end) / steps
-    for k in range(steps):
-        t = HORIZON - k * dt
+    for t, dt in time_grid(t_end, steps):
         f, g = drift_diffusion(schedule, t)
-        drift = f * x - 0.5 * (1.0 + lam * lam) * g * g * score_fn(x, t)
-        x = x - drift * dt
-        if lam > 0:
-            x = x + lam * g * np.sqrt(dt) * rng.standard_normal(n_paths)
+        x = euler_maruyama(x, score_fn(x, t), f, g, lam, dt,
+                           rng.standard_normal(n_paths) if lam > 0 else 0.0)
     return x

@@ -33,6 +33,9 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.kind not in ("VP", "VE"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("beta_min", "beta_max", "sigma_min", "sigma_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"NoiseSchedule.{name} must be finite, got {getattr(self, name)}")
         if self.kind == "VP" and not 0 <= self.beta_min <= self.beta_max:
             raise ValueError("require 0 <= beta_min <= beta_max")
         if self.kind == "VE" and not 0 < self.sigma_min <= self.sigma_max:

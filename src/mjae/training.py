@@ -48,8 +48,15 @@ class TrainConfig:
     self_cond_prob: float = 0.0    # fraction of steps conditioning on x_t itself
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        for name, ok, want in (("lr", self.lr > 0, "a finite learning rate > 0"),
+                               ("lambda1", self.lambda1 >= 0, "finite and >= 0"),
+                               ("lambda2", self.lambda2 >= 0, "finite and >= 0"),
+                               ("tau0", self.tau0 > 0, "finite and > 0"),
+                               ("t_min", 0 < self.t_min < 1, "in (0, 1)"),
+                               ("self_cond_prob", 0 <= self.self_cond_prob <= 1, "in [0, 1]")):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ValueError(f"TrainConfig.{name} must be {want}, got {value}")
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2 (contrastive negatives)")
         if self.lr_schedule not in ("constant", "cosine"):

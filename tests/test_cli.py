@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_corpus, write_raw_checkpoint
+from mjae import cli
 from mjae.cli import load_config_file, main, read_dataset
 from mjae.molgraph import serialize_molecule
 from mjae.network import NetworkConfig
@@ -104,14 +105,16 @@ def test_ingest_diagnostics_and_output(tmp_path, capsys):
 
 def test_ingest_rejects_wrong_json_types_by_line(tmp_path, capsys):
     data = _write_dataset(tmp_path / "raw.jsonl", count=3)
-    with open(data, "a") as fh:
-        fh.write('{"atoms": [1]}\n{"atoms": [{"el": "C", "q": "x"}]}\n')
+    with open(data, "ab") as fh:
+        fh.write(b'{"atoms": [1]}\n{"atoms": [{"el": "C", "q": "x"}]}\n{"atoms": "\xff"}\n')
     out = str(tmp_path / "clean.jsonl")
     assert main(["ingest", data, out]) == 0
     captured = capsys.readouterr()
-    assert "ingested 3 molecules, rejected 2" in captured.out
+    assert "ingested 3 molecules, rejected 3" in captured.out
     assert "line 4: atom must be an object" in captured.err
     assert "line 5: atom 'q' must be an integer" in captured.err
+    assert "line 6: 'utf-8' codec can't decode byte 0xff in position 11" in captured.err
+    assert len(open(out).read().splitlines()) == 3
 
 
 def test_ingest_empty_file(tmp_path, capsys):
@@ -364,6 +367,19 @@ def test_previous_format_meta_serves_sample_eval_and_probe(trained, tmp_path):
      "--max-probes: must be a positive"),
     (["probe", "{ck}", "{data}", "--probe-seeds", "0", "--report", "{out}"],
      "--probe-seeds: must be a positive"),
+    (["pretrain", "{data}", "--out", "{out}", "--tau0", "0"], "tau0 must be finite and > 0"),
+    (["pretrain", "{data}", "--out", "{out}", "--lr", "nan"], "lr must be a finite learning"),
+    (["pretrain", "{data}", "--out", "{out}", "--lr", "inf"], "lr must be a finite learning"),
+    (["pretrain", "{data}", "--out", "{out}", "--lambda1", "-1"], "lambda1 must be finite"),
+    (["pretrain", "{data}", "--out", "{out}", "--t-min", "1.5"], "t_min must be in (0, 1)"),
+    (["pretrain", "{data}", "--out", "{out}", "--self-cond-prob", "2"],
+     "self_cond_prob must be in [0, 1]"),
+    (["pretrain", "{data}", "--out", "{out}", "--beta-max", "inf"], "beta_max must be finite"),
+    (["sample", "{ck}", "--out", "{out}", "--t-min", "1.5"], "t_end must be in (0, 1.0)"),
+    (["sample", "{ck}", "--out", "{out}", "--t-min", "-0.5"], "t_end must be in (0, 1.0)"),
+    (["sample", "{ck}", "--out", "{out}", "--t-min", "1.0"], "t_end must be in (0, 1.0)"),
+    (["sample", "{ck}", "--out", "{out}", "--lam", "nan"], "lam must be finite and >= 0"),
+    (["sample", "{ck}", "--out", "{out}", "--lam", "inf"], "lam must be finite and >= 0"),
 ])
 def test_flags_that_cannot_do_work_are_usage_errors(trained, tmp_path, capsys, argv, message):
     ck, data, _ = trained
@@ -374,6 +390,18 @@ def test_flags_that_cannot_do_work_are_usage_errors(trained, tmp_path, capsys, a
         rc = e.code
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_sampler_failure_is_a_named_runtime_error(trained, tmp_path, capsys, monkeypatch):
+    ck, _, _ = trained
+
+    def blow_up(*args):
+        raise FloatingPointError("non-finite P score at t=0.5000")
+
+    monkeypatch.setattr(cli, "generate", blow_up)
+    assert main(["sample", ck, "--out", str(tmp_path / "s.jsonl"), "--steps", "2"]) == 1
+    assert capsys.readouterr().err == "error: non-finite P score at t=0.5000\n"
     assert not os.listdir(tmp_path)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import (random_molecule, small_net_config, toy_corpus,
                       water_graph)
-from mjae import network
+from mjae import evalsuite, network
 from mjae.evalsuite import (canonical_hash, gaussian_marginal_score,
                             generation_metrics, linear_probe,
                             pooled_embeddings, radius_of_gyration,
@@ -23,12 +23,17 @@ def test_random_rotation_is_proper(rng):
         assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
 
-def test_symmetry_report_random_init(rng):
+def test_symmetry_report_random_init(rng, monkeypatch):
     cfg = small_net_config()
     params = init_params(cfg, rng)
     probes = toy_corpus(count=3, seed=2)
+    views, real_forward = [], evalsuite.forward
+    monkeypatch.setattr(evalsuite, "forward", lambda p, c, conds, *rest: views.append(
+        len(conds)) or real_forward(p, c, conds, *rest))
     rep = symmetry_report(params, cfg, probes, n_rotations=5,
                           n_permutations=5)
+    # one forward per probe: the molecule, 5 rotations, 5 permutations, reflection
+    assert views == [12] * 3
     assert rep.rotation_equivariance_3d < 1e-4
     assert rep.rotation_invariance_2d < 1e-5
     assert rep.rotation_invariance_h < 1e-5

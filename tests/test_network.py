@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_molecule, small_net_config, toy_corpus
 from mjae import autodiff as ad
+from mjae import network
 from mjae.autodiff import Tensor
 from mjae.evalsuite import random_rotation
 from mjae.molgraph import (DenseTensors, ELEMENT_INDEX, ELEMENTS, N_BOND_CATEGORIES,
@@ -329,9 +330,10 @@ def test_forward_gradients_flow_to_all_heads(cfg, params, rng):
         assert any(k.startswith(prefix) for k in touched), prefix
 
 
-def test_batched_forward_matches_molecules_alone(cfg, params, rng):
+def test_batched_forward_matches_molecules_alone(cfg, params, rng, monkeypatch):
     """One forward over triples of 1, 2, 5 and 14 atoms gives each triple's
-    outputs, anchor view and gradients as a forward of that triple alone."""
+    outputs, anchor view and gradients as a forward of that triple alone, and
+    as the same forward split in halves down to a pair-row budget."""
     conds = [_molecule_of(rng, n) for n in (1, 2, 5, 14)]
     inputs = [DenseTensors(H=m.H + 0.3 * rng.standard_normal(m.H.shape),
                            E=m.E + 0.3 * rng.standard_normal(m.E.shape),
@@ -358,12 +360,23 @@ def test_batched_forward_matches_molecules_alone(cfg, params, rng):
 
     batched, batched_grads = run([range(4)])
     alone, alone_grads = run([[i] for i in range(4)])
-    for got, ref in zip(batched, alone):
-        for k in ref:
-            assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k]), k
-    assert set(batched_grads) == set(alone_grads) == set(params)
-    for name, ref in alone_grads.items():
-        assert np.linalg.norm(batched_grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
+    # 3 n^2 pair rows per triple (conditioner, input, anchor) against a budget
+    # of 150: the batch halves, then its second half halves again
+    encoded, real_encode = [], network.encode
+    monkeypatch.setattr(network, "MAX_PAIR_ROWS", 150)
+    monkeypatch.setattr(network, "encode", lambda mols, *rest: encoded.append(
+        [m.n for m in mols]) or real_encode(mols, *rest))
+    split, split_grads = run([range(4)])
+    # the calls over budget hold the views of one molecule only
+    assert encoded == [[1, 2], [1, 2, 1, 2], [5], [5, 5], [14], [14, 14]]
+    for outs, grads, refs, ref_grads in ((batched, batched_grads, alone, alone_grads),
+                                         (split, split_grads, batched, batched_grads)):
+        for got, ref in zip(outs, refs, strict=True):
+            for k in ref:
+                assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k]), k
+        assert set(grads) == set(ref_grads) == set(params)
+        for name, ref in ref_grads.items():
+            assert np.linalg.norm(grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
 def test_detach_params(cfg, params):

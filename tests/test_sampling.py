@@ -28,10 +28,10 @@ def _scores(rng, state):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(steps=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(lam=-0.5)
+    for name, bad in (("steps", 0), ("lam", -0.5), ("lam", np.nan), ("lam", np.inf),
+                      ("t_end", 0.0), ("t_end", 1.0), ("t_end", -0.5), ("t_end", np.nan)):
+        with pytest.raises(ValueError, match=f"SamplerConfig.{name} must be"):
+            SamplerConfig(**{name: bad})
 
 
 def test_reverse_step_ode_deterministic(rng):
@@ -150,6 +150,39 @@ def test_generate_deterministic_and_valid(rng):
         assert np.allclose(ga.positions.mean(axis=0), 0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("schedule", [VP, VE])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_generate_advances_paths_together_bitwise(schedule, lam, rng, monkeypatch):
+    """One forward of all paths per step leaves each path bit for bit as the
+    one-path-per-forward loop below, on that path's own rng stream."""
+    net_cfg = small_net_config()
+    params = init_params(net_cfg, rng)
+    cfg = SamplerConfig(steps=4, lam=lam, n_atoms=4, seed=7)
+    reference = []
+    for i in range(3):
+        path_rng = np.random.default_rng([cfg.seed, i])
+        state = prior_sample(cfg.n_atoms, schedule, path_rng)
+        dt = (1.0 - cfg.t_end) / cfg.steps
+        for k in range(cfg.steps):
+            t = 1.0 - k * dt
+            out = network.forward(params, net_cfg, [state], [state], [t])[0]
+            scale = 1.0 / alpha_beta(schedule, t)[1]
+            scores = {c: out[f"score_{c}"].data * scale for c in ("P", "H", "E")}
+            state = reverse_step(state, t, dt, scores, schedule, lam, path_rng)
+        reference.append(state)
+
+    finals, batch_sizes = [], []
+    real_forward = sampling.forward
+    monkeypatch.setattr(sampling, "quantize", lambda state: finals.append(state) or state)
+    monkeypatch.setattr(sampling, "forward", lambda p, c, conds, *rest: batch_sizes.append(
+        len(conds)) or real_forward(p, c, conds, *rest))
+    generate(params, net_cfg, schedule, cfg, 3)
+    assert batch_sizes == [3] * cfg.steps
+    for got, ref in zip(finals, reference, strict=True):
+        for comp in ("P", "H", "E"):
+            assert np.array_equal(getattr(got, comp), getattr(ref, comp)), comp
+
+
 def test_generate_pair_features_once_per_nfe(rng, monkeypatch):
     """The state is both conditioner and input, so both encoders share one
     set of pair features per network evaluation."""
@@ -200,7 +233,7 @@ def test_ou_marginal_preservation_quick(rng):
         return -(x - a * mu0) / (a * a * sigma0 * sigma0 + b * b)
 
     n = 4000
-    for lam in (0.0, 1.0):
+    for lam in (0.0, 0.5, 1.0):
         r = np.random.default_rng(5)
         x0 = alpha_beta(VP, 1.0)[1] * r.standard_normal(n)
         x = reverse_paths_1d(VP, score, lam, steps=400, n_paths=n,

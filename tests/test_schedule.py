@@ -113,6 +113,9 @@ def test_config_validation():
         NoiseSchedule(kind="VP", beta_min=2.0, beta_max=1.0)
     with pytest.raises(ValueError):
         NoiseSchedule(kind="VE", sigma_min=0.0)
+    for name in ("beta_min", "beta_max", "sigma_min", "sigma_max"):
+        with pytest.raises(ValueError, match=f"NoiseSchedule.{name} must be finite"):
+            NoiseSchedule(**{name: np.inf})
 
 
 @settings(max_examples=50, deadline=None)

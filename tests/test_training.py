@@ -29,6 +29,12 @@ def test_config_validation():
         TrainConfig(batch_size=1)
     with pytest.raises(ValueError, match="lr_schedule"):
         TrainConfig(lr_schedule="linear")
+    for name, bad in (("lr", np.nan), ("lr", np.inf), ("lambda1", -1.0), ("lambda2", np.inf),
+                      ("tau0", 0.0), ("t_min", 0.0), ("t_min", 1.0), ("t_min", np.nan),
+                      ("self_cond_prob", -0.1), ("self_cond_prob", 2.0)):
+        with pytest.raises(ValueError, match=f"TrainConfig.{name} must be"):
+            TrainConfig(**{name: bad})
+    TrainConfig(lambda1=0.0, lambda2=0.0, self_cond_prob=1.0)
 
 
 def test_build_schedules():
