@@ -74,13 +74,12 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
                  *(to_dense(permute(graph, perm)) for perm in perms),
                  DenseTensors(H=dense.H, E=dense.E, P=-dense.P)]
         outs = forward(params, net_cfg, views, views, [t] * len(views))
-        heads = [{k: out[k].data for k in ("score_P", "score_E", "score_H", "projection")}
-                 for out in outs]
-        base = heads[0]
+        base, *heads = [{k: out[k].data for k in ("score_P", "score_E", "score_H", "projection")}
+                        for out in outs]
         mol = {"n": graph.n}
 
         worst3d = worst2d = worsth = worstemb = 0.0
-        for r, got in zip(rotations, heads[1:]):
+        for r, got in zip(rotations, heads):
             worst3d = max(worst3d, np.abs(got["score_P"] - base["score_P"] @ r.T).max())
             worst2d = max(worst2d, np.abs(got["score_E"] - base["score_E"]).max())
             worsth = max(worsth, np.abs(got["score_H"] - base["score_H"]).max())
@@ -89,7 +88,7 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
         mol["rotation_2d"] = worst2d
 
         worstperm = 0.0
-        for perm, got in zip(perms, heads[1 + n_rotations:]):
+        for perm, got in zip(perms, heads[n_rotations:]):
             worstperm = max(
                 worstperm,
                 np.abs(got["score_P"] - base["score_P"][perm]).max(),

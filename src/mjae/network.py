@@ -290,8 +290,9 @@ def project(latent, params, cfg):
 
 # -- full forward --------------------------------------------------------
 
-# Pair rows (sum of n^2 over conditioners, inputs and anchors) one forward
-# encodes at once; each row costs a few KB of tape across encoders and heads.
+# Pair rows (sum of n^2 over conditioners, inputs and anchors) one detached
+# forward encodes at once; each row costs a few KB of working arrays across
+# encoders and heads.
 MAX_PAIR_ROWS = 1 << 14
 
 
@@ -306,12 +307,16 @@ def forward(params, cfg, conds, inputs, times, anchors=None):
 
     The clean branch encodes all conditioners in one pass and the noisy branch
     all inputs and anchors in another. Pair features are computed once per
-    distinct positions array and the time embedding once per triple. A batch
-    of more than ``MAX_PAIR_ROWS`` pair rows runs as its two halves, so callers
-    hand over their whole set and the working set stays bounded.
+    distinct positions array and the time embedding once per triple. On
+    detached parameters a batch of more than ``MAX_PAIR_ROWS`` pair rows runs
+    as its two halves, so callers hand over their whole set and the working
+    arrays of one call stay bounded. On trainable parameters the batch runs
+    whole: every half's tape would live until backward, so halving would not
+    lower the peak.
     """
     views = [*inputs, *(anchors or [])]
-    if len(conds) > 1 and sum(m.n * m.n for m in [*conds, *views]) > MAX_PAIR_ROWS:
+    if (len(conds) > 1 and sum(m.n * m.n for m in [*conds, *views]) > MAX_PAIR_ROWS
+            and not any(p.requires_grad for p in params.values())):
         h = len(conds) // 2
         return (forward(params, cfg, conds[:h], inputs[:h], times[:h], anchors and anchors[:h])
                 + forward(params, cfg, conds[h:], inputs[h:], times[h:], anchors and anchors[h:]))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .molgraph import (CHARGES, ELEMENTS, DenseTensors, N_BOND_CATEGORIES,
                        feature_width, make_graph)
-from .network import detach_params, forward
+from .network import MAX_PAIR_ROWS, detach_params, forward
 from .schedule import HORIZON, alpha_beta, drift_diffusion
 from .trajectory import project_zero_com, symmetrize_edge_noise
 
@@ -87,21 +87,27 @@ def generate(params, net_cfg, schedule, cfg, count):
     """Generate ``count`` molecules under the NoiseSchedule ``schedule``; one
     child rng stream per sample index.
 
-    The ``count`` reverse paths advance together: each step is one ``forward``
-    of every state, then one reverse step per path on its own stream. Each
-    state is also its own clean conditioner (the only structure available at
-    generation time).
+    Each state is also its own clean conditioner (the only structure
+    available at generation time), so a path holds 2 n^2 pair rows. The
+    reverse paths advance in groups of as many as one ``forward`` holds within
+    ``MAX_PAIR_ROWS``, so what the integration holds does not grow with
+    ``count``. Each step of a group is one ``forward`` of its states, then one
+    reverse step per path on its own stream.
     """
     params = detach_params(params)
-    rngs = [np.random.default_rng([cfg.seed, i]) for i in range(count)]
-    states = [prior_sample(cfg.n_atoms, schedule, rng) for rng in rngs]
-    for t, dt in time_grid(cfg.t_end, cfg.steps):
-        scale = 1.0 / alpha_beta(schedule, t)[1]
-        outs = forward(params, net_cfg, states, states, [t] * count)
-        states = [reverse_step(state, t, dt, {c: out[f"score_{c}"].data * scale for c in "PHE"},
-                               schedule, cfg.lam, rng)
-                  for state, out, rng in zip(states, outs, rngs)]
-    return [quantize(state) for state in states]
+    group = max(1, MAX_PAIR_ROWS // (2 * cfg.n_atoms ** 2))
+    molecules = []
+    for start in range(0, count, group):
+        rngs = [np.random.default_rng([cfg.seed, i]) for i in range(count)[start:start + group]]
+        states = [prior_sample(cfg.n_atoms, schedule, rng) for rng in rngs]
+        for t, dt in time_grid(cfg.t_end, cfg.steps):
+            scale = 1.0 / alpha_beta(schedule, t)[1]
+            outs = forward(params, net_cfg, states, states, [t] * len(states))
+            states = [reverse_step(state, t, dt, {c: out[f"score_{c}"].data * scale for c in "PHE"},
+                                   schedule, cfg.lam, rng)
+                      for state, out, rng in zip(states, outs, rngs)]
+        molecules += [quantize(state) for state in states]
+    return molecules
 
 
 def quantize(tensors):

@@ -332,8 +332,9 @@ def test_forward_gradients_flow_to_all_heads(cfg, params, rng):
 
 def test_batched_forward_matches_molecules_alone(cfg, params, rng, monkeypatch):
     """One forward over triples of 1, 2, 5 and 14 atoms gives each triple's
-    outputs, anchor view and gradients as a forward of that triple alone, and
-    as the same forward split in halves down to a pair-row budget."""
+    outputs, anchor view and gradients as a forward of that triple alone. Over
+    a pair-row budget, a forward on detached parameters splits in halves with
+    the same outputs; one on trainable parameters runs whole."""
     conds = [_molecule_of(rng, n) for n in (1, 2, 5, 14)]
     inputs = [DenseTensors(H=m.H + 0.3 * rng.standard_normal(m.H.shape),
                            E=m.E + 0.3 * rng.standard_normal(m.E.shape),
@@ -341,11 +342,15 @@ def test_batched_forward_matches_molecules_alone(cfg, params, rng, monkeypatch):
     times = [0.1, 0.4, 0.7, 0.95]
     keys = ("projection", "anchor", "score_P", "score_E", "score_H")
 
-    def run(groups):
-        leaves = {k: Tensor(v.data, requires_grad=True) for k, v in params.items()}
+    def run(groups, trainable=True):
+        leaves = {k: Tensor(v.data, requires_grad=trainable) for k, v in params.items()}
         outs = [out for idx in groups for out in forward(
             leaves, cfg, [conds[i] for i in idx], [inputs[i] for i in idx],
             [times[i] for i in idx], anchors=[conds[i] for i in idx])]
+        values = [{k: out[k].data for k in keys} | {"latent": out["latent"].node_h.data}
+                  for out in outs]
+        if not trainable:
+            return values, None
         # a fixed random linear functional of every output (the projections
         # have unit norm, so their squares would have no gradient)
         terms = [ad.sum_(ad.mul(out[k], Tensor(np.random.default_rng([i, j]).standard_normal(
@@ -354,29 +359,37 @@ def test_batched_forward_matches_molecules_alone(cfg, params, rng, monkeypatch):
         for term in terms[1:]:
             loss = ad.add(loss, term)
         ad.backward(loss)
-        values = [{k: out[k].data for k in keys} | {"latent": out["latent"].node_h.data}
-                  for out in outs]
         return values, {k: v.grad for k, v in leaves.items() if v.grad is not None}
 
     batched, batched_grads = run([range(4)])
     alone, alone_grads = run([[i] for i in range(4)])
+    for got, ref in zip(batched, alone, strict=True):
+        for k in ref:
+            assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k]), k
+    assert set(batched_grads) == set(alone_grads) == set(params)
+    for name, ref in alone_grads.items():
+        assert np.linalg.norm(batched_grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
+
     # 3 n^2 pair rows per triple (conditioner, input, anchor) against a budget
-    # of 150: the batch halves, then its second half halves again
+    # of 150: the detached batch halves, then its second half halves again
     encoded, real_encode = [], network.encode
     monkeypatch.setattr(network, "MAX_PAIR_ROWS", 150)
     monkeypatch.setattr(network, "encode", lambda mols, *rest: encoded.append(
         [m.n for m in mols]) or real_encode(mols, *rest))
-    split, split_grads = run([range(4)])
+    split, _ = run([range(4)], trainable=False)
     # the calls over budget hold the views of one molecule only
     assert encoded == [[1, 2], [1, 2, 1, 2], [5], [5, 5], [14], [14, 14]]
-    for outs, grads, refs, ref_grads in ((batched, batched_grads, alone, alone_grads),
-                                         (split, split_grads, batched, batched_grads)):
-        for got, ref in zip(outs, refs, strict=True):
-            for k in ref:
-                assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k]), k
-        assert set(grads) == set(ref_grads) == set(params)
-        for name, ref in ref_grads.items():
-            assert np.linalg.norm(grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
+    for got, ref in zip(split, batched, strict=True):
+        for k in ref:
+            assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k]), k
+    # every half's tape would live until backward, so a trainable batch runs whole
+    encoded.clear()
+    whole, whole_grads = run([range(4)])
+    assert encoded == [[1, 2, 5, 14], [1, 2, 5, 14] * 2]
+    for got, ref in zip(whole, batched, strict=True):
+        for k in ref:
+            assert np.array_equal(got[k], ref[k]), k
+    assert all(np.array_equal(whole_grads[k], v) for k, v in batched_grads.items())
 
 
 def test_detach_params(cfg, params):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,7 +155,8 @@ def test_generate_deterministic_and_valid(rng):
 @pytest.mark.parametrize("schedule", [VP, VE])
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_generate_advances_paths_together_bitwise(schedule, lam, rng, monkeypatch):
-    """One forward of all paths per step leaves each path bit for bit as the
+    """One forward of all paths per step, or of each group of paths under a
+    smaller pair-row budget, leaves each path bit for bit as the
     one-path-per-forward loop below, on that path's own rng stream."""
     net_cfg = small_net_config()
     params = init_params(net_cfg, rng)
@@ -178,9 +181,33 @@ def test_generate_advances_paths_together_bitwise(schedule, lam, rng, monkeypatc
         len(conds)) or real_forward(p, c, conds, *rest))
     generate(params, net_cfg, schedule, cfg, 3)
     assert batch_sizes == [3] * cfg.steps
-    for got, ref in zip(finals, reference, strict=True):
+    # a budget of 2 paths (2 n^2 pair rows each) runs paths 0-1, then path 2
+    monkeypatch.setattr(sampling, "MAX_PAIR_ROWS", 2 * 2 * cfg.n_atoms ** 2 + 1)
+    generate(params, net_cfg, schedule, cfg, 3)
+    assert batch_sizes[cfg.steps:] == [2] * cfg.steps + [1] * cfg.steps
+    assert len(finals) == 6
+    for got, ref in zip(finals, reference * 2, strict=True):
         for comp in ("P", "H", "E"):
             assert np.array_equal(getattr(got, comp), getattr(ref, comp)), comp
+
+
+def test_generate_working_set_does_not_grow_with_count(rng, monkeypatch):
+    """Paths advance in groups of as many as one forward holds within the
+    pair-row budget, so what generate allocates beyond the molecules it
+    returns is the same for 4 paths as for 32."""
+    net_cfg = small_net_config()
+    params = init_params(net_cfg, rng)
+    cfg = SamplerConfig(steps=2, n_atoms=16, seed=3)
+    monkeypatch.setattr(sampling, "MAX_PAIR_ROWS", 2 * 2 * cfg.n_atoms ** 2)
+    held = {}
+    for count in (4, 32):
+        tracemalloc.start()
+        molecules = generate(params, net_cfg, VP, cfg, count)
+        returned, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(molecules) == count
+        held[count] = peak - returned
+    assert held[32] < 1.25 * held[4]
 
 
 def test_generate_pair_features_once_per_nfe(rng, monkeypatch):
