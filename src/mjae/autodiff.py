@@ -8,9 +8,18 @@ raises. Dense tensors of rank <= 4 only; no GPU, no higher-order derivatives.
 Two primitives fuse what the network does most often into one tape node:
 ``linear`` (matmul plus bias) and ``ragged_message`` (the per-pair message
 sum of a batch of molecules, each pairing only its own atoms).
+
+A batch of molecules is stored as stacked rows: atom rows (one per atom) and
+pair rows (n^2 per molecule, its ordered pairs (i, j) in row-major order).
+The block primitives (``linear`` and ``matmul`` with ``rows``, ``pair_*``,
+``block_mean``) run each molecule's GEMM or reduction as its own numpy call,
+the call one molecule alone makes, so a molecule's forward bits do not depend
+on its batch-mates.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -127,11 +136,37 @@ class _RightOperandGrad:
         return self.a.T @ g
 
 
-def matmul(a, b):
+def _row_blocks(rows, total, op):
+    """Slices of consecutive blocks of ``rows`` rows; they must cover ``total``."""
+    bounds = [0, *accumulate(rows)]
+    if bounds[-1] != total:
+        raise ShapeError(f"{op}: blocks of {list(rows)} rows do not cover {total} rows")
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _pair_blocks(sizes, atoms, pairs, op):
+    """(n, atom rows, pair rows) of each molecule of ``sizes`` atoms; the
+    molecules must hold ``atoms`` atom rows and ``pairs`` pair rows."""
+    return list(zip(sizes, _row_blocks(sizes, atoms, op),
+                    _row_blocks([n * n for n in sizes], pairs, op)))
+
+
+def _matmul_rows(x, w, rows, op):
+    """``x @ w``; with ``rows``, one GEMM per block of consecutive rows of x."""
+    if rows is None:
+        return x @ w
+    out = np.empty((x.shape[0], w.shape[1]))
+    for block in _row_blocks(rows, x.shape[0], op):
+        out[block] = x[block] @ w
+    return out
+
+
+def matmul(a, b, rows=None):
+    """``a @ b``; with ``rows``, a runs as blocks of that many rows, one GEMM each."""
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    out = _matmul_rows(a.data, b.data, rows, "matmul")
     parents = (
         (a, lambda g: g @ b.data.T),
         (b, _RightOperandGrad(a.data)),
@@ -139,16 +174,16 @@ def matmul(a, b):
     return _make(out, parents, "matmul")
 
 
-def linear(x, w, b):
+def linear(x, w, b, rows=None):
     """``x @ w + b`` for a row batch ``x`` (m, k), weight ``w`` (k, n) and
-    bias ``b`` (n,), as one tape node. The weight gradient is a
-    ``_RightOperandGrad``, so ``backward`` stacks it with the weight's other
-    uses."""
+    bias ``b`` (n,), as one tape node; with ``rows``, x runs as blocks of that
+    many rows, one GEMM each. The weight gradient is a ``_RightOperandGrad``
+    over all rows, so ``backward`` stacks it with the weight's other uses."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != (w.shape[1],)):
         raise ShapeError(f"linear: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
-    out = x.data @ w.data
+    out = _matmul_rows(x.data, w.data, rows, "linear")
     out += b.data
     parents = (
         (x, lambda g: g @ w.data.T),
@@ -156,6 +191,60 @@ def linear(x, w, b):
         (b, lambda g: g.sum(axis=0)),
     )
     return _make(out, parents, "linear")
+
+
+def _check_pair_values(a, op):
+    if a.data.ndim != 2 or a.shape[1] != 1:
+        raise ShapeError(f"{op}: pair values {a.shape} are not one column of pair rows")
+
+
+def pair_matmul(w, x, sizes):
+    """``W @ x`` per molecule, where W is the molecule's (n, n) block of pair
+    values: ``w`` (P, 1) stacks each molecule's pair rows and ``x`` (N, L) its
+    atom rows."""
+    w, x = as_tensor(w), as_tensor(x)
+    _check_pair_values(w, "pair_matmul")
+    if x.data.ndim != 2:
+        raise ShapeError(f"pair_matmul: atom rows {x.shape} are not a matrix")
+    blocks = _pair_blocks(sizes, x.shape[0], w.shape[0], "pair_matmul")
+    out = np.empty_like(x.data)
+    for n, atoms, pairs in blocks:
+        out[atoms] = w.data[pairs].reshape(n, n) @ x.data[atoms]
+
+    def dx(g):
+        grad = np.empty_like(x.data)
+        for n, atoms, pairs in blocks:
+            grad[atoms] = w.data[pairs].reshape(n, n).T @ g[atoms]
+        return grad
+
+    parents = (
+        (w, lambda g: np.concatenate([(g[atoms] @ x.data[atoms].T).reshape(-1, 1)
+                                      for _, atoms, _ in blocks])),
+        (x, dx),
+    )
+    return _make(out, parents, "pair_matmul")
+
+
+def pair_inner(q, k, sizes):
+    """Pair values ``q_i . k_j`` of each molecule's atoms, its ``q @ k.T``
+    block, as pair rows (P, 1); ``q`` and ``k`` (N, d) are atom rows."""
+    q, k = as_tensor(q), as_tensor(k)
+    if q.data.ndim != 2 or q.shape != k.shape:
+        raise ShapeError(f"pair_inner: atom rows {q.shape} and {k.shape}")
+    blocks = _pair_blocks(sizes, q.shape[0], sum(n * n for n in sizes), "pair_inner")
+    out = np.concatenate([(q.data[atoms] @ k.data[atoms].T).reshape(-1, 1)
+                          for _, atoms, _ in blocks])
+
+    def grad_of(other, transpose):
+        def grad(g):
+            rows = np.empty_like(other)
+            for n, atoms, pairs in blocks:
+                block = g[pairs].reshape(n, n)
+                rows[atoms] = (block.T if transpose else block) @ other[atoms]
+            return rows
+        return grad
+
+    return _make(out, ((q, grad_of(k.data, False)), (k, grad_of(q.data, True))), "pair_inner")
 
 
 def ragged_message(filt, x, sizes):
@@ -224,18 +313,37 @@ def silu(a):
     return _make(out, ((a, lambda g: g * (s + out * (1.0 - s))),), "silu")
 
 
+def _softmax(a, axis):
+    shifted = a - a.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g, out, axis):
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis=-1):
     """Numerically stable softmax along ``axis`` (row-wise for matrices)."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax(a.data, axis)
+    return _make(out, ((a, lambda g: _softmax_grad(g, out, axis)),), "softmax")
 
-    def _grad(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return out * (g - dot)
 
-    return _make(out, ((a, _grad),), "softmax")
+def pair_softmax(a, sizes):
+    """Softmax over j of each molecule's (n, n) block of pair values (P, 1)."""
+    a = as_tensor(a)
+    _check_pair_values(a, "pair_softmax")
+    blocks = _pair_blocks(sizes, sum(sizes), a.shape[0], "pair_softmax")
+    out = np.concatenate([_softmax(a.data[pairs].reshape(n, n), -1).reshape(-1, 1)
+                          for n, _, pairs in blocks])
+
+    def grad(g):
+        return np.concatenate([
+            _softmax_grad(g[pairs].reshape(n, n), out[pairs].reshape(n, n), -1).reshape(-1, 1)
+            for n, _, pairs in blocks])
+
+    return _make(out, ((a, grad),), "pair_softmax")
 
 
 # -- reductions and shape primitives ------------------------------------
@@ -263,6 +371,33 @@ def mean(a, axis=None):
         return np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy()
 
     return _make(out, ((a, _grad),), "mean")
+
+
+def pair_row_sum(a, sizes):
+    """``sum_j a_ij`` of each molecule's (n, n) block of pair values (P, 1):
+    one value per atom row, (N, 1)."""
+    a = as_tensor(a)
+    _check_pair_values(a, "pair_row_sum")
+    blocks = _pair_blocks(sizes, sum(sizes), a.shape[0], "pair_row_sum")
+    out = np.concatenate([a.data[pairs].reshape(n, n).sum(axis=1) for n, _, pairs in blocks])
+    return _make(out.reshape(-1, 1), ((a, lambda g: np.concatenate(
+        [np.repeat(g[atoms], n, axis=0) for n, atoms, _ in blocks])),), "pair_row_sum")
+
+
+def block_mean(a, rows, axis=0):
+    """Mean of each block of ``rows`` consecutive rows of ``a``, stacked: over
+    the block's rows (``axis=0``), one row per block, or over all of its
+    elements (``axis=None``), one value per block."""
+    a = as_tensor(a)
+    blocks = _row_blocks(rows, a.shape[0], "block_mean")
+    out = np.stack([a.data[block].mean(axis=axis) for block in blocks])
+
+    def grad(g):
+        return np.concatenate([
+            np.broadcast_to(g[i] / (a.data[block].size if axis is None else len(a.data[block])),
+                            a.data[block].shape) for i, block in enumerate(blocks)])
+
+    return _make(out, ((a, grad),), "block_mean")
 
 
 def concat(tensors, axis=0):

@@ -19,7 +19,7 @@ from .autodiff import Tensor
 from .frames import molecule_frames
 from .molgraph import (DenseTensors, ELEMENTS, N_BOND_CATEGORIES, permute,
                        to_dense, validate_valence)
-from .network import _mlp2, detach_params, forward, fourier_embed
+from .network import detach_params, forward, fourier_embed, latents, per_molecule
 from .schedule import alpha_beta
 from .training import adam_step, init_adam_state
 
@@ -63,7 +63,7 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
     """
     params = detach_params(params)
     rng = np.random.default_rng(seed)
-    per_molecule = []
+    reports = []
     rot3d = rot2d = roth = rotemb = permres = reflres = 0.0
     pattern_ok = True
     for graph in probe_set:
@@ -73,9 +73,7 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
         views = [dense, *(_rotate(dense, r) for r in rotations),
                  *(to_dense(permute(graph, perm)) for perm in perms),
                  DenseTensors(H=dense.H, E=dense.E, P=-dense.P)]
-        outs = forward(params, net_cfg, views, views, [t] * len(views))
-        base, *heads = [{k: out[k].data for k in ("score_P", "score_E", "score_H", "projection")}
-                        for out in outs]
+        base, *heads = per_molecule(forward(params, net_cfg, views, views, [t] * len(views)))
         mol = {"n": graph.n}
 
         worst3d = worst2d = worsth = worstemb = 0.0
@@ -98,9 +96,9 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
             )
         mol["permutation"] = worstperm
 
-        worstrefl, ok = _reflection_check(params, dense, outs[0], outs[-1])
+        worstrefl, ok = _reflection_check(dense, base, heads[-1])
         mol["reflection"] = worstrefl
-        per_molecule.append(mol)
+        reports.append(mol)
 
         rot3d = max(rot3d, worst3d)
         rot2d = max(rot2d, worst2d)
@@ -118,31 +116,31 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
         permutation_residual=float(permres),
         reflection_coefficient_residual=float(reflres),
         reflection_axis_pattern_ok=bool(pattern_ok),
-        per_molecule=per_molecule,
+        per_molecule=reports,
     )
 
 
-def _reflection_check(params, dense, base_out, refl_out):
+def _reflection_check(dense, base_out, refl_out):
     """Point reflection P -> -P: the frame axes map (e1, e2, e3) ->
     (-e1, e2, -e3) while the invariant coefficients are unchanged, so the e2
     component of the 3D score survives the reflection and e1/e3 flip.
 
-    ``base_out`` and ``refl_out`` are the forward outputs of ``dense`` and of
-    its reflection."""
+    ``base_out`` and ``refl_out`` are the ``per_molecule`` forward outputs of
+    ``dense`` and of its reflection."""
     base_frames = molecule_frames(dense.P)
     refl_frames = molecule_frames(-dense.P)
     worst_axes = max(np.abs(refl_frames[:, 0] + base_frames[:, 0]).max(),
                      np.abs(refl_frames[:, 1] - base_frames[:, 1]).max(),
                      np.abs(refl_frames[:, 2] + base_frames[:, 2]).max())
-    coeffs = _mlp2(base_out["latent"].node_h, params, "head3d").data  # invariant
+    coeffs = base_out["coeffs_P"]  # invariant
     # predicted reflected field: e1/e3 components flip, e2 survives
     raw = (-coeffs[:, :1] * base_frames[:, 0] + coeffs[:, 1:2] * base_frames[:, 1]
            - coeffs[:, 2:] * base_frames[:, 2])
     predicted = raw - raw.mean(axis=0, keepdims=True)
-    got = refl_out["score_P"].data
+    got = refl_out["score_P"]
     worst = max(worst_axes, np.abs(got - predicted).max())
     # negative control: a plain sign flip would miss the surviving e2 part
-    plain = np.abs(got + base_out["score_P"].data).max()
+    plain = np.abs(got + base_out["score_P"]).max()
     e2_mag = np.abs(coeffs[:, 1]).max()
     pattern_ok = bool(plain > 1e-8 or e2_mag < 1e-10)
     return float(worst), pattern_ok
@@ -279,10 +277,11 @@ def radius_of_gyration(graph):
 
 
 def pooled_embeddings(params, net_cfg, graphs, t=0.5):
-    """Frozen mean-pooled latent per molecule (self-paired, fixed time)."""
+    """Frozen mean-pooled latent per molecule (self-paired, fixed time), from
+    the latent stage of ``forward`` alone: no heads are built."""
     dense = [to_dense(g) for g in graphs]
-    outs = forward(detach_params(params), net_cfg, dense, dense, [t] * len(dense))
-    return np.stack([out["latent"].pooled.data for out in outs])
+    record = latents(detach_params(params), net_cfg, dense, dense, [t] * len(dense))
+    return record["latent"].pooled.data
 
 
 def ridge_probe_mse(features, labels, seeds, ridge=1e-3, test_frac=0.2):

@@ -24,12 +24,18 @@ class LossReport:
     per_component: dict  # P/H/E breakdown of the score-matching term
 
 
-def score_matching_loss(pred, target, weight):
-    """Weighted MSE between predicted and conditional scores, summed over
-    components. ``pred`` maps component -> Tensor, ``target`` maps component
-    -> array, and the scalar ``weight`` multiplies every component's term.
-    Returns (scalar Tensor, per-component float dict)."""
+def score_matching_loss(pred, target, weight, sizes):
+    """Weighted MSE between predicted and conditional scores of a batch of
+    molecules of ``sizes`` atoms.
+
+    ``pred`` maps component -> Tensor and ``target`` component -> array, each
+    stacking the molecules' rows: one per atom for P and H, one per atom pair
+    (i, j) for E. A molecule's term is its ``weight`` entry times the sum
+    over components of the mean squared error over its rows; the loss is the
+    mean of the molecules' terms. Returns (scalar Tensor, per-component float dict
+    of the molecules' mean terms)."""
     weight = Tensor(weight)
+    rows = {"P": sizes, "H": sizes, "E": [n * n for n in sizes]}
     total = None
     breakdown = {}
     for comp in COMPONENTS:
@@ -38,31 +44,29 @@ def score_matching_loss(pred, target, weight):
         if p.shape != tgt.shape:
             raise ad.ShapeError(
                 f"score_matching_loss[{comp}]: pred {p.shape} vs target {tgt.shape}")
-        term = ad.mul(ad.mean(ad.square(ad.sub(p, Tensor(tgt)))), weight)
-        breakdown[comp] = float(term.data)
-        total = term if total is None else ad.add(total, term)
-    return total, breakdown
+        mse = ad.block_mean(ad.square(ad.sub(p, Tensor(tgt))), rows[comp], axis=None)
+        breakdown[comp] = float((mse.data * weight.data).mean())
+        total = mse if total is None else ad.add(total, mse)
+    return ad.mean(ad.mul(total, weight)), breakdown
 
 
 def contrastive_loss(anchors, positives, tau):
     """In-batch InfoNCE on squared embedding distances.
 
-    ``anchors``/``positives`` are lists of unit-norm embedding Tensors for
-    x0 and the matching x_t. Similarity is -||a_i - p_j||^2 / tau^2; each
+    ``anchors``/``positives`` are (b, d) Tensors of unit-norm embedding rows
+    for x0 and the matching x_t. Similarity is -||a_i - p_j||^2 / tau^2; each
     anchor is contrasted against its own positive and the other positives.
     """
-    b = len(anchors)
+    b = anchors.shape[0]
     if b < 2:
         raise ValueError("contrastive loss needs batch size >= 2 for negatives")
-    if len(positives) != b:
-        raise ad.ShapeError(f"contrastive_loss: {b} anchors vs {len(positives)} positives")
-    d = anchors[0].shape[0]
-    a = ad.concat([ad.reshape(x, (1, d)) for x in anchors], axis=0)
-    p = ad.concat([ad.reshape(x, (1, d)) for x in positives], axis=0)
+    if positives.shape != anchors.shape:
+        raise ad.ShapeError(f"contrastive_loss: anchors {anchors.shape} vs "
+                            f"positives {positives.shape}")
     # ||a_i - p_j||^2 = |a_i|^2 + |p_j|^2 - 2 a_i . p_j
-    a2 = ad.reshape(ad.sum_(ad.square(a), axis=1), (b, 1))
-    p2 = ad.sum_(ad.square(p), axis=1)
-    cross = ad.matmul(a, ad.transpose(p))
+    a2 = ad.reshape(ad.sum_(ad.square(anchors), axis=1), (b, 1))
+    p2 = ad.sum_(ad.square(positives), axis=1)
+    cross = ad.matmul(anchors, ad.transpose(positives))
     dist2 = ad.add(ad.sub(a2, ad.mul(Tensor(2.0), cross)), p2)
     logits = ad.mul(dist2, Tensor(-1.0 / (tau * tau)))
     probs = ad.softmax(logits, axis=-1)

@@ -19,7 +19,11 @@ embedding for the contrastive objective. Everything is built from the
 autodiff primitives so the whole model trains with reverse mode.
 
 ``forward`` is the one entry point of training, sampling and eval: it takes a
-batch of (conditioner, input, time) triples and owns every encoding.
+batch of (conditioner, input, time) triples, owns every encoding and runs
+every stage after the encoders once over the whole batch. Atom rows and pair
+rows (n^2 per molecule) of all molecules are stacked, and each GEMM and
+reduction runs per molecule block (``autodiff``'s block primitives), so a
+molecule's outputs are bit for bit those of a forward of it alone.
 """
 
 from __future__ import annotations
@@ -66,8 +70,9 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class LatentRepresentation:
-    node_h: Tensor   # (n, L) invariant node features
-    pooled: Tensor   # (L,) mean-pooled graph embedding
+    node_h: Tensor   # (N, L) invariant node features, atom rows of all molecules
+    pooled: Tensor   # (B, L) mean-pooled graph embedding of each molecule
+    sizes: tuple     # atoms per molecule
 
 
 @functools.lru_cache(maxsize=32)
@@ -138,9 +143,9 @@ def detach_params(params):
     return {k: Tensor(v.data) for k, v in params.items()}
 
 
-def _mlp2(x, params, prefix, act=ad.silu):
-    h = act(ad.linear(x, params[f"{prefix}.l1.w"], params[f"{prefix}.l1.b"]))
-    return ad.linear(h, params[f"{prefix}.l2.w"], params[f"{prefix}.l2.b"])
+def _mlp2(x, params, prefix, rows=None, act=ad.silu):
+    h = act(ad.linear(x, params[f"{prefix}.l1.w"], params[f"{prefix}.l1.b"], rows))
+    return ad.linear(h, params[f"{prefix}.l2.w"], params[f"{prefix}.l2.b"], rows)
 
 
 # -- encoder -------------------------------------------------------------
@@ -159,133 +164,150 @@ def rbf_features(positions, cfg):
 
 
 def encode(mols, params, cfg, branch, rbf):
-    """Invariant node features of each DenseTensors in ``mols`` from
-    distance-featurized message passing: one (n_b, L) Tensor per molecule.
+    """Invariant node features of the DenseTensors in ``mols`` from
+    distance-featurized message passing: their atom rows, (N, L).
 
     ``rbf`` holds each molecule's ``rbf_features`` rows. The molecules run as
-    one ragged batch, so each round is a few GEMMs over all atoms and pairs.
+    one ragged batch: each round is a few tape nodes over all atoms and pairs,
+    inside which every molecule's GEMMs run as its own block.
     """
     sizes = [m.n for m in mols]
+    pairs = [n * n for n in sizes]
     pair_rbf = Tensor(np.concatenate(rbf))  # (sum n_b^2, n_rbf) constant
-    h = ad.matmul(Tensor(np.concatenate([m.H for m in mols])), params[f"{branch}.embed"])
+    h = ad.matmul(Tensor(np.concatenate([m.H for m in mols])), params[f"{branch}.embed"], sizes)
     for k in range(cfg.rounds):
-        filt = ad.matmul(pair_rbf, params[f"{branch}.r{k}.filter"])
-        x = ad.matmul(h, params[f"{branch}.r{k}.msg"])
+        filt = ad.matmul(pair_rbf, params[f"{branch}.r{k}.filter"], pairs)
+        x = ad.matmul(h, params[f"{branch}.r{k}.msg"], sizes)
         msgs = ad.ragged_message(filt, x, sizes)
         upd = ad.linear(ad.concat([h, msgs], axis=1), params[f"{branch}.r{k}.upd.w"],
-                        params[f"{branch}.r{k}.upd.b"])
+                        params[f"{branch}.r{k}.upd.b"], sizes)
         h = ad.add(h, ad.silu(upd))
-    bounds = np.cumsum([0] + sizes)
-    return [h[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return h
 
 
 # -- fusion --------------------------------------------------------------
 
-def fuse(f0, ft, emb, params, cfg):
-    """Row-wise MLP of [Emd(t) | f0 | ft] -> 3D node representation."""
+def _pair_rows(sizes):
+    """Atom rows i and j of each pair row (i, j) of molecules of ``sizes``
+    atoms, and the pair row of (j, i)."""
+    sizes = np.asarray(sizes)
+    rows = sizes * sizes
+    mol = np.repeat(np.arange(len(sizes)), rows)  # molecule of each pair row
+    atom0 = (np.cumsum(sizes) - sizes)[mol]        # its first atom row
+    row0 = (np.cumsum(rows) - rows)[mol]           # and first pair row
+    n = sizes[mol]
+    i, j = np.divmod(np.arange(len(mol)) - row0, n)
+    return atom0 + i, atom0 + j, row0 + j * n + i
+
+
+def _symmetrize(values, sizes):
+    """(v_ij + v_ji) / 2 off the diagonal and 0 on it, for pair rows (P, ...)."""
+    i, j, mirror = _pair_rows(sizes)
+    return ad.mul(ad.add(values, values[mirror]), Tensor(np.where(i == j, 0.0, 0.5)[:, None]))
+
+
+def _pair_channels(mols):
+    """Bond channels of each molecule's atom pairs as pair rows, (P, e)."""
+    return np.concatenate([np.asarray(m.E, dtype=np.float64).reshape(m.n * m.n, -1)
+                           for m in mols])
+
+
+def fuse(f0, ft, emb, params, sizes):
+    """Row-wise MLP of [Emd(t) | f0 | ft] -> 3D node representation, over the
+    atom rows of molecules of ``sizes`` atoms; ``emb`` holds each molecule's
+    time embedding."""
     if f0.shape[0] != ft.shape[0]:
         raise ad.ShapeError(f"fuse: branch sizes differ ({f0.shape[0]} vs {ft.shape[0]})")
-    emb_rows = Tensor(np.broadcast_to(emb, (f0.shape[0], cfg.d_time)))
-    return _mlp2(ad.concat([emb_rows, f0, ft], axis=1), params, "fuse")
+    emb_rows = Tensor(np.repeat(emb, sizes, axis=0))
+    return _mlp2(ad.concat([emb_rows, f0, ft], axis=1), params, "fuse", sizes)
 
 
-def edge_condition(e0, et, emb, params, cfg):
-    """Weighted adjacency from the per-edge MLP of [Emd(t) | E0 | Et].
+def edge_condition(e0, et, emb, params, sizes):
+    """Weighted adjacency from the per-edge MLP of [Emd(t) | E0 | Et], as one
+    value per pair row of molecules of ``sizes`` atoms, (P, 1).
 
+    ``e0`` and ``et`` are the pair rows (P, e) of the bond channels.
     Symmetrized by averaging with the transpose; zero diagonal.
     """
     if e0.shape != et.shape:
         raise ad.ShapeError(f"edge_condition: shapes differ ({e0.shape} vs {et.shape})")
-    n = e0.shape[0]
-    flat = np.concatenate([
-        np.broadcast_to(emb, (n * n, cfg.d_time)),
-        e0.reshape(n * n, cfg.e_width),
-        et.reshape(n * n, cfg.e_width),
-    ], axis=1)
-    w = ad.reshape(_mlp2(Tensor(flat), params, "edge"), (n, n))
-    w = ad.mul(ad.add(w, ad.transpose(w)), Tensor(0.5 * (1.0 - np.eye(n))))
-    return w
+    rows = [n * n for n in sizes]
+    flat = np.concatenate([np.repeat(emb, rows, axis=0), e0, et], axis=1)
+    return _symmetrize(_mlp2(Tensor(flat), params, "edge", rows), sizes)
 
 
-def fuse_gcn(node, w, params, cfg):
-    """Dense residual GCN: h <- h + silu(norm(W) h theta + b), then mean pool.
+def fuse_gcn(node, w, params, cfg, sizes):
+    """Dense residual GCN: h <- h + silu(norm(W) h theta + b), then mean pool,
+    on each molecule's atom rows of ``node`` and pair rows of ``w``.
 
     norm(W) is the symmetric degree normalization with degrees from |W| (+1
     self weight) so it stays defined for signed adjacencies.
     """
-    n = node.shape[0]
-    deg = ad.add(ad.sum_(ad.abs_(w), axis=1), Tensor(np.ones(n)))
+    deg = ad.add(ad.pair_row_sum(ad.abs_(w), sizes), Tensor(1.0))
     dinv = ad.div(Tensor(1.0), ad.sqrt(deg))
-    w_norm = ad.mul(ad.mul(w, ad.reshape(dinv, (n, 1))), ad.reshape(dinv, (1, n)))
+    i, j, _ = _pair_rows(sizes)
+    w_norm = ad.mul(ad.mul(w, dinv[i]), dinv[j])
     h = node
     for layer in range(cfg.gcn_layers):
-        mixed = ad.linear(ad.matmul(w_norm, h), params[f"gcn.l{layer}.w"],
-                          params[f"gcn.l{layer}.b"])
+        mixed = ad.linear(ad.pair_matmul(w_norm, h, sizes), params[f"gcn.l{layer}.w"],
+                          params[f"gcn.l{layer}.b"], sizes)
         h = ad.add(h, ad.silu(mixed))
-    return LatentRepresentation(node_h=h, pooled=ad.mean(h, axis=0))
+    return LatentRepresentation(node_h=h, pooled=ad.block_mean(h, sizes), sizes=tuple(sizes))
 
 
 # -- heads ---------------------------------------------------------------
 
-def score_3d(latent, basis, params):
-    """Equivariant position score: per-node MLP coefficients tensorized with
-    that node's frame (``basis``, (n, 3, 3) rows e1..e3), projected to the
-    zero-CoM subspace."""
-    coeffs = _mlp2(latent.node_h, params, "head3d")  # (n, 3) invariant scalars
+def score_3d(coeffs, basis, sizes):
+    """Equivariant position score: each node's invariant head3d coefficients
+    (N, 3) tensorized with its frame (``basis``, (N, 3, 3) rows e1..e3),
+    projected to each molecule's zero-CoM subspace."""
     n = coeffs.shape[0]
     # field_n = sum_k c_nk e_nk
     field = ad.sum_(ad.mul(ad.reshape(coeffs, (n, 3, 1)), Tensor(basis)), axis=1)
-    return ad.sub(field, ad.mean(field, axis=0))
+    centre = ad.block_mean(field, sizes)
+    return ad.sub(field, centre[np.repeat(np.arange(len(sizes)), sizes)])
 
 
 def score_2d(latent, params, cfg, e0, et):
     """Invariant edge score: multi-head attention maps, symmetric pairwise
     node features, and the raw per-edge channels of the conditioner and noisy
-    edge tensors -> per-edge MLP, symmetric with zero diagonal."""
-    h = latent.node_h
-    n = h.shape[0]
+    edge tensors (pair rows (P, e)) -> per-edge MLP, symmetric with zero
+    diagonal: pair rows (P, e)."""
+    h, sizes = latent.node_h, latent.sizes
+    rows = [n * n for n in sizes]
+    i, j, _ = _pair_rows(sizes)
     scale = 1.0 / np.sqrt(cfg.head_dim)
     maps = []
     for head in range(cfg.heads):
-        q = ad.matmul(h, params[f"att.h{head}.q"])
-        k = ad.matmul(h, params[f"att.h{head}.k"])
-        att = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(k)), Tensor(scale)), axis=-1)
-        maps.append(ad.reshape(att, (n * n, 1)))
-    hi = ad.reshape(h, (n, 1, cfg.latent))
-    hj = ad.reshape(h, (1, n, cfg.latent))
-    pair_prod = ad.reshape(ad.mul(hi, hj), (n * n, cfg.latent))
-    raw = Tensor(np.concatenate([
-        np.asarray(e0, dtype=np.float64).reshape(n * n, cfg.e_width),
-        np.asarray(et, dtype=np.float64).reshape(n * n, cfg.e_width),
-    ], axis=1))
+        q = ad.matmul(h, params[f"att.h{head}.q"], sizes)
+        k = ad.matmul(h, params[f"att.h{head}.k"], sizes)
+        maps.append(ad.pair_softmax(ad.mul(ad.pair_inner(q, k, sizes), Tensor(scale)), sizes))
+    pair_prod = ad.mul(h[i], h[j])
+    raw = Tensor(np.concatenate([e0, et], axis=1))
     # l1 reads rows [maps | h_i + h_j | h_i * h_j | raw]; its pair-sum block is
-    # (h_i + h_j) W_s = u_i + u_j with u = h W_s, so no (n^2, L) sum is built
+    # (h_i + h_j) W_s = u_i + u_j with u = h W_s, so no (P, L) sum is built
     w1 = params["head2d.l1.w"]
     sum_rows = slice(cfg.heads, cfg.heads + cfg.latent)
     other_rows = np.r_[0:cfg.heads, cfg.heads + cfg.latent:w1.shape[0]]
-    u = ad.matmul(h, w1[sum_rows])
-    pair_sum = ad.add(ad.reshape(u, (n, 1, cfg.edge_hidden)),
-                      ad.reshape(u, (1, n, cfg.edge_hidden)))
+    u = ad.matmul(h, w1[sum_rows], sizes)
     pre = ad.add(ad.linear(ad.concat(maps + [pair_prod, raw], axis=1), w1[other_rows],
-                           params["head2d.l1.b"]),
-                 ad.reshape(pair_sum, (n * n, cfg.edge_hidden)))
-    edge = ad.linear(ad.silu(pre), params["head2d.l2.w"], params["head2d.l2.b"])  # (n*n, e)
-    mirror = np.arange(n * n).reshape(n, n).T.reshape(n * n)
-    sym = ad.mul(ad.add(edge, edge[mirror]), Tensor(0.5 * (1.0 - np.eye(n)).reshape(n * n, 1)))
-    return ad.reshape(sym, (n, n, cfg.e_width))
+                           params["head2d.l1.b"], rows),
+                 ad.add(u[i], u[j]))
+    edge = ad.linear(ad.silu(pre), params["head2d.l2.w"], params["head2d.l2.b"], rows)
+    return _symmetrize(edge, sizes)
 
 
 def score_h(latent, params):
     """Invariant atom-feature score (row-wise MLP on the latent)."""
-    return _mlp2(latent.node_h, params, "headh")
+    return _mlp2(latent.node_h, params, "headh", latent.sizes)
 
 
-def project(latent, params, cfg):
-    """Contrastive projection: 2-layer MLP on the pooled latent, unit norm."""
-    x = ad.reshape(latent.pooled, (1, cfg.latent))
-    out = _mlp2(x, params, "proj")
-    norm = ad.sqrt(ad.add(ad.sum_(ad.square(out)), Tensor(1e-12)))
-    return ad.reshape(ad.div(out, norm), (cfg.d_contrast,))
+def project(pooled, params):
+    """Contrastive projection: 2-layer MLP on each pooled latent row (B, L),
+    unit norm: (B, d_contrast)."""
+    out = _mlp2(pooled, params, "proj", [1] * pooled.shape[0])
+    norm = ad.sqrt(ad.add(ad.sum_(ad.square(out), axis=1), Tensor(1e-12)))
+    return ad.div(out, ad.reshape(norm, (pooled.shape[0], 1)))
 
 
 # -- full forward --------------------------------------------------------
@@ -296,50 +318,118 @@ def project(latent, params, cfg):
 MAX_PAIR_ROWS = 1 << 14
 
 
-def forward(params, cfg, conds, inputs, times, anchors=None):
-    """Run the full pipeline on a batch of (conditioner, input, time) triples.
+def _join(a, b):
+    """Record of a batch from the records of its two halves (detached rows)."""
+    if isinstance(a, dict):
+        return {key: _join(a[key], b[key]) for key in a}
+    if isinstance(a, LatentRepresentation):
+        return LatentRepresentation(_join(a.node_h, b.node_h), _join(a.pooled, b.pooled),
+                                    a.sizes + b.sizes)
+    return Tensor(np.concatenate([a.data, b.data]))
 
-    Returns one dict per triple: the latent, its unit-norm projection and the
-    three O(1) score heads on the input (callers scale them by 1/beta(t), a
-    noise-prediction parametrization well-conditioned near t = 0). With
-    ``anchors``, each dict also holds ``"anchor"``, the projection of the
-    latent of (conditioner, anchor, time): the molecule's contrastive view.
+
+def _bounded(stage):
+    """``stage`` on detached parameters and a batch of more than
+    ``MAX_PAIR_ROWS`` pair rows runs as its two halves, and their records are
+    joined, so callers hand over their whole set and the working arrays of one
+    call stay bounded. On trainable parameters the batch runs whole: every
+    half's tape would live until backward, so halving would not lower the
+    peak."""
+    @functools.wraps(stage)
+    def run(params, cfg, conds, inputs, times, anchors=None):
+        mols = [*conds, *inputs, *(anchors or [])]
+        if (len(conds) > 1 and sum(m.n * m.n for m in mols) > MAX_PAIR_ROWS
+                and not any(p.requires_grad for p in params.values())):
+            h = len(conds) // 2
+            first = run(params, cfg, conds[:h], inputs[:h], times[:h], anchors and anchors[:h])
+            second = run(params, cfg, conds[h:], inputs[h:], times[h:], anchors and anchors[h:])
+            return _join(first, second)
+        return stage(params, cfg, conds, inputs, times, anchors)
+    return run
+
+
+@_bounded
+def latents(params, cfg, conds, inputs, times, anchors=None):
+    """Latent stage of ``forward``: the record ``{"latent"}`` of the
+    (conditioner, input, time) triples, plus ``"anchor_pooled"``, the pooled
+    latent rows of the (conditioner, anchor, time) triples, with ``anchors``.
 
     The clean branch encodes all conditioners in one pass and the noisy branch
     all inputs and anchors in another. Pair features are computed once per
-    distinct positions array and the time embedding once per triple. On
-    detached parameters a batch of more than ``MAX_PAIR_ROWS`` pair rows runs
-    as its two halves, so callers hand over their whole set and the working
-    arrays of one call stay bounded. On trainable parameters the batch runs
-    whole: every half's tape would live until backward, so halving would not
-    lower the peak.
+    distinct positions array and the time embedding once per triple. Fuse,
+    edge MLP and GCN then run once over the input and anchor views together.
     """
+    sizes = [m.n for m in inputs]
+    if [m.n for m in conds] != sizes or (anchors and [m.n for m in anchors] != sizes):
+        raise ad.ShapeError("forward: conditioner, input and anchor sizes differ")
     views = [*inputs, *(anchors or [])]
-    if (len(conds) > 1 and sum(m.n * m.n for m in [*conds, *views]) > MAX_PAIR_ROWS
-            and not any(p.requires_grad for p in params.values())):
-        h = len(conds) // 2
-        return (forward(params, cfg, conds[:h], inputs[:h], times[:h], anchors and anchors[:h])
-                + forward(params, cfg, conds[h:], inputs[h:], times[h:], anchors and anchors[h:]))
     positions = {id(m.P): m.P for m in [*conds, *views]}  # each distinct array once
     rbf = {key: rbf_features(p, cfg) for key, p in positions.items()}
     f0 = encode(conds, params, cfg, "enc_clean", [rbf[id(m.P)] for m in conds])
     ft = encode(views, params, cfg, "enc_noisy", [rbf[id(m.P)] for m in views])
-    outs = []
-    for i, (cond, xt, t) in enumerate(zip(conds, inputs, times)):
-        emb = fourier_embed(t, cfg.d_time)
-        latent = _latent(f0[i], ft[i], cond, xt, emb, params, cfg)
-        out = {"latent": latent, "projection": project(latent, params, cfg),
-               "score_P": score_3d(latent, molecule_frames(xt.P), params),
-               "score_E": score_2d(latent, params, cfg, cond.E, xt.E),
-               "score_H": score_h(latent, params)}
-        if anchors:
-            anchor = _latent(f0[i], ft[len(inputs) + i], cond, anchors[i], emb, params, cfg)
-            out["anchor"] = project(anchor, params, cfg)
-        outs.append(out)
-    return outs
+    copies = len(views) // len(inputs)   # the conditioner pairs with each view
+    emb = np.stack([fourier_embed(t, cfg.d_time) for t in times] * copies)
+    view_sizes = sizes * copies
+    node = fuse(ad.concat([f0] * copies), ft, emb, params, view_sizes)
+    w = edge_condition(_pair_channels(conds * copies), _pair_channels(views), emb, params,
+                       view_sizes)
+    latent = fuse_gcn(node, w, params, cfg, view_sizes)
+    if not anchors:
+        return {"latent": latent}
+    atoms, b = sum(sizes), len(sizes)
+    return {"latent": LatentRepresentation(latent.node_h[:atoms], latent.pooled[:b], tuple(sizes)),
+            "anchor_pooled": latent.pooled[b:]}
 
 
-def _latent(f0, ft, x0, xt, emb, params, cfg):
-    """Latent of one molecule from its clean and noisy branch encodings."""
-    node = fuse(f0, ft, emb, params, cfg)
-    return fuse_gcn(node, edge_condition(x0.E, xt.E, emb, params, cfg), params, cfg)
+def heads(record, params, cfg, conds, inputs):
+    """Heads stage of ``forward``: the ``latents`` record of the triples of
+    ``conds`` and ``inputs`` with their projections (and anchor projections),
+    head3d coefficients and the three score heads on the input."""
+    latent = record["latent"]
+    out = {"latent": latent, "projection": project(latent.pooled, params)}
+    if "anchor_pooled" in record:
+        out["anchor"] = project(record["anchor_pooled"], params)
+    coeffs = _mlp2(latent.node_h, params, "head3d", latent.sizes)  # (N, 3) invariant
+    basis = np.concatenate([molecule_frames(m.P) for m in inputs])
+    out["coeffs_P"] = coeffs
+    out["score_P"] = score_3d(coeffs, basis, latent.sizes)
+    out["score_E"] = score_2d(latent, params, cfg, _pair_channels(conds), _pair_channels(inputs))
+    out["score_H"] = score_h(latent, params)
+    return out
+
+
+@_bounded
+def forward(params, cfg, conds, inputs, times, anchors=None):
+    """Run the full pipeline on a batch of (conditioner, input, time) triples.
+
+    Returns one record of the whole batch (split it with ``per_molecule``):
+    the ``"latent"`` (with the atoms per triple, ``sizes``), the unit-norm
+    ``"projection"`` rows, the head3d coefficients ``"coeffs_P"`` and the
+    three O(1) score heads on the input, ``"score_P"`` and ``"score_H"`` as
+    atom rows and ``"score_E"`` as pair rows (callers scale them by 1/beta(t),
+    a noise-prediction parametrization well-conditioned near t = 0). With
+    ``anchors``, it also holds ``"anchor"``, the projections of the latents of
+    (conditioner, anchor, time): each molecule's contrastive view.
+    """
+    return heads(latents(params, cfg, conds, inputs, times, anchors), params, cfg,
+                 conds, inputs)
+
+
+def per_molecule(record):
+    """One dict of arrays per triple of a ``forward`` record: its
+    ``"node_h"`` and score rows (``"score_E"`` as an (n, n, e) block) and its
+    pooled, projection and anchor vectors."""
+    latent = record["latent"]
+    atom_rows = {"node_h": latent.node_h, "coeffs_P": record["coeffs_P"],
+                 "score_P": record["score_P"], "score_H": record["score_H"]}
+    vectors = {"pooled": latent.pooled, "projection": record["projection"]}
+    if "anchor" in record:
+        vectors["anchor"] = record["anchor"]
+    mols, atom, pair = [], 0, 0
+    for b, n in enumerate(latent.sizes):
+        mol = {key: rows.data[atom:atom + n] for key, rows in atom_rows.items()}
+        mol.update({key: rows.data[b] for key, rows in vectors.items()})
+        mol["score_E"] = record["score_E"].data[pair:pair + n * n].reshape(n, n, -1)
+        mols.append(mol)
+        atom, pair = atom + n, pair + n * n
+    return mols

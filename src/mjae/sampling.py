@@ -17,7 +17,7 @@ import numpy as np
 
 from .molgraph import (CHARGES, ELEMENTS, DenseTensors, N_BOND_CATEGORIES,
                        feature_width, make_graph)
-from .network import MAX_PAIR_ROWS, detach_params, forward
+from .network import MAX_PAIR_ROWS, detach_params, forward, per_molecule
 from .schedule import HORIZON, alpha_beta, drift_diffusion
 from .trajectory import project_zero_com, symmetrize_edge_noise
 
@@ -102,8 +102,8 @@ def generate(params, net_cfg, schedule, cfg, count):
         states = [prior_sample(cfg.n_atoms, schedule, rng) for rng in rngs]
         for t, dt in time_grid(cfg.t_end, cfg.steps):
             scale = 1.0 / alpha_beta(schedule, t)[1]
-            outs = forward(params, net_cfg, states, states, [t] * len(states))
-            states = [reverse_step(state, t, dt, {c: out[f"score_{c}"].data * scale for c in "PHE"},
+            outs = per_molecule(forward(params, net_cfg, states, states, [t] * len(states)))
+            states = [reverse_step(state, t, dt, {c: out[f"score_{c}"] * scale for c in "PHE"},
                                    schedule, cfg.lam, rng)
                       for state, out, rng in zip(states, outs, rngs)]
         molecules += [quantize(state) for state in states]

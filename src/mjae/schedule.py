@@ -38,6 +38,9 @@ class NoiseSchedule:
                 raise ValueError(f"NoiseSchedule.{name} must be finite, got {getattr(self, name)}")
         if self.kind == "VP" and not 0 <= self.beta_min <= self.beta_max:
             raise ValueError("require 0 <= beta_min <= beta_max")
+        if self.kind == "VP" and not self.beta_max > 0:
+            raise ValueError("NoiseSchedule.beta_max must be > 0 for VP (else beta(t) = 0 "
+                             f"for every t and no score target is defined), got {self.beta_max}")
         if self.kind == "VE" and not 0 < self.sigma_min <= self.sigma_max:
             raise ValueError("require 0 < sigma_min <= sigma_max")
 

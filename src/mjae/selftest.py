@@ -44,9 +44,17 @@ def _primitive_cases(rng):
     c4 = 2.0 + rng.uniform(size=(4, 4))
     b = rng.standard_normal(3)
     f = rng.standard_normal((10, 4))
+    # molecules of 1, 2 and 4 atoms: 7 atom rows and 21 pair rows
+    sizes = (1, 2, 4)
+    atoms = rng.standard_normal((7, 4))
+    pairs = rng.standard_normal((21, 1))
 
     def reduce(t):
         return ad.sum_(ad.mul(t, t))
+
+    def spread(x, shape):
+        """The 16 entries of x over an array of ``shape``, each used once or more."""
+        return ad.reshape(ad.reshape(x, (16,))[np.arange(int(np.prod(shape))) % 16], shape)
 
     return [
         ("add", lambda x: reduce(ad.add(x, Tensor(c1)))),
@@ -74,6 +82,21 @@ def _primitive_cases(rng):
             ad.reshape(ad.concat([x] * 4, axis=1), (16, 4)), Tensor(c2), (4,)))),
         # molecules of 1 and 3 atoms: 4 atoms, 10 pair rows
         ("ragged_message x", lambda x: reduce(ad.ragged_message(Tensor(f), x, (1, 3)))),
+        ("linear blocks", lambda x: reduce(ad.linear(spread(x, (7, 4)), Tensor(w), Tensor(b),
+                                                     sizes))),
+        ("linear blocks weight", lambda x: reduce(ad.linear(Tensor(atoms), x, ad.mean(x, axis=0),
+                                                            sizes))),
+        ("matmul blocks", lambda x: reduce(ad.matmul(spread(x, (7, 4)), Tensor(w), sizes))),
+        ("pair_matmul w", lambda x: reduce(ad.pair_matmul(spread(x, (21, 1)), Tensor(atoms),
+                                                          sizes))),
+        ("pair_matmul x", lambda x: reduce(ad.pair_matmul(Tensor(pairs), spread(x, (7, 4)),
+                                                          sizes))),
+        ("pair_inner q", lambda x: reduce(ad.pair_inner(spread(x, (7, 4)), Tensor(atoms), sizes))),
+        ("pair_inner k", lambda x: reduce(ad.pair_inner(Tensor(atoms), spread(x, (7, 4)), sizes))),
+        ("pair_softmax", lambda x: reduce(ad.pair_softmax(spread(x, (21, 1)), sizes))),
+        ("pair_row_sum", lambda x: reduce(ad.pair_row_sum(spread(x, (21, 1)), sizes))),
+        ("block_mean rows", lambda x: reduce(ad.block_mean(spread(x, (7, 4)), sizes))),
+        ("block_mean all", lambda x: reduce(ad.block_mean(spread(x, (7, 4)), sizes, axis=None))),
     ]
 
 

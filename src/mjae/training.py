@@ -136,37 +136,26 @@ def training_step(params, net_cfg, cfg, batch, rngs):
         times.append(t)
         samples.append(perturb_continuous(x0, t, rng, schedule))
         conds.append(samples[-1].xt if rng.uniform() < cfg.self_cond_prob else x0)
-    outs = forward(params, net_cfg, conds, [s.xt for s in samples], times, anchors=batch)
+    out = forward(params, net_cfg, conds, [s.xt for s in samples], times, anchors=batch)
 
-    sc_terms, breakdowns = [], []
-    for out, sample, t in zip(outs, samples, times):
-        beta = alpha_beta(schedule, t)[1]
-        inv_beta = ad.Tensor(1.0 / beta)
-        pred = {c: ad.mul(out[f"score_{c}"], inv_beta) for c in ("P", "H", "E")}
-        term, breakdown = losses.score_matching_loss(pred, sample.score_target, beta ** 2)
-        sc_terms.append(term)
-        breakdowns.append(breakdown)
-
-    l_sc = sc_terms[0]
-    for term in sc_terms[1:]:
-        l_sc = ad.add(l_sc, term)
-    l_sc = ad.div(l_sc, ad.Tensor(float(len(batch))))
+    sizes = out["latent"].sizes
+    betas = [alpha_beta(schedule, t)[1] for t in times]
+    rows = {"P": sizes, "H": sizes, "E": [n * n for n in sizes]}
+    pred = {c: ad.mul(out[f"score_{c}"],
+                      ad.Tensor(np.repeat([1.0 / b for b in betas], rows[c])[:, None]))
+            for c in losses.COMPONENTS}
+    target = {c: np.concatenate([s.score_target[c].reshape(-1, s.score_target[c].shape[-1])
+                                 for s in samples]) for c in losses.COMPONENTS}
+    l_sc, breakdown = losses.score_matching_loss(pred, target, [b ** 2 for b in betas], sizes)
     tau = losses.anneal_tau(cfg.tau0, schedule, float(np.mean(times)))
-    l_co = losses.contrastive_loss([o["anchor"] for o in outs],
-                                   [o["projection"] for o in outs], tau)
+    l_co = losses.contrastive_loss(out["anchor"], out["projection"], tau)
     total = losses.combine(l_sc, l_co, cfg.lambda1, cfg.lambda2)
-    report = losses.total_loss(l_sc, l_co, cfg.lambda1, cfg.lambda2,
-                               _mean_breakdown(breakdowns))
+    report = losses.total_loss(l_sc, l_co, cfg.lambda1, cfg.lambda2, breakdown)
     ad.backward(total)
     grads = {k: p.grad for k, p in params.items() if p.grad is not None}
     for p in params.values():
         p.grad = None
     return report, grads
-
-
-def _mean_breakdown(breakdowns):
-    keys = breakdowns[0].keys()
-    return {k: float(np.mean([b[k] for b in breakdowns])) for k in keys}
 
 
 def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):

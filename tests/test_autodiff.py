@@ -192,6 +192,48 @@ def test_ragged_message_matches_dense_blocks_and_fd(rng):
         ad.ragged_message(Tensor(filt0), Tensor(x0), (2, 2, 2))
 
 
+def test_block_primitives_make_each_molecules_own_call(rng):
+    """Each block primitive's output is, block by block, the numpy call one
+    molecule alone makes, so a molecule's bits do not depend on its
+    batch-mates; blocks that do not cover the rows are a ShapeError."""
+    sizes = (1, 3, 2)
+    atoms = [slice(0, 1), slice(1, 4), slice(4, 6)]
+    pairs = [slice(0, 1), slice(1, 10), slice(10, 14)]
+    x = rng.standard_normal((6, 5))
+    k = rng.standard_normal((6, 5))
+    w = rng.standard_normal((5, 3))
+    b = rng.standard_normal(3)
+    p = rng.standard_normal((14, 1))
+    blocks = list(zip(sizes, atoms, pairs))
+    cases = [
+        (ad.linear(Tensor(x), Tensor(w), Tensor(b), sizes),
+         [x[a] @ w + b for _, a, _ in blocks]),
+        (ad.matmul(Tensor(x), Tensor(w), sizes), [x[a] @ w for _, a, _ in blocks]),
+        (ad.pair_matmul(Tensor(p), Tensor(x), sizes),
+         [p[q].reshape(n, n) @ x[a] for n, a, q in blocks]),
+        (ad.pair_inner(Tensor(x), Tensor(k), sizes),
+         [(x[a] @ k[a].T).reshape(-1, 1) for _, a, _ in blocks]),
+        (ad.pair_softmax(Tensor(p), sizes),
+         [ad.softmax(Tensor(p[q].reshape(n, n)), axis=-1).data.reshape(-1, 1)
+          for n, _, q in blocks]),
+        (ad.pair_row_sum(Tensor(p), sizes),
+         [p[q].reshape(n, n).sum(axis=1).reshape(-1, 1) for n, _, q in blocks]),
+        (ad.block_mean(Tensor(x), sizes), [x[a].mean(axis=0)[None] for _, a, _ in blocks]),
+        (ad.block_mean(Tensor(x), sizes, axis=None), [[x[a].mean()] for _, a, _ in blocks]),
+    ]
+    for got, parts in cases:
+        assert np.array_equal(got.data, np.concatenate(parts))
+    for build, name in ((lambda: ad.linear(Tensor(x), Tensor(w), Tensor(b), (1, 3)), "linear"),
+                        (lambda: ad.matmul(Tensor(x), Tensor(w), (7,)), "matmul"),
+                        (lambda: ad.pair_matmul(Tensor(p[1:]), Tensor(x), sizes), "pair_matmul"),
+                        (lambda: ad.pair_inner(Tensor(x), Tensor(k), (2, 3)), "pair_inner"),
+                        (lambda: ad.pair_softmax(Tensor(p.ravel()), sizes), "pair_softmax"),
+                        (lambda: ad.pair_row_sum(Tensor(p), (2, 2, 2)), "pair_row_sum"),
+                        (lambda: ad.block_mean(Tensor(x), (1, 2)), "block_mean")):
+        with pytest.raises(ShapeError, match=name):
+            build()
+
+
 def test_matmul_gradient(rng):
     w = rng.standard_normal((4, 2))
     _check(lambda x: ad.sum_(ad.square(ad.matmul(x, Tensor(w)))), rng.standard_normal((3, 4)))

@@ -380,6 +380,8 @@ def test_previous_format_meta_serves_sample_eval_and_probe(trained, tmp_path):
     (["sample", "{ck}", "--out", "{out}", "--t-min", "1.0"], "t_end must be in (0, 1.0)"),
     (["sample", "{ck}", "--out", "{out}", "--lam", "nan"], "lam must be finite and >= 0"),
     (["sample", "{ck}", "--out", "{out}", "--lam", "inf"], "lam must be finite and >= 0"),
+    (["pretrain", "{data}", "--out", "{out}", "--beta-min", "0", "--beta-max", "0"],
+     "beta_max must be > 0 for VP"),
 ])
 def test_flags_that_cannot_do_work_are_usage_errors(trained, tmp_path, capsys, argv, message):
     ck, data, _ = trained

@@ -8,7 +8,7 @@ from mjae.autodiff import Tensor
 from mjae.loss import (COMPONENTS, anneal_tau, combine, contrastive_loss,
                        score_matching_loss, total_loss, verify_decomposition)
 from mjae.molgraph import DenseTensors, to_dense
-from mjae.network import init_params
+from mjae.network import init_params, per_molecule
 from mjae.schedule import NoiseSchedule, alpha_beta
 
 VP = NoiseSchedule(kind="VP")
@@ -21,7 +21,8 @@ def _weight(t):
 
 
 def _pred_target(rng, offset=0.0):
-    shapes = {"P": (4, 3), "H": (4, 9), "E": (4, 4, 5)}
+    """Prediction and target rows of one 4-atom molecule (E as 16 pair rows)."""
+    shapes = {"P": (4, 3), "H": (4, 9), "E": (16, 5)}
     target = {c: rng.standard_normal(shapes[c]) for c in COMPONENTS}
     pred = {c: Tensor(target[c] + offset) for c in COMPONENTS}
     return pred, target
@@ -29,18 +30,19 @@ def _pred_target(rng, offset=0.0):
 
 def test_time_weight(monkeypatch):
     # training_step scales the heads by 1/beta(t) and weights the
-    # score-matching term by beta(t)^2, both from the config's one schedule
+    # score-matching term by beta(t)^2, both from the config's one schedule,
+    # in one score_matching_loss call over the batch
     batches, seen = [], []
     real_forward = network.forward
 
     def spy_forward(params, cfg, conds, inputs, times, **kw):
-        outs = real_forward(params, cfg, conds, inputs, times, **kw)
-        batches.append((outs, times))
-        return outs
+        out = real_forward(params, cfg, conds, inputs, times, **kw)
+        batches.append((out, times))
+        return out
 
-    def spy_loss(pred, target, weight):
-        seen.append({"pred": pred, "weight": weight})
-        return score_matching_loss(pred, target, weight)
+    def spy_loss(pred, target, weight, sizes):
+        seen.append({"pred": pred, "weight": weight, "sizes": sizes})
+        return score_matching_loss(pred, target, weight, sizes)
 
     monkeypatch.setattr(training, "forward", spy_forward)
     monkeypatch.setattr(training.losses, "score_matching_loss", spy_loss)
@@ -53,19 +55,23 @@ def test_time_weight(monkeypatch):
         rngs = [np.random.default_rng([9, i]) for i in range(3)]
         cfg = training.TrainConfig(batch_size=3, schedule=schedule)
         training.training_step(params, net_cfg, cfg, batch, rngs)
-        assert len(batches) == 1 and len(seen) == 3
-        outs, times = batches[0]
-        for out, t, call in zip(outs, times, seen):
+        assert len(batches) == 1 and len(seen) == 1
+        out, times = batches[0]
+        call = seen[0]
+        assert tuple(call["sizes"]) == tuple(m.n for m in batch)
+        assert len(call["weight"]) == 3
+        pred = per_molecule({**out, **{f"score_{c}": call["pred"][c] for c in COMPONENTS}})
+        for mol, heads, t, weight in zip(pred, per_molecule(out), times, call["weight"]):
             beta = alpha_beta(schedule, t)[1]
             for comp in COMPONENTS:
-                assert np.array_equal(call["pred"][comp].data,
-                                      out[f"score_{comp}"].data * (1.0 / beta))
-            assert call["weight"] == beta ** 2
+                assert np.array_equal(mol[f"score_{comp}"],
+                                      heads[f"score_{comp}"] * (1.0 / beta))
+            assert weight == beta ** 2
 
 
 def test_score_matching_zero_at_target(rng):
     pred, target = _pred_target(rng)
-    loss, breakdown = score_matching_loss(pred, target, _weight(0.5))
+    loss, breakdown = score_matching_loss(pred, target, _weight(0.5), [4])
     assert float(loss.data) == 0.0
     assert all(v == 0.0 for v in breakdown.values())
 
@@ -74,7 +80,7 @@ def test_score_matching_constant_offset(rng):
     c = 0.7
     pred, target = _pred_target(rng, offset=c)
     w = _weight(0.3)
-    loss, breakdown = score_matching_loss(pred, target, w)
+    loss, breakdown = score_matching_loss(pred, target, w, [4])
     for comp in COMPONENTS:
         assert abs(breakdown[comp] - w * c * c) < 1e-12
     assert abs(float(loss.data) - sum(breakdown.values())) < 1e-12
@@ -84,7 +90,7 @@ def test_score_matching_pred_zero_second_moment(rng):
     pred, target = _pred_target(rng)
     zero_pred = {c: Tensor(np.zeros_like(target[c])) for c in COMPONENTS}
     w = _weight(0.6)
-    loss, _ = score_matching_loss(zero_pred, target, w)
+    loss, _ = score_matching_loss(zero_pred, target, w, [4])
     expect = sum(w * (target[c] ** 2).mean() for c in COMPONENTS)
     assert abs(float(loss.data) - expect) < 1e-12
 
@@ -93,7 +99,7 @@ def test_score_matching_shape_mismatch(rng):
     pred, target = _pred_target(rng)
     pred["H"] = Tensor(np.zeros((2, 2)))
     with pytest.raises(ad.ShapeError, match="H"):
-        score_matching_loss(pred, target, _weight(0.5))
+        score_matching_loss(pred, target, _weight(0.5), [4])
 
 
 # -- contrastive ----------------------------------------------------------
@@ -103,10 +109,15 @@ def _unit(v):
     return Tensor(v / np.linalg.norm(v))
 
 
+def _rows(vectors):
+    """Embedding vectors as the (b, d) rows contrastive_loss takes."""
+    return ad.concat([ad.reshape(v, (1, v.shape[0])) for v in vectors], axis=0)
+
+
 def test_contrastive_identical_embeddings_log_b():
     for b in (2, 3, 5):
         e = _unit(np.ones(4))
-        loss = contrastive_loss([e] * b, [e] * b, tau=0.5)
+        loss = contrastive_loss(_rows([e] * b), _rows([e] * b), tau=0.5)
         assert abs(float(loss.data) - np.log(b)) < 1e-12
 
 
@@ -114,20 +125,20 @@ def test_contrastive_saturation():
     # positive at distance 0, negative antipodal, tiny tau: loss -> 0
     a = _unit([1.0, 0.0])
     b = _unit([-1.0, 0.0])
-    loss = contrastive_loss([a, b], [a, b], tau=0.1)
+    loss = contrastive_loss(_rows([a, b]), _rows([a, b]), tau=0.1)
     assert float(loss.data) < 1e-10
 
 
 def test_contrastive_needs_negatives():
     e = _unit(np.ones(3))
     with pytest.raises(ValueError, match=">= 2"):
-        contrastive_loss([e], [e], tau=0.5)
+        contrastive_loss(_rows([e]), _rows([e]), tau=0.5)
 
 
 def test_contrastive_nonnegative(rng):
     anchors = [_unit(rng.standard_normal(6)) for _ in range(4)]
     positives = [_unit(rng.standard_normal(6)) for _ in range(4)]
-    assert float(contrastive_loss(anchors, positives, tau=0.7).data) >= 0.0
+    assert float(contrastive_loss(_rows(anchors), _rows(positives), tau=0.7).data) >= 0.0
 
 
 def test_contrastive_gradient_pulls_positive_closer(rng):
@@ -143,7 +154,7 @@ def test_contrastive_gradient_pulls_positive_closer(rng):
         norm = ad.sqrt(ad.sum_(ad.square(pt)))
         positives = [ad.div(pt, norm),
                      _unit(other)]
-        return pt, contrastive_loss(anchors, positives, tau=0.5)
+        return pt, contrastive_loss(_rows(anchors), _rows(positives), tau=0.5)
 
     pt, loss = build(p_raw.copy())
     ad.backward(loss)
@@ -161,10 +172,10 @@ def test_contrastive_gradient_matches_fd(rng):
     def loss_of(p_data):
         anchors = [_unit(a0[i]) for i in range(3)]
         positives = [Tensor(p_data[i]) for i in range(3)]
-        return contrastive_loss(anchors, positives, tau=0.6)
+        return contrastive_loss(_rows(anchors), _rows(positives), tau=0.6)
 
     leaves = [Tensor(p0[i].copy(), requires_grad=True) for i in range(3)]
-    loss = contrastive_loss([_unit(a0[i]) for i in range(3)], leaves, tau=0.6)
+    loss = contrastive_loss(_rows([_unit(a0[i]) for i in range(3)]), _rows(leaves), tau=0.6)
     ad.backward(loss)
     got = np.stack([l.grad for l in leaves])
     numeric = fd_grad(lambda p: float(loss_of(p).data), p0.copy())

@@ -8,10 +8,9 @@ from mjae.autodiff import Tensor
 from mjae.evalsuite import random_rotation
 from mjae.molgraph import (DenseTensors, ELEMENT_INDEX, ELEMENTS, N_BOND_CATEGORIES,
                            feature_width, make_graph, permute, to_dense)
-from mjae.network import (LatentRepresentation, NetworkConfig, detach_params,
-                          edge_condition, encode, forward, fourier_embed,
-                          fourier_frequencies, fuse, fuse_gcn, init_params,
-                          project, rbf_features, score_2d, score_3d, score_h)
+from mjae.network import (NetworkConfig, detach_params, edge_condition, encode, forward,
+                          fourier_embed, fourier_frequencies, fuse, fuse_gcn, init_params,
+                          per_molecule, project, rbf_features, score_2d, score_3d, score_h)
 from mjae.frames import molecule_frames
 
 
@@ -90,7 +89,10 @@ def test_fourier_no_collisions_on_grid():
 # -- encoder --------------------------------------------------------------
 
 def _encode(mols, params, cfg, branch):
-    return encode(mols, params, cfg, branch, [rbf_features(m.P, cfg) for m in mols])
+    """``encode``'s atom rows, split into one Tensor per molecule."""
+    h = encode(mols, params, cfg, branch, [rbf_features(m.P, cfg) for m in mols])
+    bounds = np.cumsum([0] + [m.n for m in mols])
+    return [h[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def test_encode_rigid_motion_invariance(cfg, params, rng):
@@ -161,11 +163,22 @@ def test_batched_encode_matches_molecules_alone(cfg, params, rng):
 
 # -- fusion ---------------------------------------------------------------
 
+def _emb(t, cfg):
+    """The time embedding of one molecule, as the one row ``fuse`` and
+    ``edge_condition`` take per molecule."""
+    return fourier_embed(np.array([t]), cfg.d_time)
+
+
+def _pair_rows(e):
+    """An (n, n, e) edge tensor as its n^2 pair rows."""
+    return e.reshape(-1, e.shape[-1])
+
+
 def test_fuse_zero_weights(cfg, params, rng):
     dense = _dense(rng)
     f = _encode([dense], params, cfg, "enc_clean")[0]
     zeroed = {k: Tensor(np.zeros_like(v.data)) for k, v in params.items()}
-    out = fuse(f, f, fourier_embed(0.3, cfg.d_time), zeroed, cfg)
+    out = fuse(f, f, _emb(0.3, cfg), zeroed, [dense.n])
     assert np.all(out.data == 0.0)
 
 
@@ -173,10 +186,10 @@ def test_fuse_sensitive_to_clean_branch(cfg, params, rng):
     dense = _dense(rng)
     f0 = _encode([dense], params, cfg, "enc_clean")[0]
     ft = _encode([dense], params, cfg, "enc_noisy")[0]
-    emb = fourier_embed(0.3, cfg.d_time)
-    base = fuse(f0, ft, emb, params, cfg).data
+    emb = _emb(0.3, cfg)
+    base = fuse(f0, ft, emb, params, [dense.n]).data
     shuffled = Tensor(f0.data[::-1].copy())
-    other = fuse(shuffled, ft, emb, params, cfg).data
+    other = fuse(shuffled, ft, emb, params, [dense.n]).data
     assert np.abs(base - other).max() > 0.0
 
 
@@ -184,41 +197,42 @@ def test_fuse_size_mismatch(cfg, params):
     a = Tensor(np.zeros((3, cfg.latent)))
     b = Tensor(np.zeros((4, cfg.latent)))
     with pytest.raises(ad.ShapeError, match="fuse"):
-        fuse(a, b, fourier_embed(0.1, cfg.d_time), params, cfg)
+        fuse(a, b, _emb(0.1, cfg), params, [3])
 
 
 def test_edge_condition_symmetry_and_permutation(cfg, params, rng):
     g = random_molecule(rng, 2)
-    dense = to_dense(g)
-    emb = fourier_embed(0.4, cfg.d_time)
-    w = edge_condition(dense.E, dense.E, emb, params, cfg).data
+    e = _pair_rows(to_dense(g).E)
+    emb = _emb(0.4, cfg)
+    w = edge_condition(e, e, emb, params, [g.n]).data.reshape(g.n, g.n)
     assert np.array_equal(w, w.T)
     assert np.all(np.diag(w) == 0.0)
     perm = rng.permutation(g.n)
-    pe = to_dense(permute(g, perm)).E
-    wp = edge_condition(pe, pe, emb, params, cfg).data
+    pe = _pair_rows(to_dense(permute(g, perm)).E)
+    wp = edge_condition(pe, pe, emb, params, [g.n]).data.reshape(g.n, g.n)
     assert np.abs(wp - w[np.ix_(perm, perm)]).max() < 1e-9
 
 
 def test_edge_condition_zero_weights(cfg, params, rng):
     dense = _dense(rng)
     zeroed = {k: Tensor(np.zeros_like(v.data)) for k, v in params.items()}
-    w = edge_condition(dense.E, dense.E, fourier_embed(0.2, cfg.d_time), zeroed, cfg)
+    e = _pair_rows(dense.E)
+    w = edge_condition(e, e, _emb(0.2, cfg), zeroed, [dense.n])
     assert np.all(w.data == 0.0)
 
 
 def test_fuse_gcn_zero_adjacency_residual_path(cfg, params, rng):
     n = 4
     node = Tensor(rng.standard_normal((n, cfg.latent)))
-    w = Tensor(np.zeros((n, n)))
-    latent = fuse_gcn(node, w, params, cfg)
+    w = Tensor(np.zeros((n * n, 1)))
+    latent = fuse_gcn(node, w, params, cfg, [n])
     # W = 0: each layer adds silu(bias) rows only
     expect = node.data.copy()
     for layer in range(cfg.gcn_layers):
         b = params[f"gcn.l{layer}.b"].data
         expect = expect + b / (1.0 + np.exp(-b))
     assert np.abs(latent.node_h.data - expect).max() < 1e-12
-    assert np.abs(latent.pooled.data - latent.node_h.data.mean(axis=0)).max() < 1e-12
+    assert np.abs(latent.pooled.data[0] - latent.node_h.data.mean(axis=0)).max() < 1e-12
 
 
 def test_fuse_gcn_closed_form_single_layer(rng):
@@ -230,7 +244,7 @@ def test_fuse_gcn_closed_form_single_layer(rng):
     w = rng.standard_normal((n, n))
     w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
-    got = fuse_gcn(Tensor(h), Tensor(w), params, cfg).node_h.data
+    got = fuse_gcn(Tensor(h), Tensor(w.reshape(n * n, 1)), params, cfg, [n]).node_h.data
     # independent numpy replication
     deg = np.abs(w).sum(axis=1) + 1.0
     dinv = 1.0 / np.sqrt(deg)
@@ -243,33 +257,36 @@ def test_fuse_gcn_closed_form_single_layer(rng):
 # -- heads ----------------------------------------------------------------
 
 def _latent(cfg, params, dense, t=0.5):
-    return forward(params, cfg, [dense], [dense], [t])[0]["latent"]
+    return forward(params, cfg, [dense], [dense], [t])["latent"]
 
 
 def test_score_3d_zero_head_weights(cfg, params, rng):
     dense = _dense(rng)
-    latent = _latent(cfg, params, dense)
-    frames = molecule_frames(dense.P)
     zeroed = dict(params)
     for k in ("head3d.l1.w", "head3d.l1.b", "head3d.l2.w", "head3d.l2.b"):
         zeroed[k] = Tensor(np.zeros_like(params[k].data))
-    assert np.all(score_3d(latent, frames, zeroed).data == 0.0)
+    out = forward(zeroed, cfg, [dense], [dense], [0.5])
+    assert np.all(out["coeffs_P"].data == 0.0)
+    assert np.all(out["score_P"].data == 0.0)
 
 
-def test_score_3d_zero_com(cfg, params, rng):
-    dense = _dense(rng)
-    latent = _latent(cfg, params, dense)
-    frames = molecule_frames(dense.P)
-    field = score_3d(latent, frames, params).data
-    assert np.abs(field.mean(axis=0)).max() < 1e-12
+def test_score_3d_zero_com(rng):
+    """Each molecule's 3D score has zero mean over its own atoms."""
+    mols = [_molecule_of(rng, n) for n in (1, 3, 6)]
+    coeffs = Tensor(rng.standard_normal((10, 3)))
+    basis = np.concatenate([molecule_frames(m.P) for m in mols])
+    field = score_3d(coeffs, basis, [1, 3, 6]).data
+    for rows in (slice(0, 1), slice(1, 4), slice(4, 10)):
+        assert np.abs(field[rows].mean(axis=0)).max() < 1e-12
 
 
 def test_score_2d_symmetric_zero_diag(cfg, params, rng):
     dense = _dense(rng)
     latent = _latent(cfg, params, dense)
-    out = score_2d(latent, params, cfg, dense.E, dense.E).data
+    e = _pair_rows(dense.E)
+    n = dense.n
+    out = score_2d(latent, params, cfg, e, e).data.reshape(n, n, -1)
     assert np.array_equal(out, np.swapaxes(out, 0, 1))
-    n = out.shape[0]
     assert np.all(out[np.arange(n), np.arange(n)] == 0.0)
 
 
@@ -285,7 +302,7 @@ def test_score_h_zero_weights(cfg, params, rng):
 def test_project_unit_norm(cfg, params, rng):
     dense = _dense(rng)
     latent = _latent(cfg, params, dense)
-    emb = project(latent, params, cfg).data
+    emb = project(latent.pooled, params).data[0]
     assert abs(np.linalg.norm(emb) - 1.0) < 1e-6
 
 
@@ -293,7 +310,7 @@ def test_project_distinct_molecules(cfg, params):
     embs = []
     for g in toy_corpus(count=10, seed=5):
         latent = _latent(cfg, params, to_dense(g))
-        embs.append(project(latent, params, cfg).data)
+        embs.append(project(latent.pooled, params).data[0])
     embs = np.stack(embs)
     d2 = ((embs[:, None, :] - embs[None, :, :]) ** 2).sum(-1)
     np.fill_diagonal(d2, np.inf)
@@ -304,20 +321,20 @@ def test_project_distinct_molecules(cfg, params):
 
 def test_forward_symmetries(cfg, params, rng):
     dense = _dense(rng, n_heavy=3)
-    base = forward(params, cfg, [dense], [dense], [0.5])[0]
+    base = per_molecule(forward(params, cfg, [dense], [dense], [0.5]))[0]
     for _ in range(5):
         r = random_rotation(rng)
         moved = DenseTensors(H=dense.H, E=dense.E, P=dense.P @ r.T)
-        got = forward(params, cfg, [moved], [moved], [0.5])[0]
-        assert np.abs(got["score_P"].data - base["score_P"].data @ r.T).max() < 1e-4
-        assert np.abs(got["score_E"].data - base["score_E"].data).max() < 1e-5
-        assert np.abs(got["score_H"].data - base["score_H"].data).max() < 1e-5
-        assert np.abs(got["projection"].data - base["projection"].data).max() < 1e-5
+        got = per_molecule(forward(params, cfg, [moved], [moved], [0.5]))[0]
+        assert np.abs(got["score_P"] - base["score_P"] @ r.T).max() < 1e-4
+        assert np.abs(got["score_E"] - base["score_E"]).max() < 1e-5
+        assert np.abs(got["score_H"] - base["score_H"]).max() < 1e-5
+        assert np.abs(got["projection"] - base["projection"]).max() < 1e-5
 
 
 def test_forward_gradients_flow_to_all_heads(cfg, params, rng):
     dense = _dense(rng)
-    out = forward(params, cfg, [dense], [dense], [0.5])[0]
+    out = forward(params, cfg, [dense], [dense], [0.5])
     loss = ad.add(ad.sum_(ad.square(out["score_P"])),
                   ad.add(ad.sum_(ad.square(out["score_E"])),
                          ad.add(ad.sum_(ad.square(out["score_H"])),
@@ -330,31 +347,42 @@ def test_forward_gradients_flow_to_all_heads(cfg, params, rng):
         assert any(k.startswith(prefix) for k in touched), prefix
 
 
+def _noisy(rng, m):
+    return DenseTensors(H=m.H + 0.3 * rng.standard_normal(m.H.shape),
+                        E=m.E + 0.3 * rng.standard_normal(m.E.shape),
+                        P=m.P + 0.2 * rng.standard_normal(m.P.shape))
+
+
 def test_batched_forward_matches_molecules_alone(cfg, params, rng, monkeypatch):
     """One forward over triples of 1, 2, 5 and 14 atoms gives each triple's
-    outputs, anchor view and gradients as a forward of that triple alone. Over
-    a pair-row budget, a forward on detached parameters splits in halves with
-    the same outputs; one on trainable parameters runs whole."""
+    outputs and anchor view bit for bit, and its gradients, as a forward of
+    that triple alone. Over a pair-row budget, a forward on detached
+    parameters splits in halves with the same outputs; one on trainable
+    parameters runs whole."""
     conds = [_molecule_of(rng, n) for n in (1, 2, 5, 14)]
-    inputs = [DenseTensors(H=m.H + 0.3 * rng.standard_normal(m.H.shape),
-                           E=m.E + 0.3 * rng.standard_normal(m.E.shape),
-                           P=m.P + 0.2 * rng.standard_normal(m.P.shape)) for m in conds]
+    inputs = [_noisy(rng, m) for m in conds]
     times = [0.1, 0.4, 0.7, 0.95]
     keys = ("projection", "anchor", "score_P", "score_E", "score_H")
 
     def run(groups, trainable=True):
         leaves = {k: Tensor(v.data, requires_grad=trainable) for k, v in params.items()}
-        outs = [out for idx in groups for out in forward(
-            leaves, cfg, [conds[i] for i in idx], [inputs[i] for i in idx],
-            [times[i] for i in idx], anchors=[conds[i] for i in idx])]
-        values = [{k: out[k].data for k in keys} | {"latent": out["latent"].node_h.data}
-                  for out in outs]
+        records = [forward(leaves, cfg, [conds[i] for i in idx], [inputs[i] for i in idx],
+                           [times[i] for i in idx], anchors=[conds[i] for i in idx])
+                   for idx in groups]
+        values = [mol for record in records for mol in per_molecule(record)]
         if not trainable:
             return values, None
-        # a fixed random linear functional of every output (the projections
-        # have unit norm, so their squares would have no gradient)
-        terms = [ad.sum_(ad.mul(out[k], Tensor(np.random.default_rng([i, j]).standard_normal(
-            out[k].shape)))) for i, out in enumerate(outs) for j, k in enumerate(keys)]
+        # a fixed random linear functional of every output of each molecule
+        # (the projections have unit norm, so their squares would have no
+        # gradient)
+        terms = []
+        for idx, record in zip(groups, records):
+            mols = per_molecule(record)
+            for j, k in enumerate(keys):
+                weights = np.concatenate([
+                    np.random.default_rng([i, j]).standard_normal(mol[k].shape).reshape(
+                        -1, record[k].shape[1]) for i, mol in zip(idx, mols)])
+                terms.append(ad.sum_(ad.mul(record[k], Tensor(weights))))
         loss = terms[0]
         for term in terms[1:]:
             loss = ad.add(loss, term)
@@ -364,8 +392,9 @@ def test_batched_forward_matches_molecules_alone(cfg, params, rng, monkeypatch):
     batched, batched_grads = run([range(4)])
     alone, alone_grads = run([[i] for i in range(4)])
     for got, ref in zip(batched, alone, strict=True):
+        assert got.keys() == ref.keys()
         for k in ref:
-            assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k]), k
+            assert np.array_equal(got[k], ref[k]), k
     assert set(batched_grads) == set(alone_grads) == set(params)
     for name, ref in alone_grads.items():
         assert np.linalg.norm(batched_grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
@@ -381,7 +410,7 @@ def test_batched_forward_matches_molecules_alone(cfg, params, rng, monkeypatch):
     assert encoded == [[1, 2], [1, 2, 1, 2], [5], [5, 5], [14], [14, 14]]
     for got, ref in zip(split, batched, strict=True):
         for k in ref:
-            assert np.linalg.norm(got[k] - ref[k]) <= 1e-12 * np.linalg.norm(ref[k]), k
+            assert np.array_equal(got[k], ref[k]), k
     # every half's tape would live until backward, so a trainable batch runs whole
     encoded.clear()
     whole, whole_grads = run([range(4)])
@@ -390,6 +419,98 @@ def test_batched_forward_matches_molecules_alone(cfg, params, rng, monkeypatch):
         for k in ref:
             assert np.array_equal(got[k], ref[k]), k
     assert all(np.array_equal(whole_grads[k], v) for k, v in batched_grads.items())
+
+
+def _one_molecule_heads(params, cfg, f0, ft, cond, xt, anchor_ft, anchor, t):
+    """Fuse, edge MLP, GCN, heads and projection of one (conditioner, input,
+    time) triple and of its anchor view, from their encoder rows, written
+    molecule by molecule with the plain primitives: the reference for the
+    batched pass of ``forward``."""
+    n, d = cond.n, cfg.d_time
+    emb = fourier_embed(t, d)
+
+    def mlp2(x, prefix):
+        h = ad.silu(ad.linear(x, params[f"{prefix}.l1.w"], params[f"{prefix}.l1.b"]))
+        return ad.linear(h, params[f"{prefix}.l2.w"], params[f"{prefix}.l2.b"])
+
+    def latent(ft, xt):
+        node = mlp2(ad.concat([Tensor(np.broadcast_to(emb, (n, d))), f0, ft], axis=1), "fuse")
+        flat = np.concatenate([np.broadcast_to(emb, (n * n, d)), cond.E.reshape(n * n, -1),
+                               xt.E.reshape(n * n, -1)], axis=1)
+        w = ad.reshape(mlp2(Tensor(flat), "edge"), (n, n))
+        w = ad.mul(ad.add(w, ad.transpose(w)), Tensor(0.5 * (1.0 - np.eye(n))))
+        deg = ad.add(ad.sum_(ad.abs_(w), axis=1), Tensor(np.ones(n)))
+        dinv = ad.div(Tensor(1.0), ad.sqrt(deg))
+        w_norm = ad.mul(ad.mul(w, ad.reshape(dinv, (n, 1))), ad.reshape(dinv, (1, n)))
+        h = node
+        for layer in range(cfg.gcn_layers):
+            mixed = ad.linear(ad.matmul(w_norm, h), params[f"gcn.l{layer}.w"],
+                              params[f"gcn.l{layer}.b"])
+            h = ad.add(h, ad.silu(mixed))
+        return h, ad.mean(h, axis=0)
+
+    def project(pooled):
+        out = mlp2(ad.reshape(pooled, (1, cfg.latent)), "proj")
+        norm = ad.sqrt(ad.add(ad.sum_(ad.square(out)), Tensor(1e-12)))
+        return ad.reshape(ad.div(out, norm), (cfg.d_contrast,))
+
+    h, pooled = latent(ft, xt)
+    coeffs = mlp2(h, "head3d")
+    field = ad.sum_(ad.mul(ad.reshape(coeffs, (n, 3, 1)), Tensor(molecule_frames(xt.P))), axis=1)
+    maps = []
+    for head in range(cfg.heads):
+        q = ad.matmul(h, params[f"att.h{head}.q"])
+        k = ad.matmul(h, params[f"att.h{head}.k"])
+        att = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(k)),
+                                Tensor(1.0 / np.sqrt(cfg.head_dim))), axis=-1)
+        maps.append(ad.reshape(att, (n * n, 1)))
+    pair_prod = ad.reshape(ad.mul(ad.reshape(h, (n, 1, cfg.latent)),
+                                  ad.reshape(h, (1, n, cfg.latent))), (n * n, cfg.latent))
+    raw = Tensor(np.concatenate([cond.E.reshape(n * n, -1), xt.E.reshape(n * n, -1)], axis=1))
+    w1 = params["head2d.l1.w"]
+    sum_rows = slice(cfg.heads, cfg.heads + cfg.latent)
+    other_rows = np.r_[0:cfg.heads, cfg.heads + cfg.latent:w1.shape[0]]
+    u = ad.matmul(h, w1[sum_rows])
+    pair_sum = ad.add(ad.reshape(u, (n, 1, cfg.edge_hidden)),
+                      ad.reshape(u, (1, n, cfg.edge_hidden)))
+    pre = ad.add(ad.linear(ad.concat(maps + [pair_prod, raw], axis=1), w1[other_rows],
+                           params["head2d.l1.b"]),
+                 ad.reshape(pair_sum, (n * n, cfg.edge_hidden)))
+    edge = ad.linear(ad.silu(pre), params["head2d.l2.w"], params["head2d.l2.b"])
+    mirror = np.arange(n * n).reshape(n, n).T.reshape(n * n)
+    sym = ad.mul(ad.add(edge, edge[mirror]), Tensor(0.5 * (1.0 - np.eye(n)).reshape(n * n, 1)))
+    return {"node_h": h.data, "pooled": pooled.data, "projection": project(pooled).data,
+            "anchor": project(latent(anchor_ft, anchor)[1]).data, "coeffs_P": coeffs.data,
+            "score_P": ad.sub(field, ad.mean(field, axis=0)).data,
+            "score_E": ad.reshape(sym, (n, n, cfg.e_width)).data,
+            "score_H": mlp2(h, "headh").data}
+
+
+@pytest.mark.parametrize("net", ["default", "small"])
+@pytest.mark.parametrize("trainable", [False, True])
+def test_batched_heads_match_one_molecule_reference(net, trainable, rng):
+    """After the encoders, ``forward`` runs one batched pass over molecules of
+    1, 2, 5, 14 and 64 atoms; each molecule's latent, pooled vector,
+    projection, anchor and scores equal bit for bit the same layers run on
+    that molecule alone."""
+    cfg = NetworkConfig() if net == "default" else small_net_config()
+    params = init_params(cfg, np.random.default_rng(11))
+    if not trainable:
+        params = detach_params(params)
+    conds = [_molecule_of(rng, n) for n in (1, 2, 5, 14, 64)]
+    inputs = [_noisy(rng, m) for m in conds]
+    times = list(rng.uniform(0.01, 1.0, size=len(conds)))
+    record = forward(params, cfg, conds, inputs, times, anchors=conds)
+
+    # the encoder rows forward hands to the batched pass
+    f0 = _encode(conds, params, cfg, "enc_clean")
+    ft = _encode(inputs + conds, params, cfg, "enc_noisy")
+    for b, got in enumerate(per_molecule(record)):
+        ref = _one_molecule_heads(params, cfg, f0[b], ft[b], conds[b], inputs[b],
+                                  ft[len(conds) + b], conds[b], times[b])
+        assert got.keys() == ref.keys()
+        for k in ref:
+            assert np.array_equal(got[k], ref[k]), (conds[b].n, k)
 
 
 def test_detach_params(cfg, params):

@@ -168,9 +168,9 @@ def test_generate_advances_paths_together_bitwise(schedule, lam, rng, monkeypatc
         dt = (1.0 - cfg.t_end) / cfg.steps
         for k in range(cfg.steps):
             t = 1.0 - k * dt
-            out = network.forward(params, net_cfg, [state], [state], [t])[0]
+            out = network.per_molecule(network.forward(params, net_cfg, [state], [state], [t]))[0]
             scale = 1.0 / alpha_beta(schedule, t)[1]
-            scores = {c: out[f"score_{c}"].data * scale for c in ("P", "H", "E")}
+            scores = {c: out[f"score_{c}"] * scale for c in ("P", "H", "E")}
             state = reverse_step(state, t, dt, scores, schedule, lam, path_rng)
         reference.append(state)
 
@@ -240,7 +240,8 @@ def test_generate_scales_heads_by_inverse_beta(schedule, rng, monkeypatch):
     def spy_step(state, t, dt, scores, *rest):
         inv_beta = 1.0 / alpha_beta(schedule, t)[1]
         for comp in ("P", "H", "E"):
-            assert np.array_equal(scores[comp], outs[-1][0][f"score_{comp}"].data * inv_beta)
+            assert np.array_equal(scores[comp],
+                                  network.per_molecule(outs[-1])[0][f"score_{comp}"] * inv_beta)
         steps.append(t)
         return real_step(state, t, dt, scores, *rest)
 

@@ -118,6 +118,14 @@ def test_config_validation():
             NoiseSchedule(**{name: np.inf})
 
 
+def test_vp_needs_a_positive_rate():
+    # all-zero rates give beta(t) = 0 at every t: no noise, no score target
+    with pytest.raises(ValueError, match="NoiseSchedule.beta_max must be > 0 for VP"):
+        NoiseSchedule(kind="VP", beta_min=0.0, beta_max=0.0)
+    NoiseSchedule(kind="VP", beta_min=0.0, beta_max=1e-3)
+    NoiseSchedule(kind="VE", beta_min=0.0, beta_max=0.0)  # VE reads no rate
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_vp_identity_property(t):

@@ -221,19 +221,20 @@ def _two_forward_step(params, net_cfg, cfg, batch, rngs):
         sample = perturb_continuous(x0, t, rng, cfg.schedule)
         cond = sample.xt if rng.uniform() < cfg.self_cond_prob else x0
         beta = alpha_beta(cfg.schedule, t)[1]
-        out = network.forward(params, net_cfg, [cond], [sample.xt], [t])[0]
+        out = network.forward(params, net_cfg, [cond], [sample.xt], [t])
         pred = {c: ad.mul(out[f"score_{c}"], Tensor(1.0 / beta)) for c in ("P", "H", "E")}
-        term, breakdown = losses.score_matching_loss(pred, sample.score_target, beta ** 2)
+        target = {c: v.reshape(-1, v.shape[-1]) for c, v in sample.score_target.items()}
+        term, breakdown = losses.score_matching_loss(pred, target, beta ** 2, [x0.n])
         sc_terms.append(term)
         breakdowns.append(breakdown)
         positives.append(out["projection"])
-        anchors.append(network.forward(params, net_cfg, [cond], [x0], [t])[0]["projection"])
+        anchors.append(network.forward(params, net_cfg, [cond], [x0], [t])["projection"])
     l_sc = sc_terms[0]
     for term in sc_terms[1:]:
         l_sc = ad.add(l_sc, term)
     l_sc = ad.div(l_sc, Tensor(float(len(batch))))
     tau = losses.anneal_tau(cfg.tau0, cfg.schedule, float(np.mean(times)))
-    l_co = losses.contrastive_loss(anchors, positives, tau)
+    l_co = losses.contrastive_loss(ad.concat(anchors), ad.concat(positives), tau)
     total = losses.combine(l_sc, l_co, cfg.lambda1, cfg.lambda2)
     ad.backward(total)
     grads = {k: p.grad for k, p in params.items()}
