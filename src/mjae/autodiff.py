@@ -261,23 +261,26 @@ def ragged_message(filt, x, sizes):
         raise ShapeError(f"ragged_message: filt {filt.shape} and x {x.shape} do not "
                          f"match molecules of {list(sizes)} atoms")
     width = x.shape[1]
-    blocks, atom, row = [], 0, 0
-    for n in sizes:  # (atoms of the molecule, its (n, n, L) pair block)
-        blocks.append((slice(atom, atom + n), filt.data[row:row + n * n].reshape(n, n, width)))
-        atom, row = atom + n, row + n * n
+    blocks = [(atoms, pairs, filt.data[pairs].reshape(n, n, width))  # (n, n, L) pair block
+              for n, atoms, pairs in _pair_blocks(sizes, x.shape[0], filt.shape[0],
+                                                  "ragged_message")]
+    out = np.empty_like(x.data)
+    for atoms, _, block in blocks:
+        out[atoms] = (block * x.data[atoms]).sum(axis=1)
 
-    def block_sums(v, axis):
-        out = np.empty_like(x.data)
-        for atoms, block in blocks:
-            out[atoms] = (block * np.expand_dims(v[atoms], 1 - axis)).sum(axis=axis)
-        return out
+    def dfilt(g):  # dfilt_ij = g_i x_j
+        grad = np.empty(filt.shape)
+        for atoms, pairs, block in blocks:
+            np.multiply(g[atoms, None], x.data[atoms], out=grad[pairs].reshape(block.shape))
+        return grad
 
-    parents = (
-        (filt, lambda g: np.concatenate(
-            [(g[atoms, None] * x.data[atoms]).reshape(-1, width) for atoms, _ in blocks])),
-        (x, lambda g: block_sums(g, 0)),
-    )
-    return _make(block_sums(x.data, 1), parents, "ragged_message")
+    def dx(g):  # einsum sums over i in order from +0.0, as numpy's reduction does
+        grad = np.empty_like(x.data)
+        for atoms, _, block in blocks:
+            np.einsum("ijl,il->jl", block, g[atoms], out=grad[atoms])
+        return grad
+
+    return _make(out, ((filt, dfilt), (x, dx)), "ragged_message")
 
 
 # -- elementwise unary primitives ---------------------------------------
@@ -428,17 +431,20 @@ def _is_basic_index(idx):
 
 def slice_(a, idx):
     """``a[idx]``. Backward writes a basic (int and slice) index into a zero
-    buffer by assignment; a fancy index, which may repeat elements, adds."""
+    buffer by assignment; a fancy index, which may repeat elements, sums each
+    element's contributions in index order with ``np.bincount`` over the flat
+    positions it picks."""
     a = as_tensor(a)
     out = a.data[idx]
     basic = _is_basic_index(idx)
 
     def _grad(g):
+        if not basic:
+            pos = np.arange(a.data.size).reshape(a.shape)[idx]
+            return np.bincount(pos.ravel(), weights=g.ravel(),
+                               minlength=a.data.size).reshape(a.shape)
         full = np.zeros_like(a.data)
-        if basic:
-            full[idx] = g
-        else:
-            np.add.at(full, idx, g)
+        full[idx] = g
         return full
 
     return _make(out, ((a, _grad),), "slice")

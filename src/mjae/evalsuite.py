@@ -19,7 +19,8 @@ from .autodiff import Tensor
 from .frames import molecule_frames
 from .molgraph import (DenseTensors, ELEMENTS, N_BOND_CATEGORIES, permute,
                        to_dense, validate_valence)
-from .network import detach_params, forward, fourier_embed, latents, per_molecule
+from .network import (detach_params, forward, fourier_embed, latents, per_molecule,
+                      self_paired_groups)
 from .schedule import alpha_beta
 from .training import adam_step, init_adam_state
 
@@ -278,10 +279,19 @@ def radius_of_gyration(graph):
 
 def pooled_embeddings(params, net_cfg, graphs, t=0.5):
     """Frozen mean-pooled latent per molecule (self-paired, fixed time), from
-    the latent stage of ``forward`` alone: no heads are built."""
-    dense = [to_dense(g) for g in graphs]
-    record = latents(detach_params(params), net_cfg, dense, dense, [t] * len(dense))
-    return record["latent"].pooled.data
+    the latent stage of ``forward`` alone: no heads are built.
+
+    The molecules advance in ``self_paired_groups`` and only each group's
+    pooled rows are kept, so what the probe holds does not grow with the
+    probe set beyond those rows.
+    """
+    params = detach_params(params)
+    pooled = np.empty((len(graphs), net_cfg.latent))
+    for group in self_paired_groups([g.n for g in graphs]):
+        dense = [to_dense(g) for g in graphs[group]]
+        pooled[group] = latents(params, net_cfg, dense, dense,
+                                [t] * len(dense))["latent"].pooled.data
+    return pooled
 
 
 def ridge_probe_mse(features, labels, seeds, ridge=1e-3, test_frac=0.2):

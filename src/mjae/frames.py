@@ -53,6 +53,16 @@ def local_frame(x_i, neighbors, weights=None):
     return np.stack([e1, e2, np.cross(e1, e2)])
 
 
+def _cross_rows(a, b):
+    """``np.cross`` of the rows of two (n, 3) arrays, from the same products
+    and differences, without its axis moves."""
+    out = np.empty_like(a)
+    for k, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[:, p], b[:, q], out=out[:, k])
+        out[:, k] -= a[:, q] * b[:, p]
+    return out
+
+
 def molecule_frames(positions, cutoff=DEFAULT_CUTOFF):
     """Per-atom frames as an (n, 3, 3) array, rows e1, e2, e3 of each atom's
     basis; the neighborhood is all other atoms within ``cutoff``
@@ -84,7 +94,7 @@ def molecule_frames(positions, cutoff=DEFAULT_CUTOFF):
     center = (weights @ positions) / weights.sum(axis=1, keepdims=True)
 
     e1 = positions - center
-    e2 = np.cross(center, positions)
+    e2 = _cross_rows(center, positions)
     norm1 = np.linalg.norm(e1, axis=1, keepdims=True)
     norm2 = np.linalg.norm(e2, axis=1, keepdims=True)
     # same fallback as local_frame: canonical axes when either axis vanishes
@@ -92,6 +102,6 @@ def molecule_frames(positions, cutoff=DEFAULT_CUTOFF):
     usable = ~((norm1 < DEGENERACY_EPS) | (norm2 < DEGENERACY_EPS))
     e1 = np.divide(e1, norm1, out=np.zeros_like(e1), where=usable)
     e2 = np.divide(e2, norm2, out=np.zeros_like(e2), where=usable)
-    basis = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
+    basis = np.stack([e1, e2, _cross_rows(e1, e2)], axis=1)
     basis[~usable[:, 0]] = _CANONICAL
     return basis

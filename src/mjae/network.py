@@ -318,6 +318,20 @@ def project(pooled, params):
 MAX_PAIR_ROWS = 1 << 14
 
 
+def self_paired_groups(sizes):
+    """Consecutive slices of molecules of ``sizes`` atoms, each as many as one
+    self-paired call (a molecule as its own conditioner, 2 n^2 pair rows)
+    holds within ``MAX_PAIR_ROWS``, and at least one molecule."""
+    start = rows = 0
+    for end, n in enumerate(sizes):
+        if end > start and rows + 2 * n * n > MAX_PAIR_ROWS:
+            yield slice(start, end)
+            start, rows = end, 0
+        rows += 2 * n * n
+    if len(sizes) > start:
+        yield slice(start, len(sizes))
+
+
 def _join(a, b):
     """Record of a batch from the records of its two halves (detached rows)."""
     if isinstance(a, dict):

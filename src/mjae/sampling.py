@@ -17,7 +17,7 @@ import numpy as np
 
 from .molgraph import (CHARGES, ELEMENTS, DenseTensors, N_BOND_CATEGORIES,
                        feature_width, make_graph)
-from .network import MAX_PAIR_ROWS, detach_params, forward, per_molecule
+from .network import detach_params, forward, per_molecule, self_paired_groups
 from .schedule import HORIZON, alpha_beta, drift_diffusion
 from .trajectory import project_zero_com, symmetrize_edge_noise
 
@@ -95,10 +95,9 @@ def generate(params, net_cfg, schedule, cfg, count):
     reverse step per path on its own stream.
     """
     params = detach_params(params)
-    group = max(1, MAX_PAIR_ROWS // (2 * cfg.n_atoms ** 2))
     molecules = []
-    for start in range(0, count, group):
-        rngs = [np.random.default_rng([cfg.seed, i]) for i in range(count)[start:start + group]]
+    for group in self_paired_groups([cfg.n_atoms] * count):
+        rngs = [np.random.default_rng([cfg.seed, i]) for i in range(count)[group]]
         states = [prior_sample(cfg.n_atoms, schedule, rng) for rng in rngs]
         for t, dt in time_grid(cfg.t_end, cfg.steps):
             scale = 1.0 / alpha_beta(schedule, t)[1]

@@ -7,6 +7,11 @@ from mjae import autodiff as ad
 from mjae.autodiff import ShapeError, TapeError, Tensor
 
 
+def _same_bits(a, b):
+    """Equal shapes and bits (unlike ``np.array_equal``, -0.0 is not 0.0)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_matmul_shape_rule():
     out = ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))))
     assert out.shape == (2, 4)
@@ -147,6 +152,20 @@ def test_slice_gradient_basic_and_fancy_indices(rng):
     assert np.array_equal(x.grad, expect)
     _check(lambda t: ad.sum_(ad.square(t[2])), rng.standard_normal((3, 4)))
     _check(lambda t: ad.sum_(ad.square(t[np.array([2, 0, 2])])), rng.standard_normal((3, 4)))
+    # repeated rows of a (P, 1) column and of 128-wide rows, a 1-D tensor and
+    # a diagonal pick sum in np.add.at's order, bit for bit
+    for shape, idx in (((40, 1), rng.integers(0, 40, 300)),
+                       ((40, 128), rng.integers(0, 40, 300)),
+                       ((40,), rng.integers(0, 40, 300)),
+                       ((6, 6), (np.arange(6), np.arange(6)))):
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        out = x[idx]
+        g = rng.standard_normal(out.shape)
+        g.flat[0] = -0.0
+        ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+        expect = np.zeros(shape)
+        np.add.at(expect, idx, g)
+        assert _same_bits(x.grad, expect)
 
 
 def test_linear_gradients_of_each_operand(rng):
@@ -190,6 +209,38 @@ def test_ragged_message_matches_dense_blocks_and_fd(rng):
         ad.ragged_message(Tensor(filt0[1:]), Tensor(x0), sizes)
     with pytest.raises(ShapeError, match="ragged_message"):
         ad.ragged_message(Tensor(filt0), Tensor(x0), (2, 2, 2))
+
+
+@pytest.mark.parametrize("width", [1, 6, 128])
+def test_ragged_message_bitwise_to_block_products(width, rng):
+    """Forward and both gradients equal, bit for bit, the block products
+    summed by numpy's reduction, on molecules of 1, 2, 9 and 33 atoms. The
+    x gradient of column 0 and of the 1-atom molecule sums terms that are all
+    -0.0, and column 1 sums -0.0 and +0.0 terms: the sign of such a zero
+    sum is compared too."""
+    sizes = (1, 2, 9, 33)
+    filt0 = rng.standard_normal((sum(n * n for n in sizes), width))
+    g = rng.standard_normal((sum(sizes), width))
+    filt0[:, 0] = np.abs(filt0[:, 0])
+    g[:, 0] = -0.0
+    g[0] = np.copysign(0.0, -filt0[0])
+    if width > 1:
+        g[:, 1] = rng.choice([-0.0, 0.0], size=g.shape[0])
+    filt = Tensor(filt0, requires_grad=True)
+    x = Tensor(rng.standard_normal(g.shape), requires_grad=True)
+    out = ad.ragged_message(filt, x, sizes)
+    ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+    msgs, dfilt, dx, atom, row = [], [], [], 0, 0
+    for n in sizes:
+        block = filt.data[row:row + n * n].reshape(n, n, width)
+        xs, gs = x.data[atom:atom + n], g[atom:atom + n]
+        msgs.append((block * np.expand_dims(xs, 0)).sum(axis=1))
+        dfilt.append((gs[:, None] * xs).reshape(-1, width))
+        dx.append((block * np.expand_dims(gs, 1)).sum(axis=0))
+        atom, row = atom + n, row + n * n
+    assert _same_bits(out.data, np.concatenate(msgs))
+    assert _same_bits(filt.grad, np.concatenate(dfilt))
+    assert _same_bits(x.grad, np.concatenate(dx))
 
 
 def test_block_primitives_make_each_molecules_own_call(rng):

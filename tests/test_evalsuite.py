@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,36 @@ def test_pooled_embeddings_shape(rng):
     graphs = toy_corpus(count=4, seed=6)
     feats = pooled_embeddings(params, cfg, graphs)
     assert feats.shape == (4, cfg.latent)
+
+
+def test_pooled_embeddings_groups_keep_each_molecules_bits(rng, monkeypatch):
+    """Molecules advance in groups within the pair-row budget; a molecule's
+    pooled row does not depend on its group."""
+    cfg = small_net_config()
+    params = init_params(cfg, rng)
+    graphs = toy_corpus(count=9, seed=6)
+    whole = pooled_embeddings(params, cfg, graphs)
+    calls, real_latents = [], evalsuite.latents
+    monkeypatch.setattr(evalsuite, "latents",
+                        lambda *a: calls.append(len(a[2])) or real_latents(*a))
+    monkeypatch.setattr(network, "MAX_PAIR_ROWS", 2 * 14 ** 2)
+    assert np.array_equal(pooled_embeddings(params, cfg, graphs), whole)
+    assert sum(calls) == len(graphs) and len(calls) > 3
+
+
+def test_probe_working_set_does_not_grow_with_probe_set():
+    """Only each group's pooled rows are kept: from 200 to 800 molecules the
+    peak grows by at most twice the extra pooled rows' bytes."""
+    cfg = network.NetworkConfig()
+    params = init_params(cfg, np.random.default_rng(0))
+    peaks = {}
+    for count in (200, 800):
+        graphs = toy_corpus(count=count, seed=5)
+        tracemalloc.start()
+        pooled_embeddings(params, cfg, graphs)
+        peaks[count] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[800] - peaks[200] <= 2 * 600 * cfg.latent * 8
 
 
 def test_ridge_probe_degenerate_labels(rng):

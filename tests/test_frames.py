@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import methane_graph, water_graph
+from mjae import frames
 from mjae.evalsuite import random_rotation
 from mjae.frames import local_frame, molecule_frames
 
@@ -121,6 +123,23 @@ def test_molecule_frames_match_per_atom_reference(rng):
         got = molecule_frames(pos)
         want = np.stack(_per_atom_frames(pos))
         assert np.abs(got - want).max() < 1e-12
+
+
+def test_molecule_frames_bitwise_to_np_cross(rng, monkeypatch):
+    """The row-wise cross products give np.cross's bits, on random clouds and
+    on degenerate ones (a line through the origin, a centered pair,
+    coincident atoms, water and methane)."""
+    clouds = [rng.standard_normal((n, 3)) * scale
+              for n in (2, 3, 9, 33) for scale in (0.5, 3.0)]
+    clouds += [np.array([[-2.0, 0, 0], [-0.5, 0, 0], [1.0, 0, 0], [1.5, 0, 0]]),
+               np.array([[0.0, 0, 0.7], [0.0, 0, -0.7]]), np.zeros((4, 3)),
+               water_graph().positions, methane_graph().positions]
+    got = [molecule_frames(pos) for pos in clouds]
+    a, b = rng.standard_normal((2, 40, 3))
+    assert np.array_equal(frames._cross_rows(a, b), np.cross(a, b))
+    monkeypatch.setattr(frames, "_cross_rows", np.cross)
+    for pos, frame in zip(clouds, got):
+        assert np.array_equal(frame, molecule_frames(pos))
 
 
 def test_molecule_frames_canonical_fallbacks():

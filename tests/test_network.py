@@ -517,3 +517,14 @@ def test_detach_params(cfg, params):
     frozen = detach_params(params)
     assert all(not v.requires_grad for v in frozen.values())
     assert all(frozen[k].data is params[k].data for k in params)
+
+
+def test_self_paired_groups_fill_the_budget(monkeypatch):
+    """Consecutive molecules share a group while their 2 n^2 pair rows fit
+    the budget, a group may fill it exactly, and a molecule over it runs
+    alone."""
+    monkeypatch.setattr(network, "MAX_PAIR_ROWS", 100)
+    sizes = [5, 5, 6, 3, 10, 1, 2]
+    assert [sizes[g] for g in network.self_paired_groups(sizes)] == [
+        [5, 5], [6, 3], [10], [1, 2]]
+    assert list(network.self_paired_groups([])) == []

@@ -182,7 +182,7 @@ def test_generate_advances_paths_together_bitwise(schedule, lam, rng, monkeypatc
     generate(params, net_cfg, schedule, cfg, 3)
     assert batch_sizes == [3] * cfg.steps
     # a budget of 2 paths (2 n^2 pair rows each) runs paths 0-1, then path 2
-    monkeypatch.setattr(sampling, "MAX_PAIR_ROWS", 2 * 2 * cfg.n_atoms ** 2 + 1)
+    monkeypatch.setattr(network, "MAX_PAIR_ROWS", 2 * 2 * cfg.n_atoms ** 2 + 1)
     generate(params, net_cfg, schedule, cfg, 3)
     assert batch_sizes[cfg.steps:] == [2] * cfg.steps + [1] * cfg.steps
     assert len(finals) == 6
@@ -198,7 +198,7 @@ def test_generate_working_set_does_not_grow_with_count(rng, monkeypatch):
     net_cfg = small_net_config()
     params = init_params(net_cfg, rng)
     cfg = SamplerConfig(steps=2, n_atoms=16, seed=3)
-    monkeypatch.setattr(sampling, "MAX_PAIR_ROWS", 2 * 2 * cfg.n_atoms ** 2)
+    monkeypatch.setattr(network, "MAX_PAIR_ROWS", 2 * 2 * cfg.n_atoms ** 2)
     held = {}
     for count in (4, 32):
         tracemalloc.start()
