@@ -58,6 +58,26 @@ def _file_hash(path):
     return h.hexdigest()
 
 
+def strict_json(obj, what):
+    """``obj`` as indented JSON. A NaN or infinity, which JSON cannot hold, is
+    a ValueError that names where it sits, raised before any file is opened."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{what} holds {_nonfinite(obj)}, which JSON cannot hold") from None
+
+
+def _nonfinite(obj, path=""):
+    """``"<path> = <value>"`` of the first NaN or infinity in ``obj``."""
+    if isinstance(obj, dict):
+        found = (_nonfinite(v, f"{path}.{k}" if path else k) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        found = (_nonfinite(v, f"{path}[{i}]") for i, v in enumerate(obj))
+    else:
+        return f"{path} = {obj}" if isinstance(obj, float) and not np.isfinite(obj) else None
+    return next(filter(None, found), None)
+
+
 def write_manifest(out_path, command, config, seed, inputs, outputs, started):
     """Atomic run manifest: what ran, on what, producing what."""
     snapshot = {k: v for k, v in config.items()
@@ -71,9 +91,10 @@ def write_manifest(out_path, command, config, seed, inputs, outputs, started):
         "outputs": outputs,
         "wall_time_s": round(time.time() - started, 3),
     }
+    text = strict_json(manifest, "manifest")
     tmp = out_path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        fh.write(text)
     os.replace(tmp, out_path)
 
 
@@ -162,8 +183,9 @@ def cmd_pretrain(args):
                     meta={"net": asdict(net_cfg), "schedule": asdict(cfg.schedule),
                           "epochs": cfg.epochs})
     if args.loss_log:
+        text = strict_json(history, "loss log")
         with open(args.loss_log, "w") as fh:
-            json.dump(history, fh, indent=2)
+            fh.write(text)
     write_manifest(args.out + ".manifest.json", "pretrain", vars(args),
                    args.seed, [args.dataset], [args.out], started)
     return 0
@@ -294,10 +316,11 @@ def cmd_selftest(args):
 
 
 def _emit_report(report, path):
+    text = strict_json(report, "report")
     if path:
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    print(json.dumps(report, indent=2, default=str))
+            fh.write(text)
+    print(text)
 
 
 # -- parser --------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, asdict
+from itertools import chain, islice
 
 import numpy as np
 
@@ -49,6 +50,18 @@ class SymmetryReport:
         return asdict(self)
 
 
+# the residuals of each molecule, in the order of their SymmetryReport fields
+_RESIDUALS = ("rotation_3d", "rotation_2d", "rotation_h", "rotation_embedding",
+              "permutation", "reflection")
+_PER_MOLECULE = ("rotation_3d", "rotation_2d", "permutation", "reflection")
+
+
+def _fold(worst, key, *residuals):
+    """``worst[key]`` raised to the largest |entry| of ``residuals``; a NaN
+    anywhere makes it NaN (``np.max`` keeps it, Python's ``max`` may not)."""
+    worst[key] = float(np.max([worst[key], *(np.abs(r).max() for r in residuals)]))
+
+
 def _rotate(dense, r):
     return DenseTensors(H=dense.H, E=dense.E, P=dense.P @ r.T)
 
@@ -60,65 +73,50 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
     Equivariance / invariance is architectural, so a random-init model should
     already pass; residuals are float round-off only. Each probe molecule's
     views (itself, its rotations, its permutations and its point reflection)
-    run as one ``forward``.
+    advance in ``self_paired_groups``: a view is built when its group runs,
+    and each group's residuals are folded into the running worst values,
+    which keep a NaN, before its outputs are dropped.
     """
     params = detach_params(params)
     rng = np.random.default_rng(seed)
     reports = []
-    rot3d = rot2d = roth = rotemb = permres = reflres = 0.0
+    total = dict.fromkeys(_RESIDUALS, 0.0)
     pattern_ok = True
     for graph in probe_set:
         dense = to_dense(graph)
         rotations = [random_rotation(rng) for _ in range(n_rotations)]
         perms = [rng.permutation(graph.n) for _ in range(n_permutations)]
-        views = [dense, *(_rotate(dense, r) for r in rotations),
-                 *(to_dense(permute(graph, perm)) for perm in perms),
-                 DenseTensors(H=dense.H, E=dense.E, P=-dense.P)]
-        base, *heads = per_molecule(forward(params, net_cfg, views, views, [t] * len(views)))
-        mol = {"n": graph.n}
+        views = chain([dense], (_rotate(dense, r) for r in rotations),  # built lazily
+                      (to_dense(permute(graph, perm)) for perm in perms),
+                      [DenseTensors(H=dense.H, E=dense.E, P=-dense.P)])
+        worst = dict.fromkeys(_RESIDUALS, 0.0)
+        for group in self_paired_groups([graph.n] * (n_rotations + n_permutations + 2)):
+            batch = list(islice(views, group.stop - group.start))
+            outs = per_molecule(forward(params, net_cfg, batch, batch, [t] * len(batch)))
+            if group.start == 0:
+                base = outs[0]
+            for k, got in zip(range(group.start, group.stop), outs):
+                if 0 < k <= n_rotations:
+                    r = rotations[k - 1]
+                    _fold(worst, "rotation_3d", got["score_P"] - base["score_P"] @ r.T)
+                    _fold(worst, "rotation_2d", got["score_E"] - base["score_E"])
+                    _fold(worst, "rotation_h", got["score_H"] - base["score_H"])
+                    _fold(worst, "rotation_embedding", got["projection"] - base["projection"])
+                elif n_rotations < k <= n_rotations + n_permutations:
+                    perm = perms[k - 1 - n_rotations]
+                    _fold(worst, "permutation", got["score_P"] - base["score_P"][perm],
+                          got["score_H"] - base["score_H"][perm],
+                          got["score_E"] - base["score_E"][np.ix_(perm, perm)],
+                          got["projection"] - base["projection"])
+                elif k > 0:  # the point reflection, the last view
+                    residual, ok = _reflection_check(dense, base, got)
+                    _fold(worst, "reflection", residual)
+                    pattern_ok = pattern_ok and ok
+        reports.append({"n": graph.n, **{key: worst[key] for key in _PER_MOLECULE}})
+        for key, value in worst.items():
+            _fold(total, key, value)
 
-        worst3d = worst2d = worsth = worstemb = 0.0
-        for r, got in zip(rotations, heads):
-            worst3d = max(worst3d, np.abs(got["score_P"] - base["score_P"] @ r.T).max())
-            worst2d = max(worst2d, np.abs(got["score_E"] - base["score_E"]).max())
-            worsth = max(worsth, np.abs(got["score_H"] - base["score_H"]).max())
-            worstemb = max(worstemb, np.abs(got["projection"] - base["projection"]).max())
-        mol["rotation_3d"] = worst3d
-        mol["rotation_2d"] = worst2d
-
-        worstperm = 0.0
-        for perm, got in zip(perms, heads[n_rotations:]):
-            worstperm = max(
-                worstperm,
-                np.abs(got["score_P"] - base["score_P"][perm]).max(),
-                np.abs(got["score_H"] - base["score_H"][perm]).max(),
-                np.abs(got["score_E"] - base["score_E"][np.ix_(perm, perm)]).max(),
-                np.abs(got["projection"] - base["projection"]).max(),
-            )
-        mol["permutation"] = worstperm
-
-        worstrefl, ok = _reflection_check(dense, base, heads[-1])
-        mol["reflection"] = worstrefl
-        reports.append(mol)
-
-        rot3d = max(rot3d, worst3d)
-        rot2d = max(rot2d, worst2d)
-        roth = max(roth, worsth)
-        rotemb = max(rotemb, worstemb)
-        permres = max(permres, worstperm)
-        reflres = max(reflres, worstrefl)
-        pattern_ok = pattern_ok and ok
-
-    return SymmetryReport(
-        rotation_equivariance_3d=float(rot3d),
-        rotation_invariance_2d=float(rot2d),
-        rotation_invariance_h=float(roth),
-        rotation_invariance_embedding=float(rotemb),
-        permutation_residual=float(permres),
-        reflection_coefficient_residual=float(reflres),
-        reflection_axis_pattern_ok=bool(pattern_ok),
-        per_molecule=reports,
-    )
+    return SymmetryReport(*total.values(), bool(pattern_ok), reports)
 
 
 def _reflection_check(dense, base_out, refl_out):
@@ -130,16 +128,16 @@ def _reflection_check(dense, base_out, refl_out):
     ``dense`` and of its reflection."""
     base_frames = molecule_frames(dense.P)
     refl_frames = molecule_frames(-dense.P)
-    worst_axes = max(np.abs(refl_frames[:, 0] + base_frames[:, 0]).max(),
-                     np.abs(refl_frames[:, 1] - base_frames[:, 1]).max(),
-                     np.abs(refl_frames[:, 2] + base_frames[:, 2]).max())
     coeffs = base_out["coeffs_P"]  # invariant
     # predicted reflected field: e1/e3 components flip, e2 survives
     raw = (-coeffs[:, :1] * base_frames[:, 0] + coeffs[:, 1:2] * base_frames[:, 1]
            - coeffs[:, 2:] * base_frames[:, 2])
     predicted = raw - raw.mean(axis=0, keepdims=True)
     got = refl_out["score_P"]
-    worst = max(worst_axes, np.abs(got - predicted).max())
+    worst = np.max([np.abs(refl_frames[:, 0] + base_frames[:, 0]).max(),  # keeps a NaN
+                    np.abs(refl_frames[:, 1] - base_frames[:, 1]).max(),
+                    np.abs(refl_frames[:, 2] + base_frames[:, 2]).max(),
+                    np.abs(got - predicted).max()])
     # negative control: a plain sign flip would miss the surviving e2 part
     plain = np.abs(got + base_out["score_P"]).max()
     e2_mag = np.abs(coeffs[:, 1]).max()

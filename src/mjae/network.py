@@ -23,7 +23,9 @@ batch of (conditioner, input, time) triples, owns every encoding and runs
 every stage after the encoders once over the whole batch. Atom rows and pair
 rows (n^2 per molecule) of all molecules are stacked, and each GEMM and
 reduction runs per molecule block (``autodiff``'s block primitives), so a
-molecule's outputs are bit for bit those of a forward of it alone.
+molecule's outputs are bit for bit those of a forward of it alone. Callers
+bound their own batches: sampling, eval and the probe advance in
+``self_paired_groups``, and a training batch runs whole.
 """
 
 from __future__ import annotations
@@ -312,9 +314,9 @@ def project(pooled, params):
 
 # -- full forward --------------------------------------------------------
 
-# Pair rows (sum of n^2 over conditioners, inputs and anchors) one detached
-# forward encodes at once; each row costs a few KB of working arrays across
-# encoders and heads.
+# Pair rows (sum of n^2 over conditioners and inputs) one group of
+# ``self_paired_groups`` encodes at once; each row costs a few KB of working
+# arrays across encoders and heads.
 MAX_PAIR_ROWS = 1 << 14
 
 
@@ -332,37 +334,6 @@ def self_paired_groups(sizes):
         yield slice(start, len(sizes))
 
 
-def _join(a, b):
-    """Record of a batch from the records of its two halves (detached rows)."""
-    if isinstance(a, dict):
-        return {key: _join(a[key], b[key]) for key in a}
-    if isinstance(a, LatentRepresentation):
-        return LatentRepresentation(_join(a.node_h, b.node_h), _join(a.pooled, b.pooled),
-                                    a.sizes + b.sizes)
-    return Tensor(np.concatenate([a.data, b.data]))
-
-
-def _bounded(stage):
-    """``stage`` on detached parameters and a batch of more than
-    ``MAX_PAIR_ROWS`` pair rows runs as its two halves, and their records are
-    joined, so callers hand over their whole set and the working arrays of one
-    call stay bounded. On trainable parameters the batch runs whole: every
-    half's tape would live until backward, so halving would not lower the
-    peak."""
-    @functools.wraps(stage)
-    def run(params, cfg, conds, inputs, times, anchors=None):
-        mols = [*conds, *inputs, *(anchors or [])]
-        if (len(conds) > 1 and sum(m.n * m.n for m in mols) > MAX_PAIR_ROWS
-                and not any(p.requires_grad for p in params.values())):
-            h = len(conds) // 2
-            first = run(params, cfg, conds[:h], inputs[:h], times[:h], anchors and anchors[:h])
-            second = run(params, cfg, conds[h:], inputs[h:], times[h:], anchors and anchors[h:])
-            return _join(first, second)
-        return stage(params, cfg, conds, inputs, times, anchors)
-    return run
-
-
-@_bounded
 def latents(params, cfg, conds, inputs, times, anchors=None):
     """Latent stage of ``forward``: the record ``{"latent"}`` of the
     (conditioner, input, time) triples, plus ``"anchor_pooled"``, the pooled
@@ -412,7 +383,6 @@ def heads(record, params, cfg, conds, inputs):
     return out
 
 
-@_bounded
 def forward(params, cfg, conds, inputs, times, anchors=None):
     """Run the full pipeline on a batch of (conditioner, input, time) triples.
 
@@ -424,6 +394,10 @@ def forward(params, cfg, conds, inputs, times, anchors=None):
     a noise-prediction parametrization well-conditioned near t = 0). With
     ``anchors``, it also holds ``"anchor"``, the projections of the latents of
     (conditioner, anchor, time): each molecule's contrastive view.
+
+    The batch runs whole, so callers bound their own batches: detached
+    callers advance in ``self_paired_groups``, and a training batch runs
+    whole, since the tapes of its parts would all live until backward.
     """
     return heads(latents(params, cfg, conds, inputs, times, anchors), params, cfg,
                  conds, inputs)

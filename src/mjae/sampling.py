@@ -89,10 +89,10 @@ def generate(params, net_cfg, schedule, cfg, count):
 
     Each state is also its own clean conditioner (the only structure
     available at generation time), so a path holds 2 n^2 pair rows. The
-    reverse paths advance in groups of as many as one ``forward`` holds within
-    ``MAX_PAIR_ROWS``, so what the integration holds does not grow with
-    ``count``. Each step of a group is one ``forward`` of its states, then one
-    reverse step per path on its own stream.
+    reverse paths advance in ``self_paired_groups``, so what the integration
+    holds does not grow with ``count``. Each step of a group is one
+    ``forward`` of its states, then one reverse step per path on its own
+    stream.
     """
     params = detach_params(params)
     molecules = []

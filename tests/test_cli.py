@@ -259,6 +259,26 @@ def test_eval_probe_set_without_valid_records_is_runtime_error(trained, tmp_path
     assert "error: no valid records in probe set" in err
 
 
+FAR_RECORD = ('{"atoms":[{"el":"O","xyz":[1e154,1e154,1e154]},{"el":"H","xyz":[1,0,0]},'
+              '{"el":"H","xyz":[0,1,0]}],"bonds":[[0,1,1],[0,2,1]]}')
+
+
+def test_eval_nonfinite_residual_is_runtime_error_without_report(trained, tmp_path, capsys):
+    """A coordinate of 1e154 makes a symmetry residual NaN; strict JSON cannot
+    hold it, so eval names it, exits 1 and writes no report."""
+    ck, _, _ = trained
+    data = tmp_path / "far.jsonl"
+    data.write_text(FAR_RECORD + "\n")
+    report = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        rc = main(["eval", ck, "--probe-set", str(data), "--n-rotations", "2",
+                   "--report", str(report)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: report holds symmetry.") and "= nan" in err
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_eval_nothing_to_do(trained):
     ck, _, _ = trained
     assert main(["eval", ck]) == 2

@@ -34,7 +34,8 @@ def test_symmetry_report_random_init(rng, monkeypatch):
         len(conds)) or real_forward(p, c, conds, *rest))
     rep = symmetry_report(params, cfg, probes, n_rotations=5,
                           n_permutations=5)
-    # one forward per probe: the molecule, 5 rotations, 5 permutations, reflection
+    # one group per small probe: the molecule, 5 rotations, 5 permutations,
+    # reflection
     assert views == [12] * 3
     assert rep.rotation_equivariance_3d < 1e-4
     assert rep.rotation_invariance_2d < 1e-5
@@ -45,6 +46,75 @@ def test_symmetry_report_random_init(rng, monkeypatch):
     assert rep.reflection_axis_pattern_ok
     assert len(rep.per_molecule) == 3
     assert isinstance(rep.as_dict(), dict)
+
+
+def _bits(value):
+    """``value`` with every float replaced by its uint64 view."""
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, float):
+        return int(np.float64(value).view(np.uint64))
+    return value
+
+
+def test_symmetry_report_groups_keep_each_views_bits(rng, monkeypatch):
+    """A probe's views advance in ``self_paired_groups``; a view's residuals
+    do not depend on its group, so a budget that splits the views gives the
+    same report bit for bit."""
+    cfg = small_net_config()
+    params = init_params(cfg, rng)
+    probes = [water_graph(), *toy_corpus(count=3, seed=2)]
+    whole = symmetry_report(params, cfg, probes, n_rotations=5, n_permutations=5)
+    views, real_forward = [], evalsuite.forward
+    monkeypatch.setattr(evalsuite, "forward", lambda p, c, conds, *rest: views.append(
+        len(conds)) or real_forward(p, c, conds, *rest))
+    monkeypatch.setattr(network, "MAX_PAIR_ROWS", 200)
+    split = symmetry_report(params, cfg, probes, n_rotations=5, n_permutations=5)
+    assert sum(views) == 12 * len(probes) and len(views) > 2 * len(probes)
+    assert _bits(split.as_dict()) == _bits(whole.as_dict())
+
+
+def test_symmetry_report_working_set_does_not_grow_with_views():
+    """Each group's outputs are dropped once its residuals are folded: on a
+    ~50-atom probe the peak grows by under 1 MB from 12 to 42 views."""
+    cfg = network.NetworkConfig()
+    params = init_params(cfg, np.random.default_rng(0))
+    probe = random_molecule(np.random.default_rng(0), n_heavy=24)
+    assert probe.n == 50
+    peaks = {}
+    for count in (5, 20):
+        tracemalloc.start()
+        symmetry_report(params, cfg, [probe], n_rotations=count, n_permutations=count)
+        peaks[count] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[20] - peaks[5] < 1 << 20
+
+
+def test_symmetry_report_keeps_a_nan_residual(rng, monkeypatch):
+    """A NaN in one rotation view's 3D score makes that molecule's
+    ``rotation_3d`` and the headline residual NaN, whatever comes after it."""
+    cfg = small_net_config()
+    params = init_params(cfg, rng)
+    probes = toy_corpus(count=2, seed=2)
+    calls, real_forward = [], evalsuite.forward
+
+    def nan_in_first_rotation(p, c, conds, *rest):
+        record = real_forward(p, c, conds, *rest)
+        if not calls:  # the first probe's views: view 1 is its first rotation
+            record["score_P"].data[conds[0].n, 0] = np.nan
+        calls.append(len(conds))
+        return record
+
+    monkeypatch.setattr(evalsuite, "forward", nan_in_first_rotation)
+    rep = symmetry_report(params, cfg, probes, n_rotations=5, n_permutations=5)
+    assert calls == [12, 12]
+    assert np.isnan(rep.per_molecule[0]["rotation_3d"])
+    assert np.isnan(rep.rotation_equivariance_3d)
+    assert np.isfinite(rep.per_molecule[1]["rotation_3d"])
+    assert all(type(v) is float for mol in rep.per_molecule for k, v in mol.items()
+               if k != "n")
 
 
 def test_symmetry_report_sabotage_negative_control(rng, monkeypatch):

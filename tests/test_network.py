@@ -353,25 +353,21 @@ def _noisy(rng, m):
                         P=m.P + 0.2 * rng.standard_normal(m.P.shape))
 
 
-def test_batched_forward_matches_molecules_alone(cfg, params, rng, monkeypatch):
+def test_batched_forward_matches_molecules_alone(cfg, params, rng):
     """One forward over triples of 1, 2, 5 and 14 atoms gives each triple's
     outputs and anchor view bit for bit, and its gradients, as a forward of
-    that triple alone. Over a pair-row budget, a forward on detached
-    parameters splits in halves with the same outputs; one on trainable
-    parameters runs whole."""
+    that triple alone."""
     conds = [_molecule_of(rng, n) for n in (1, 2, 5, 14)]
     inputs = [_noisy(rng, m) for m in conds]
     times = [0.1, 0.4, 0.7, 0.95]
     keys = ("projection", "anchor", "score_P", "score_E", "score_H")
 
-    def run(groups, trainable=True):
-        leaves = {k: Tensor(v.data, requires_grad=trainable) for k, v in params.items()}
+    def run(groups):
+        leaves = {k: Tensor(v.data, requires_grad=True) for k, v in params.items()}
         records = [forward(leaves, cfg, [conds[i] for i in idx], [inputs[i] for i in idx],
                            [times[i] for i in idx], anchors=[conds[i] for i in idx])
                    for idx in groups]
         values = [mol for record in records for mol in per_molecule(record)]
-        if not trainable:
-            return values, None
         # a fixed random linear functional of every output of each molecule
         # (the projections have unit norm, so their squares would have no
         # gradient)
@@ -398,27 +394,6 @@ def test_batched_forward_matches_molecules_alone(cfg, params, rng, monkeypatch):
     assert set(batched_grads) == set(alone_grads) == set(params)
     for name, ref in alone_grads.items():
         assert np.linalg.norm(batched_grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
-
-    # 3 n^2 pair rows per triple (conditioner, input, anchor) against a budget
-    # of 150: the detached batch halves, then its second half halves again
-    encoded, real_encode = [], network.encode
-    monkeypatch.setattr(network, "MAX_PAIR_ROWS", 150)
-    monkeypatch.setattr(network, "encode", lambda mols, *rest: encoded.append(
-        [m.n for m in mols]) or real_encode(mols, *rest))
-    split, _ = run([range(4)], trainable=False)
-    # the calls over budget hold the views of one molecule only
-    assert encoded == [[1, 2], [1, 2, 1, 2], [5], [5, 5], [14], [14, 14]]
-    for got, ref in zip(split, batched, strict=True):
-        for k in ref:
-            assert np.array_equal(got[k], ref[k]), k
-    # every half's tape would live until backward, so a trainable batch runs whole
-    encoded.clear()
-    whole, whole_grads = run([range(4)])
-    assert encoded == [[1, 2, 5, 14], [1, 2, 5, 14] * 2]
-    for got, ref in zip(whole, batched, strict=True):
-        for k in ref:
-            assert np.array_equal(got[k], ref[k]), k
-    assert all(np.array_equal(whole_grads[k], v) for k, v in batched_grads.items())
 
 
 def _one_molecule_heads(params, cfg, f0, ft, cond, xt, anchor_ft, anchor, t):
