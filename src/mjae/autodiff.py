@@ -151,14 +151,22 @@ def _pair_blocks(sizes, atoms, pairs, op):
                     _row_blocks([n * n for n in sizes], pairs, op)))
 
 
-def _matmul_rows(x, w, rows, op):
-    """``x @ w``; with ``rows``, one GEMM per block of consecutive rows of x."""
+def _gemm(x, w, b, rows, op):
+    """The tape node of ``x @ w`` (plus ``b`` when given); with ``rows``, x runs
+    as blocks of that many rows, one GEMM each. The weight gradient is a
+    ``_RightOperandGrad`` over all rows, so ``backward`` stacks it with the
+    weight's other uses."""
     if rows is None:
-        return x @ w
-    out = np.empty((x.shape[0], w.shape[1]))
-    for block in _row_blocks(rows, x.shape[0], op):
-        out[block] = x[block] @ w
-    return out
+        out = x.data @ w.data
+    else:
+        out = np.empty((x.shape[0], w.shape[1]))
+        for block in _row_blocks(rows, x.shape[0], op):
+            out[block] = x.data[block] @ w.data
+    parents = [(x, lambda g: g @ w.data.T), (w, _RightOperandGrad(x.data))]
+    if b is not None:
+        out += b.data
+        parents.append((b, lambda g: g.sum(axis=0)))
+    return _make(out, tuple(parents), op)
 
 
 def matmul(a, b, rows=None):
@@ -166,36 +174,38 @@ def matmul(a, b, rows=None):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    out = _matmul_rows(a.data, b.data, rows, "matmul")
-    parents = (
-        (a, lambda g: g @ b.data.T),
-        (b, _RightOperandGrad(a.data)),
-    )
-    return _make(out, parents, "matmul")
+    return _gemm(a, b, None, rows, "matmul")
 
 
 def linear(x, w, b, rows=None):
     """``x @ w + b`` for a row batch ``x`` (m, k), weight ``w`` (k, n) and
     bias ``b`` (n,), as one tape node; with ``rows``, x runs as blocks of that
-    many rows, one GEMM each. The weight gradient is a ``_RightOperandGrad``
-    over all rows, so ``backward`` stacks it with the weight's other uses."""
+    many rows, one GEMM each."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != (w.shape[1],)):
         raise ShapeError(f"linear: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
-    out = _matmul_rows(x.data, w.data, rows, "linear")
-    out += b.data
-    parents = (
-        (x, lambda g: g @ w.data.T),
-        (w, _RightOperandGrad(x.data)),
-        (b, lambda g: g.sum(axis=0)),
-    )
-    return _make(out, parents, "linear")
+    return _gemm(x, w, b, rows, "linear")
 
 
 def _check_pair_values(a, op):
     if a.data.ndim != 2 or a.shape[1] != 1:
         raise ShapeError(f"{op}: pair values {a.shape} are not one column of pair rows")
+
+
+def _block_times_rows(values, rows, blocks, transpose):
+    """Each molecule's (n, n) block of pair ``values`` (or its transpose) @ its
+    atom ``rows``: atom rows."""
+    out = np.empty_like(rows)
+    for n, atoms, pairs in blocks:
+        block = values[pairs].reshape(n, n)
+        out[atoms] = (block.T if transpose else block) @ rows[atoms]
+    return out
+
+
+def _rows_times_rows(a, b, blocks):
+    """Each molecule's ``a @ b.T`` of its atom rows, as pair rows (P, 1)."""
+    return np.concatenate([(a[atoms] @ b[atoms].T).reshape(-1, 1) for _, atoms, _ in blocks])
 
 
 def pair_matmul(w, x, sizes):
@@ -207,22 +217,9 @@ def pair_matmul(w, x, sizes):
     if x.data.ndim != 2:
         raise ShapeError(f"pair_matmul: atom rows {x.shape} are not a matrix")
     blocks = _pair_blocks(sizes, x.shape[0], w.shape[0], "pair_matmul")
-    out = np.empty_like(x.data)
-    for n, atoms, pairs in blocks:
-        out[atoms] = w.data[pairs].reshape(n, n) @ x.data[atoms]
-
-    def dx(g):
-        grad = np.empty_like(x.data)
-        for n, atoms, pairs in blocks:
-            grad[atoms] = w.data[pairs].reshape(n, n).T @ g[atoms]
-        return grad
-
-    parents = (
-        (w, lambda g: np.concatenate([(g[atoms] @ x.data[atoms].T).reshape(-1, 1)
-                                      for _, atoms, _ in blocks])),
-        (x, dx),
-    )
-    return _make(out, parents, "pair_matmul")
+    return _make(_block_times_rows(w.data, x.data, blocks, False),
+                 ((w, lambda g: _rows_times_rows(g, x.data, blocks)),
+                  (x, lambda g: _block_times_rows(w.data, g, blocks, True))), "pair_matmul")
 
 
 def pair_inner(q, k, sizes):
@@ -232,19 +229,9 @@ def pair_inner(q, k, sizes):
     if q.data.ndim != 2 or q.shape != k.shape:
         raise ShapeError(f"pair_inner: atom rows {q.shape} and {k.shape}")
     blocks = _pair_blocks(sizes, q.shape[0], sum(n * n for n in sizes), "pair_inner")
-    out = np.concatenate([(q.data[atoms] @ k.data[atoms].T).reshape(-1, 1)
-                          for _, atoms, _ in blocks])
-
-    def grad_of(other, transpose):
-        def grad(g):
-            rows = np.empty_like(other)
-            for n, atoms, pairs in blocks:
-                block = g[pairs].reshape(n, n)
-                rows[atoms] = (block.T if transpose else block) @ other[atoms]
-            return rows
-        return grad
-
-    return _make(out, ((q, grad_of(k.data, False)), (k, grad_of(q.data, True))), "pair_inner")
+    return _make(_rows_times_rows(q.data, k.data, blocks),
+                 ((q, lambda g: _block_times_rows(g, k.data, blocks, False)),
+                  (k, lambda g: _block_times_rows(g, q.data, blocks, True))), "pair_inner")
 
 
 def ragged_message(filt, x, sizes):
@@ -351,40 +338,24 @@ def pair_softmax(a, sizes):
 
 # -- reductions and shape primitives ------------------------------------
 
+def _spread(g, shape, axis):
+    """The gradient of a sum over ``axis`` of an array of ``shape``: ``g``
+    repeated along the summed axes."""
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def sum_(a, axis=None):
     a = as_tensor(a)
-    out = a.data.sum(axis=axis)
-
-    def _grad(g):
-        if axis is None:
-            return np.broadcast_to(g, a.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), a.shape).copy()
-
-    return _make(out, ((a, _grad),), "sum")
+    return _make(a.data.sum(axis=axis), ((a, lambda g: _spread(g, a.shape, axis)),), "sum")
 
 
 def mean(a, axis=None):
     a = as_tensor(a)
     n = a.data.size if axis is None else a.shape[axis]
-    out = a.data.mean(axis=axis)
-
-    def _grad(g):
-        if axis is None:
-            return np.broadcast_to(g / n, a.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy()
-
-    return _make(out, ((a, _grad),), "mean")
-
-
-def pair_row_sum(a, sizes):
-    """``sum_j a_ij`` of each molecule's (n, n) block of pair values (P, 1):
-    one value per atom row, (N, 1)."""
-    a = as_tensor(a)
-    _check_pair_values(a, "pair_row_sum")
-    blocks = _pair_blocks(sizes, sum(sizes), a.shape[0], "pair_row_sum")
-    out = np.concatenate([a.data[pairs].reshape(n, n).sum(axis=1) for n, _, pairs in blocks])
-    return _make(out.reshape(-1, 1), ((a, lambda g: np.concatenate(
-        [np.repeat(g[atoms], n, axis=0) for n, atoms, _ in blocks])),), "pair_row_sum")
+    return _make(a.data.mean(axis=axis), ((a, lambda g: _spread(g / n, a.shape, axis)),),
+                 "mean")
 
 
 def block_mean(a, rows, axis=0):

@@ -333,14 +333,24 @@ def positive_int(text):
 
 
 def build_parser(defaults):
+    """The argument parser; ``defaults`` maps config keys to raw strings,
+    which each flag's ``type`` converts as if given on the command line. A
+    key that no flag reads is a usage error (exit 2)."""
     parser = argparse.ArgumentParser(prog="mjae",
                                      description="Joint 2D/3D molecular trajectory "
                                                  "pretraining, generation, and evaluation.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    read = set()
+
+    def conf(p, flag, key, default, kind=float, **kw):
+        """``flag``, whose default is config ``key``'s raw string (which
+        ``kind`` converts as if given on the command line), else ``default``."""
+        read.add(key)
+        p.add_argument(flag, type=kind, default=defaults.get(key, default), **kw)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=int(defaults.get("seed", 0)))
+        conf(p, "--seed", "seed", 0, int)
 
     p = sub.add_parser("ingest", help="validate and normalize a JSONL dataset")
     p.add_argument("input")
@@ -351,28 +361,27 @@ def build_parser(defaults):
     p = sub.add_parser("pretrain", help="train the score network")
     p.add_argument("dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=positive_int, default=defaults.get("train.epochs", 50))
-    p.add_argument("--batch-size", type=positive_int, default=defaults.get("train.batch_size", 8))
-    p.add_argument("--lr", type=float, default=float(defaults.get("train.lr", 1e-4)))
-    p.add_argument("--self-cond-prob", type=float,
-                   default=float(defaults.get("train.self_cond_prob", 0.0)))
-    p.add_argument("--lr-schedule", choices=("constant", "cosine"),
-                   default=str(defaults.get("train.lr_schedule", "constant")))
+    conf(p, "--epochs", "train.epochs", TrainConfig.epochs, positive_int)
+    conf(p, "--batch-size", "train.batch_size", TrainConfig.batch_size, positive_int)
+    conf(p, "--lr", "train.lr", TrainConfig.lr)
+    conf(p, "--self-cond-prob", "train.self_cond_prob", TrainConfig.self_cond_prob)
+    conf(p, "--lr-schedule", "train.lr_schedule", TrainConfig.lr_schedule, str,
+         choices=("constant", "cosine"))
     p.add_argument("--loss-log", default=None)
-    p.add_argument("--schedule-kind", default=defaults.get("schedule.kind", "VP"))
-    p.add_argument("--beta-min", type=float, default=float(defaults.get("schedule.beta_min", 0.1)))
-    p.add_argument("--beta-max", type=float, default=float(defaults.get("schedule.beta_max", 10.0)))
-    p.add_argument("--sigma-min", type=float, default=float(defaults.get("schedule.sigma_min", 0.01)))
-    p.add_argument("--sigma-max", type=float, default=float(defaults.get("schedule.sigma_max", 1.0)))
-    p.add_argument("--t-min", type=float, default=float(defaults.get("trajectory.t_min", 1e-3)))
-    p.add_argument("--latent", type=positive_int, default=defaults.get("net.latent", 128))
-    p.add_argument("--rounds", type=positive_int, default=defaults.get("net.rounds", 3))
-    p.add_argument("--gcn-layers", type=positive_int, default=defaults.get("net.gcn_layers", 3))
-    p.add_argument("--d-time", type=positive_int, default=defaults.get("net.d_time", 64))
-    p.add_argument("--d-contrast", type=positive_int, default=defaults.get("net.d_contrast", 64))
-    p.add_argument("--lambda1", type=float, default=float(defaults.get("loss.lambda1", 1.0)))
-    p.add_argument("--lambda2", type=float, default=float(defaults.get("loss.lambda2", 0.01)))
-    p.add_argument("--tau0", type=float, default=float(defaults.get("loss.tau0", 0.5)))
+    conf(p, "--schedule-kind", "schedule.kind", NoiseSchedule.kind, str)
+    conf(p, "--beta-min", "schedule.beta_min", NoiseSchedule.beta_min)
+    conf(p, "--beta-max", "schedule.beta_max", NoiseSchedule.beta_max)
+    conf(p, "--sigma-min", "schedule.sigma_min", NoiseSchedule.sigma_min)
+    conf(p, "--sigma-max", "schedule.sigma_max", NoiseSchedule.sigma_max)
+    conf(p, "--t-min", "trajectory.t_min", TrainConfig.t_min)
+    conf(p, "--latent", "net.latent", NetworkConfig.latent, positive_int)
+    conf(p, "--rounds", "net.rounds", NetworkConfig.rounds, positive_int)
+    conf(p, "--gcn-layers", "net.gcn_layers", NetworkConfig.gcn_layers, positive_int)
+    conf(p, "--d-time", "net.d_time", NetworkConfig.d_time, positive_int)
+    conf(p, "--d-contrast", "net.d_contrast", NetworkConfig.d_contrast, positive_int)
+    conf(p, "--lambda1", "loss.lambda1", TrainConfig.lambda1)
+    conf(p, "--lambda2", "loss.lambda2", TrainConfig.lambda2)
+    conf(p, "--tau0", "loss.tau0", TrainConfig.tau0)
     common(p)
     p.set_defaults(fn=cmd_pretrain)
 
@@ -380,10 +389,10 @@ def build_parser(defaults):
     p.add_argument("checkpoint")
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=positive_int, default=10)
-    p.add_argument("--n-atoms", type=positive_int, default=8)
-    p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--steps", type=positive_int, default=defaults.get("schedule.steps", 1000))
-    p.add_argument("--t-min", type=float, default=float(defaults.get("trajectory.t_min", 1e-3)))
+    p.add_argument("--n-atoms", type=positive_int, default=SamplerConfig.n_atoms)
+    p.add_argument("--lam", type=float, default=SamplerConfig.lam)
+    conf(p, "--steps", "schedule.steps", SamplerConfig.steps, positive_int)
+    conf(p, "--t-min", "trajectory.t_min", SamplerConfig.t_end)
     common(p)
     p.set_defaults(fn=cmd_sample)
 
@@ -411,6 +420,9 @@ def build_parser(defaults):
     common(p)
     p.set_defaults(fn=cmd_selftest)
 
+    unknown = sorted(set(defaults) - read)
+    if unknown:
+        parser.error(f"config key {unknown[0]!r} is not read by any flag")
     return parser
 
 

@@ -232,20 +232,10 @@ def canonical_hash(graph):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _atom_frequencies(graphs):
-    counts = np.zeros(len(ELEMENTS))
-    for g in graphs:
-        for a in g.atom_types:
-            counts[a] += 1
-    return counts / counts.sum()
-
-
-def _bond_frequencies(graphs):
-    counts = np.zeros(N_BOND_CATEGORIES)
-    for g in graphs:
-        iu = np.triu_indices(g.n, k=1)
-        for b in g.bonds[iu]:
-            counts[b] += 1
+def _frequencies(arrays, categories):
+    """Share of each of ``categories`` categories among the entries of the
+    integer ``arrays``."""
+    counts = np.bincount(np.concatenate(arrays), minlength=categories)
     return counts / counts.sum()
 
 
@@ -259,11 +249,16 @@ def generation_metrics(samples, reference):
         raise ValueError("empty sample or reference set")
     validity = float(np.mean([validate_valence(g)[0] for g in samples]))
     unique = len({canonical_hash(g) for g in samples}) / len(samples)
+
+    def tv(values, categories):
+        return total_variation(*(_frequencies([values(g) for g in graphs], categories)
+                                 for graphs in (samples, reference)))
+
     return {
         "validity": validity,
         "unique": float(unique),
-        "atom_tv": total_variation(_atom_frequencies(samples), _atom_frequencies(reference)),
-        "bond_tv": total_variation(_bond_frequencies(samples), _bond_frequencies(reference)),
+        "atom_tv": tv(lambda g: g.atom_types, len(ELEMENTS)),
+        "bond_tv": tv(lambda g: g.bonds[np.triu_indices(g.n, k=1)], N_BOND_CATEGORIES),
         "n_samples": len(samples),
     }
 

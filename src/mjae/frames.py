@@ -63,9 +63,9 @@ def _cross_rows(a, b):
     return out
 
 
-def molecule_frames(positions, cutoff=DEFAULT_CUTOFF):
+def molecule_frames(positions):
     """Per-atom frames as an (n, 3, 3) array, rows e1, e2, e3 of each atom's
-    basis; the neighborhood is all other atoms within ``cutoff``
+    basis; the neighborhood is all other atoms within ``DEFAULT_CUTOFF``
     (falling back to all other atoms when the cutoff ball is empty).
 
     The neighborhood center is distance weighted (exp(-d)). An unweighted
@@ -86,7 +86,7 @@ def molecule_frames(positions, cutoff=DEFAULT_CUTOFF):
         return _CANONICAL[None].copy()
     dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
     off_diagonal = ~np.eye(n, dtype=bool)
-    mask = (dists <= cutoff) & off_diagonal
+    mask = (dists <= DEFAULT_CUTOFF) & off_diagonal
     empty = ~mask.any(axis=1)
     mask[empty] = off_diagonal[empty]
     d_min = np.where(mask, dists, np.inf).min(axis=1, keepdims=True)

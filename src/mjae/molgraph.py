@@ -20,6 +20,10 @@ CHARGES = (-1, 0, 1)
 CHARGE_INDEX = {q: i for i, q in enumerate(CHARGES)}
 N_BOND_CATEGORIES = 5  # none, single, double, triple, aromatic
 MAX_ATOMS = 64
+# Largest |coordinate| a record may hold. The frames' cross-product axis has
+# entries of order |x|^2 and np.linalg.norm squares them, so a coordinate
+# overflows that norm from about 1e77; at 1e50 it stays near 1e200.
+MAX_COORDINATE = 1e50
 
 # Allowed valences keyed by (element, formal charge). Aromatic bonds count 1.5.
 VALENCE_TABLE = {
@@ -160,9 +164,14 @@ def parse_molecule(record):
         if len(xyz) != 3:
             raise ParseError(f"xyz must have 3 components, got {len(xyz)}")
         try:
-            positions.append([float(_typed(c, float, "atom 'xyz' component")) for c in xyz])
+            xyz = [float(_typed(c, float, "atom 'xyz' component")) for c in xyz]
         except OverflowError as e:
             raise ParseError(f"atom 'xyz' component out of range: {e}") from e
+        for c in xyz:  # a non-finite one is make_graph's to name
+            if MAX_COORDINATE < abs(c) < np.inf:
+                raise ParseError(f"atom 'xyz' component {c!r} is out of range "
+                                 f"(|x| > {MAX_COORDINATE:g})")
+        positions.append(xyz)
     bonds = np.zeros((n, n), dtype=np.int64)
     for entry in _typed(obj.get("bonds", []), list, "'bonds'"):
         if not isinstance(entry, list) or len(entry) != 3:

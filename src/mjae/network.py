@@ -245,7 +245,9 @@ def fuse_gcn(node, w, params, cfg, sizes):
     norm(W) is the symmetric degree normalization with degrees from |W| (+1
     self weight) so it stays defined for signed adjacencies.
     """
-    deg = ad.add(ad.pair_row_sum(ad.abs_(w), sizes), Tensor(1.0))
+    # deg_i = sum_j |w_ij| + 1: the message of |W| over all-ones atom rows
+    deg = ad.add(ad.ragged_message(ad.abs_(w), Tensor(np.ones((node.shape[0], 1))), sizes),
+                 Tensor(1.0))
     dinv = ad.div(Tensor(1.0), ad.sqrt(deg))
     i, j, _ = _pair_rows(sizes)
     w_norm = ad.mul(ad.mul(w, dinv[i]), dinv[j])

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .molgraph import (CHARGES, ELEMENTS, DenseTensors, N_BOND_CATEGORIES,
-                       feature_width, make_graph)
+from .molgraph import CHARGES, ELEMENTS, DenseTensors, make_graph
 from .network import detach_params, forward, per_molecule, self_paired_groups
 from .schedule import HORIZON, alpha_beta, drift_diffusion
-from .trajectory import project_zero_com, symmetrize_edge_noise
+from .trajectory import gauge_noise
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,9 @@ def reverse_step(state, t, dt, scores, schedule, lam, rng):
         if not np.all(np.isfinite(scores[comp])):
             raise FloatingPointError(f"non-finite {comp} score at t={t:.4f}")
     f, g = drift_diffusion(schedule, t)
-    z_p = project_zero_com(rng.standard_normal(state.P.shape)) if lam > 0 else 0.0
-    z_h = rng.standard_normal(state.H.shape) if lam > 0 else 0.0
-    z_e = symmetrize_edge_noise(rng.standard_normal(state.E.shape)) if lam > 0 else 0.0
-    new = DenseTensors(**{c: euler_maruyama(getattr(state, c), scores[c], f, g, lam, dt, z)
-                          for c, z in (("P", z_p), ("H", z_h), ("E", z_e))})
+    z = gauge_noise(state.n, rng) if lam > 0 else DenseTensors(H=0.0, E=0.0, P=0.0)
+    new = DenseTensors(**{c: euler_maruyama(getattr(state, c), scores[c], f, g, lam, dt,
+                                            getattr(z, c)) for c in "PHE"})
     if not all(np.all(np.isfinite(x)) for x in (new.P, new.H, new.E)):
         raise FloatingPointError(f"non-finite state after reverse step at t={t:.4f}")
     return new
@@ -76,11 +73,8 @@ def reverse_step(state, t, dt, scores, schedule, lam, rng):
 def prior_sample(n_atoms, schedule, rng):
     """Terminal-time prior: N(0, beta(T)^2) per component, gauge-projected."""
     scale = alpha_beta(schedule, HORIZON)[1]
-    p = scale * project_zero_com(rng.standard_normal((n_atoms, 3)))
-    h = scale * rng.standard_normal((n_atoms, feature_width()))
-    e = scale * symmetrize_edge_noise(
-        rng.standard_normal((n_atoms, n_atoms, N_BOND_CATEGORIES)))
-    return DenseTensors(P=p, H=h, E=e)
+    z = gauge_noise(n_atoms, rng)
+    return DenseTensors(P=scale * z.P, H=scale * z.H, E=scale * z.E)
 
 
 def generate(params, net_cfg, schedule, cfg, count):

@@ -94,7 +94,8 @@ def _primitive_cases(rng):
         ("pair_inner q", lambda x: reduce(ad.pair_inner(spread(x, (7, 4)), Tensor(atoms), sizes))),
         ("pair_inner k", lambda x: reduce(ad.pair_inner(Tensor(atoms), spread(x, (7, 4)), sizes))),
         ("pair_softmax", lambda x: reduce(ad.pair_softmax(spread(x, (21, 1)), sizes))),
-        ("pair_row_sum", lambda x: reduce(ad.pair_row_sum(spread(x, (21, 1)), sizes))),
+        ("ragged_message row sums", lambda x: reduce(ad.ragged_message(
+            spread(x, (21, 1)), Tensor(np.ones((7, 1))), sizes))),
         ("block_mean rows", lambda x: reduce(ad.block_mean(spread(x, (7, 4)), sizes))),
         ("block_mean all", lambda x: reduce(ad.block_mean(spread(x, (7, 4)), sizes, axis=None))),
     ]

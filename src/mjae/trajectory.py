@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .molgraph import DenseTensors
+from .molgraph import N_BOND_CATEGORIES, DenseTensors, feature_width
 from .schedule import alpha_beta
 
 T_MIN = 1e-3
@@ -45,6 +45,15 @@ def symmetrize_edge_noise(z):
     return sym
 
 
+def gauge_noise(n, rng):
+    """Standard normal noise on the (P, H, E) of an n-atom molecule inside the
+    data gauge: zero-CoM P, free H, symmetric zero-diagonal E, drawn from
+    ``rng`` in that order."""
+    return DenseTensors(P=project_zero_com(rng.standard_normal((n, 3))),
+                        H=rng.standard_normal((n, feature_width())),
+                        E=symmetrize_edge_noise(rng.standard_normal((n, n, N_BOND_CATEGORIES))))
+
+
 def perturb_continuous(x0, t, rng, schedule):
     """Closed-form forward perturbation x_t = alpha(t) x0 + beta(t) z of every
     component under the one NoiseSchedule ``schedule``.
@@ -56,12 +65,9 @@ def perturb_continuous(x0, t, rng, schedule):
     if b <= 0.0:
         raise ValueError(f"beta(t)=0 at t={t}: score target undefined")
 
-    z_p = project_zero_com(rng.standard_normal(x0.P.shape))
-    z_h = rng.standard_normal(x0.H.shape)
-    z_e = symmetrize_edge_noise(rng.standard_normal(x0.E.shape))
-    noise = {"P": z_p, "H": z_h, "E": z_e}
-
-    xt = DenseTensors(P=a * x0.P + b * z_p, H=a * x0.H + b * z_h, E=a * x0.E + b * z_e)
+    z = gauge_noise(x0.n, rng)
+    noise = {"P": z.P, "H": z.H, "E": z.E}
+    xt = DenseTensors(P=a * x0.P + b * z.P, H=a * x0.H + b * z.H, E=a * x0.E + b * z.E)
     score_target = {c: -noise[c] / b for c in noise}
     return TrajectorySample(x0=x0, xt=xt, t=t, noise=noise, score_target=score_target)
 

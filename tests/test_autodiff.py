@@ -267,7 +267,7 @@ def test_block_primitives_make_each_molecules_own_call(rng):
         (ad.pair_softmax(Tensor(p), sizes),
          [ad.softmax(Tensor(p[q].reshape(n, n)), axis=-1).data.reshape(-1, 1)
           for n, _, q in blocks]),
-        (ad.pair_row_sum(Tensor(p), sizes),
+        (ad.ragged_message(Tensor(p), Tensor(np.ones((6, 1))), sizes),
          [p[q].reshape(n, n).sum(axis=1).reshape(-1, 1) for n, _, q in blocks]),
         (ad.block_mean(Tensor(x), sizes), [x[a].mean(axis=0)[None] for _, a, _ in blocks]),
         (ad.block_mean(Tensor(x), sizes, axis=None), [[x[a].mean()] for _, a, _ in blocks]),
@@ -279,10 +279,30 @@ def test_block_primitives_make_each_molecules_own_call(rng):
                         (lambda: ad.pair_matmul(Tensor(p[1:]), Tensor(x), sizes), "pair_matmul"),
                         (lambda: ad.pair_inner(Tensor(x), Tensor(k), (2, 3)), "pair_inner"),
                         (lambda: ad.pair_softmax(Tensor(p.ravel()), sizes), "pair_softmax"),
-                        (lambda: ad.pair_row_sum(Tensor(p), (2, 2, 2)), "pair_row_sum"),
                         (lambda: ad.block_mean(Tensor(x), (1, 2)), "block_mean")):
         with pytest.raises(ShapeError, match=name):
             build()
+
+
+def test_ragged_message_row_sums_and_gradient_bitwise(rng):
+    """A message over all-ones atom rows is each molecule's row sum of its
+    (n, n) pair block, bit for bit, and its pair-value gradient repeats g_i
+    over the row's n pairs, signed zeros included."""
+    sizes = (1, 3, 2, 17)
+    p = rng.standard_normal((sum(n * n for n in sizes), 1))
+    p[::5] = -0.0
+    g = rng.standard_normal((sum(sizes), 1))
+    g[::3] = -0.0
+    w = Tensor(p, requires_grad=True)
+    out = ad.ragged_message(w, Tensor(np.ones((sum(sizes), 1))), sizes)
+    ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+    rows, grads, atom, row = [], [], 0, 0
+    for n in sizes:
+        rows.append(p[row:row + n * n].reshape(n, n).sum(axis=1).reshape(-1, 1))
+        grads.append(np.repeat(g[atom:atom + n], n, axis=0))
+        atom, row = atom + n, row + n * n
+    assert _same_bits(out.data, np.concatenate(rows))
+    assert _same_bits(w.grad, np.concatenate(grads))
 
 
 def test_matmul_gradient(rng):

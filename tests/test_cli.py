@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import toy_corpus, write_raw_checkpoint
-from mjae import cli
+from mjae import cli, evalsuite
 from mjae.cli import load_config_file, main, read_dataset
 from mjae.molgraph import serialize_molecule
 from mjae.network import NetworkConfig
 from mjae.sampling import SamplerConfig, generate
 from mjae.schedule import NoiseSchedule
-from mjae.training import load_checkpoint, save_checkpoint
+from mjae.training import TrainConfig, load_checkpoint, save_checkpoint
 
 NET_FLAGS = ["--latent", "12", "--rounds", "1", "--gcn-layers", "1",
              "--d-time", "8", "--d-contrast", "8"]
@@ -85,6 +85,40 @@ def test_env_config_count_is_checked_like_its_flag(tmp_path, monkeypatch, capsys
         main(["pretrain", "a", "--out", str(tmp_path / "x.ck")])
     assert e.value.code == 2
     assert "--epochs: must be a positive integer, got 0" in capsys.readouterr().err
+
+
+def test_env_config_bad_value_is_usage_error_naming_its_flag(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "cfg"
+    p.write_text("train.lr=abc\n")
+    monkeypatch.setenv("MJAE_CONFIG", str(p))
+    with pytest.raises(SystemExit) as e:
+        main(["pretrain", "a", "--out", str(tmp_path / "x.ck")])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --lr: invalid float value: 'abc'" in err
+    assert "Traceback" not in err
+
+
+def test_env_config_unknown_key_is_usage_error_naming_it(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "cfg"
+    p.write_text("train.epochs=2\ntrain.epoch=5\n")
+    monkeypatch.setenv("MJAE_CONFIG", str(p))
+    with pytest.raises(SystemExit) as e:
+        main(["pretrain", "a", "--out", str(tmp_path / "x.ck")])
+    assert e.value.code == 2
+    assert "config key 'train.epoch' is not read by any flag" in capsys.readouterr().err
+    assert not (tmp_path / "x.ck").exists()
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser = cli.build_parser({})
+    args = parser.parse_args(["pretrain", "a", "--out", "b"])
+    assert cli._train_config(args) == TrainConfig()
+    assert cli._net_config(args) == NetworkConfig()
+    args = parser.parse_args(["sample", "a", "--out", "b"])
+    assert (args.steps, args.lam, args.n_atoms, args.seed, args.t_min) == (
+        SamplerConfig.steps, SamplerConfig.lam, SamplerConfig.n_atoms, SamplerConfig.seed,
+        SamplerConfig.t_end)
 
 
 # -- ingest ---------------------------------------------------------------
@@ -263,20 +297,36 @@ FAR_RECORD = ('{"atoms":[{"el":"O","xyz":[1e154,1e154,1e154]},{"el":"H","xyz":[1
               '{"el":"H","xyz":[0,1,0]}],"bonds":[[0,1,1],[0,2,1]]}')
 
 
-def test_eval_nonfinite_residual_is_runtime_error_without_report(trained, tmp_path, capsys):
-    """A coordinate of 1e154 makes a symmetry residual NaN; strict JSON cannot
-    hold it, so eval names it, exits 1 and writes no report."""
-    ck, _, _ = trained
+def test_ingest_rejects_a_coordinate_beyond_the_bound(tmp_path, capsys):
     data = tmp_path / "far.jsonl"
     data.write_text(FAR_RECORD + "\n")
+    assert main(["ingest", str(data), str(tmp_path / "out.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "rejected: line 1: atom 'xyz' component 1e+154 is out of range" in err
+    assert "error: no valid records" in err
+
+
+def test_eval_nonfinite_residual_is_runtime_error_without_report(trained, tmp_path, capsys,
+                                                                 monkeypatch):
+    """A NaN symmetry residual cannot go into strict JSON, so eval names it,
+    exits 1 and writes no report. The NaN is put into the 3D score of each
+    group's second view, a rotation."""
+    ck, data, _ = trained
+    real_forward = evalsuite.forward
+
+    def nan_in_a_rotation(p, c, conds, *rest):
+        record = real_forward(p, c, conds, *rest)
+        record["score_P"].data[conds[0].n, 0] = np.nan
+        return record
+
+    monkeypatch.setattr(evalsuite, "forward", nan_in_a_rotation)
     report = tmp_path / "report.json"
-    with np.errstate(all="ignore"):
-        rc = main(["eval", ck, "--probe-set", str(data), "--n-rotations", "2",
-                   "--report", str(report)])
+    rc = main(["eval", ck, "--probe-set", data, "--n-rotations", "2", "--max-probes", "1",
+               "--report", str(report)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: report holds symmetry.") and "= nan" in err
-    assert list(tmp_path.iterdir()) == [data]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_nothing_to_do(trained):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (WATER_RECORD, json_values, random_molecule, toy_corpus,
                       water_graph)
-from mjae.molgraph import (CHARGES, ELEMENT_INDEX, ELEMENTS, MAX_ATOMS,
+from mjae.molgraph import (CHARGES, ELEMENT_INDEX, ELEMENTS, MAX_ATOMS, MAX_COORDINATE,
                            N_BOND_CATEGORIES, MoleculeGraph, ParseError, feature_width,
                            make_graph, parse_molecule, permute,
                            serialize_molecule, to_dense, validate_valence)
@@ -60,6 +60,7 @@ def test_parse_distinct_diagnostics():
     ('{"atoms": [{"el": "C", "xyz": [0, "1", 0]}]}', "atom 'xyz' component must be a number"),
     ('{"atoms": [{"el": "C", "xyz": [0, 1e999, 0]}]}', "non-finite"),
     ('{"atoms": [{"el": "C", "xyz": [0, 1' + "0" * 400 + ', 0]}]}', "'xyz' component out of range"),
+    ('{"atoms": [{"el": "C", "xyz": [0, 0, -1e154]}]}', "component -1e\\+154 is out of range"),
     ('{"atoms": [{"el": "C"}], "bonds": 3}', "'bonds' must be a list"),
     ('{"atoms": [{"el": "C", "q": "x"}]}', "atom 'q' must be an integer"),
     ('{"atoms": [{"el": "C", "q": 0.7}]}', "atom 'q' must be an integer"),
@@ -73,6 +74,16 @@ def test_parse_distinct_diagnostics():
 def test_parse_wrong_json_types_name_the_field(record, field):
     with pytest.raises(ParseError, match=field):
         parse_molecule(record)
+
+
+def test_parse_bounds_each_coordinate():
+    """|x| up to MAX_COORDINATE parses; the next float above it is named."""
+    edge = {"el": "C", "xyz": [MAX_COORDINATE, -MAX_COORDINATE, 0.0]}
+    graph = parse_molecule(json.dumps({"atoms": [edge, {"el": "C"}]}))
+    assert np.isfinite(graph.positions).all()
+    beyond = np.nextafter(MAX_COORDINATE, np.inf)
+    with pytest.raises(ParseError, match="atom 'xyz' component .* is out of range"):
+        parse_molecule(json.dumps({"atoms": [{"el": "C", "xyz": [0.0, beyond, 0.0]}]}))
 
 
 def _field(valid):

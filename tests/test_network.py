@@ -1,17 +1,23 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_molecule, small_net_config, toy_corpus
 from mjae import autodiff as ad
 from mjae import network
 from mjae.autodiff import Tensor
 from mjae.evalsuite import random_rotation
-from mjae.molgraph import (DenseTensors, ELEMENT_INDEX, ELEMENTS, N_BOND_CATEGORIES,
-                           feature_width, make_graph, permute, to_dense)
+from mjae.molgraph import (DenseTensors, ELEMENT_INDEX, ELEMENTS, MAX_COORDINATE,
+                           N_BOND_CATEGORIES, feature_width, make_graph, parse_molecule,
+                           permute, to_dense)
 from mjae.network import (NetworkConfig, detach_params, edge_condition, encode, forward,
                           fourier_embed, fourier_frequencies, fuse, fuse_gcn, init_params,
                           per_molecule, project, rbf_features, score_2d, score_3d, score_h)
 from mjae.frames import molecule_frames
+from mjae.schedule import NoiseSchedule
+from mjae.trajectory import perturb_continuous
 
 
 @pytest.fixture
@@ -486,6 +492,47 @@ def test_batched_heads_match_one_molecule_reference(net, trainable, rng):
         assert got.keys() == ref.keys()
         for k in ref:
             assert np.array_equal(got[k], ref[k]), (conds[b].n, k)
+
+
+_COORDINATE = st.one_of(st.sampled_from([MAX_COORDINATE, -MAX_COORDINATE, 0.3 * MAX_COORDINATE,
+                                         0.0, 1.0, 5e-324]),
+                        st.floats(-MAX_COORDINATE, MAX_COORDINATE))
+
+
+@st.composite
+def _parser_records(draw):
+    """JSON records the parser accepts: 1 to 5 atoms, each at one of a few
+    shared points (so atoms may coincide) with coordinates up to the bound,
+    or at the default origin when its 'xyz' is left out."""
+    points = draw(st.lists(st.lists(_COORDINATE, min_size=3, max_size=3),
+                           min_size=1, max_size=4))
+    atoms = []
+    for _ in range(draw(st.integers(1, 5))):
+        atom = {"el": draw(st.sampled_from(ELEMENTS))}
+        if draw(st.booleans()):
+            atom["xyz"] = draw(st.sampled_from(points))
+        atoms.append(atom)
+    return json.dumps({"atoms": atoms})
+
+
+_FINITE_NET = small_net_config()
+_FINITE_PARAMS = detach_params(init_params(_FINITE_NET, np.random.default_rng(0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_parser_records(), st.sampled_from(["VP", "VE"]), st.floats(1e-3, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_forward_is_finite_on_every_parser_accepted_molecule(record, kind, t, seed):
+    """Perturbation and every ``forward`` record stay finite on any molecule
+    the parser accepts, as the clean conditioner and the noisy input."""
+    x0 = to_dense(parse_molecule(record))
+    sample = perturb_continuous(x0, t, np.random.default_rng(seed), NoiseSchedule(kind=kind))
+    assert all(np.isfinite(v).all() for v in (sample.xt.P, *sample.score_target.values()))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        out = per_molecule(forward(_FINITE_PARAMS, _FINITE_NET, [x0], [sample.xt], [t],
+                                   anchors=[x0]))[0]
+    for key, value in out.items():
+        assert np.isfinite(value).all(), key
 
 
 def test_detach_params(cfg, params):

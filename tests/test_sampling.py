@@ -5,7 +5,7 @@ import pytest
 
 from conftest import small_net_config, toy_corpus, water_graph
 from mjae import network, sampling
-from mjae.evalsuite import random_rotation
+from mjae.evalsuite import gaussian_marginal_score, random_rotation
 from mjae.molgraph import (DenseTensors, N_BOND_CATEGORIES, feature_width,
                            to_dense)
 from mjae.network import init_params
@@ -249,6 +249,59 @@ def test_generate_scales_heads_by_inverse_beta(schedule, rng, monkeypatch):
     monkeypatch.setattr(sampling, "reverse_step", spy_step)
     generate(params, net_cfg, schedule, SamplerConfig(steps=4, n_atoms=3, seed=1), 1)
     assert len(steps) == len(outs) == 4
+
+
+# -- exact-score oracle on generate's own loop ------------------------------
+
+ORACLE_SIGMA = 0.5
+
+
+@pytest.mark.parametrize("schedule", [VP, NoiseSchedule(kind="VE", sigma_min=0.5, sigma_max=5.0)],
+                         ids=["VP", "VE"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_generate_ends_in_the_data_law_under_the_exact_score(schedule, lam, monkeypatch):
+    """``generate``'s own loop (prior, gauge noise, 1/beta(t) scaling, reverse
+    steps), fed beta(t) times the exact marginal score of Gaussian data
+    N(0, sigma^2) in each component's gauge, ends in that data's law at
+    t_end: P zero-CoM isotropic, H i.i.d., E symmetric with a zero diagonal.
+
+    The free coordinates (P in an orthonormal basis of its zero-CoM
+    subspace, all of H, E above the diagonal) match the law's mean 0 and
+    variance alpha^2 sigma^2 + beta^2 within 3 Monte-Carlo standard errors;
+    the gauge coordinates (P's centre of mass, E's diagonal and its
+    antisymmetric part) stay 0. The VE schedule spans sigma 0.5..5, so its
+    prior N(0, 25) is within 1% of the true marginal at t = 1. At 300 Euler
+    steps the probability-flow ODE's own bias on VE, about 3% of the
+    variance, is half the 3-standard-error band of E's variance.
+    """
+    n, count = 12, 16
+    cfg = SamplerConfig(steps=300, lam=lam, n_atoms=n, seed=3)
+    finals = []
+
+    def exact_scores(params, net_cfg, conds, inputs, times):
+        return [{f"score_{c}": alpha_beta(schedule, t)[1] * gaussian_marginal_score(
+                    getattr(x, c), t, 0.0, ORACLE_SIGMA, schedule) for c in "PHE"}
+                for x, t in zip(inputs, times)]
+
+    monkeypatch.setattr(sampling, "forward", exact_scores)
+    monkeypatch.setattr(sampling, "per_molecule", lambda record: record)
+    monkeypatch.setattr(sampling, "quantize", lambda state: finals.append(state) or state)
+    generate({}, None, schedule, cfg, count)
+
+    a, b = alpha_beta(schedule, cfg.t_end)
+    var = a * a * ORACLE_SIGMA ** 2 + b * b
+    basis = np.linalg.qr(np.eye(n) - 1.0 / n)[0][:, :n - 1]  # spans the zero-CoM subspace
+    upper = np.triu_indices(n, k=1)
+    free = {"P": [basis.T @ s.P for s in finals], "H": [s.H for s in finals],
+            "E": [s.E[upper] for s in finals]}
+    for comp, values in free.items():
+        x = np.ravel(values)
+        assert abs(x.mean()) < 3 * np.sqrt(var / x.size), comp
+        assert abs((x * x).mean() - var) < 3 * var * np.sqrt(2 / x.size), comp
+    for s in finals:
+        assert np.abs(s.P.mean(axis=0)).max() < 1e-12
+        assert np.array_equal(s.E, np.swapaxes(s.E, 0, 1))
+        assert not s.E[np.arange(n), np.arange(n)].any()
 
 
 # -- analytic OU toy ------------------------------------------------------

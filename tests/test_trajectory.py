@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_molecule, water_graph
-from mjae.molgraph import DenseTensors, to_dense, permute
+from mjae.molgraph import N_BOND_CATEGORIES, DenseTensors, feature_width, permute, to_dense
+from mjae.sampling import prior_sample, reverse_step
 from mjae.schedule import NoiseSchedule, alpha_beta
 from mjae.trajectory import (T_MIN, perturb_absorbing, perturb_continuous,
                              project_zero_com, sample_time,
@@ -21,6 +22,36 @@ class FakeRng:
     def standard_normal(self, shape):
         draw = np.asarray(self.draws.pop(0), dtype=np.float64)
         return np.broadcast_to(draw, shape).copy()
+
+
+class RecordingRng:
+    """A numpy Generator that records the shape of each standard normal draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(tuple(shape))
+        return self.rng.standard_normal(shape)
+
+
+def test_gauge_noise_is_drawn_in_one_order_everywhere():
+    """Perturbation, prior and a stochastic reverse step each draw P, H and E
+    noise of an n-atom molecule in that order; an ODE step draws nothing."""
+    x0 = to_dense(water_graph())
+    n = x0.n
+    shapes = [(n, 3), (n, feature_width()), (n, n, N_BOND_CATEGORIES)]
+    scores = {"P": np.zeros((n, 3)), "H": np.zeros(x0.H.shape), "E": np.zeros(x0.E.shape)}
+    draws = []
+    for draw in (lambda r: perturb_continuous(x0, 0.5, r, VP),
+                 lambda r: prior_sample(n, VP, r),
+                 lambda r: reverse_step(x0, 0.5, 1e-3, scores, VP, 0.5, r),
+                 lambda r: reverse_step(x0, 0.5, 1e-3, scores, VP, 0.0, r)):
+        rec = RecordingRng(0)
+        draw(rec)
+        draws.append(rec.shapes)
+    assert draws == [shapes, shapes, shapes, []]
 
 
 def test_project_zero_com(rng):
