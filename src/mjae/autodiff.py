@@ -12,14 +12,18 @@ sum of a batch of molecules, each pairing only its own atoms).
 A batch of molecules is stored as stacked rows: atom rows (one per atom) and
 pair rows (n^2 per molecule, its ordered pairs (i, j) in row-major order).
 The block primitives (``linear`` and ``matmul`` with ``rows``, ``pair_*``,
-``block_mean``) run each molecule's GEMM or reduction as its own numpy call,
-the call one molecule alone makes, so a molecule's forward bits do not depend
-on its batch-mates.
+``ragged_message``, ``block_mean``) make one numpy call per run: a maximal
+stretch of consecutive molecules of one size, whose rows are a free
+(k, n, ...) view. Stacked ``matmul`` makes, for each of the k molecules, the
+BLAS call the molecule alone makes, and a reduction along the same axis keeps
+its order, so a molecule's bits, forward and backward, do not depend on its
+batch-mates; a run of one molecule is exactly that molecule's own call.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+import math
+from itertools import groupby
 
 import numpy as np
 
@@ -136,32 +140,36 @@ class _RightOperandGrad:
         return self.a.T @ g
 
 
-def _row_blocks(rows, total, op):
-    """Slices of consecutive blocks of ``rows`` rows; they must cover ``total``."""
-    bounds = [0, *accumulate(rows)]
-    if bounds[-1] != total:
-        raise ShapeError(f"{op}: blocks of {list(rows)} rows do not cover {total} rows")
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _pair_blocks(sizes, atoms, pairs, op):
-    """(n, atom rows, pair rows) of each molecule of ``sizes`` atoms; the
-    molecules must hold ``atoms`` atom rows and ``pairs`` pair rows."""
-    return list(zip(sizes, _row_blocks(sizes, atoms, op),
-                    _row_blocks([n * n for n in sizes], pairs, op)))
+def _runs(sizes, rows, op, pairs=None):
+    """(k, n, atom rows, pair rows) of each run of ``sizes``: a maximal stretch
+    of k consecutive blocks of n rows, its slice of the ``rows`` rows that the
+    blocks must cover and its slice of the pair rows (n^2 per block), which
+    must cover ``pairs`` when given. A run's rows reshape freely to (k, n, ...)."""
+    runs, atom, pair = [], 0, 0
+    for n, run in groupby(sizes):
+        k = len(list(run))
+        runs.append((k, n, slice(atom, atom + k * n), slice(pair, pair + k * n * n)))
+        atom, pair = atom + k * n, pair + k * n * n
+    if atom != rows:
+        raise ShapeError(f"{op}: blocks of {list(sizes)} rows do not cover {rows} rows")
+    if pairs is not None and pair != pairs:
+        raise ShapeError(f"{op}: molecules of {list(sizes)} atoms do not cover {pairs} pair rows")
+    return runs
 
 
 def _gemm(x, w, b, rows, op):
     """The tape node of ``x @ w`` (plus ``b`` when given); with ``rows``, x runs
-    as blocks of that many rows, one GEMM each. The weight gradient is a
-    ``_RightOperandGrad`` over all rows, so ``backward`` stacks it with the
-    weight's other uses."""
+    as blocks of that many rows, one GEMM each, made by one stacked matmul per
+    run of equal blocks. The weight gradient is a ``_RightOperandGrad`` over
+    all rows, so ``backward`` stacks it with the weight's other uses."""
     if rows is None:
         out = x.data @ w.data
     else:
-        out = np.empty((x.shape[0], w.shape[1]))
-        for block in _row_blocks(rows, x.shape[0], op):
-            out[block] = x.data[block] @ w.data
+        width, cols = w.shape
+        out = np.empty((x.shape[0], cols))
+        for k, n, block, _ in _runs(rows, x.shape[0], op):
+            np.matmul(x.data[block].reshape(k, n, width), w.data,
+                      out=out[block].reshape(k, n, cols))
     parents = [(x, lambda g: g @ w.data.T), (w, _RightOperandGrad(x.data))]
     if b is not None:
         out += b.data
@@ -193,19 +201,24 @@ def _check_pair_values(a, op):
         raise ShapeError(f"{op}: pair values {a.shape} are not one column of pair rows")
 
 
-def _block_times_rows(values, rows, blocks, transpose):
+def _block_times_rows(values, rows, runs, transpose):
     """Each molecule's (n, n) block of pair ``values`` (or its transpose) @ its
     atom ``rows``: atom rows."""
-    out = np.empty_like(rows)
-    for n, atoms, pairs in blocks:
-        block = values[pairs].reshape(n, n)
-        out[atoms] = (block.T if transpose else block) @ rows[atoms]
+    out, width = np.empty_like(rows), rows.shape[1]
+    for k, n, atoms, pairs in runs:
+        block = values[pairs].reshape(k, n, n)
+        np.matmul(block.swapaxes(1, 2) if transpose else block,
+                  rows[atoms].reshape(k, n, width), out=out[atoms].reshape(k, n, width))
     return out
 
 
-def _rows_times_rows(a, b, blocks):
+def _rows_times_rows(a, b, runs):
     """Each molecule's ``a @ b.T`` of its atom rows, as pair rows (P, 1)."""
-    return np.concatenate([(a[atoms] @ b[atoms].T).reshape(-1, 1) for _, atoms, _ in blocks])
+    out, width = np.empty((sum(k * n * n for k, n, _, _ in runs), 1)), a.shape[1]
+    for k, n, atoms, pairs in runs:
+        np.matmul(a[atoms].reshape(k, n, width), b[atoms].reshape(k, n, width).swapaxes(1, 2),
+                  out=out[pairs].reshape(k, n, n))
+    return out
 
 
 def pair_matmul(w, x, sizes):
@@ -216,10 +229,10 @@ def pair_matmul(w, x, sizes):
     _check_pair_values(w, "pair_matmul")
     if x.data.ndim != 2:
         raise ShapeError(f"pair_matmul: atom rows {x.shape} are not a matrix")
-    blocks = _pair_blocks(sizes, x.shape[0], w.shape[0], "pair_matmul")
-    return _make(_block_times_rows(w.data, x.data, blocks, False),
-                 ((w, lambda g: _rows_times_rows(g, x.data, blocks)),
-                  (x, lambda g: _block_times_rows(w.data, g, blocks, True))), "pair_matmul")
+    runs = _runs(sizes, x.shape[0], "pair_matmul", w.shape[0])
+    return _make(_block_times_rows(w.data, x.data, runs, False),
+                 ((w, lambda g: _rows_times_rows(g, x.data, runs)),
+                  (x, lambda g: _block_times_rows(w.data, g, runs, True))), "pair_matmul")
 
 
 def pair_inner(q, k, sizes):
@@ -228,10 +241,10 @@ def pair_inner(q, k, sizes):
     q, k = as_tensor(q), as_tensor(k)
     if q.data.ndim != 2 or q.shape != k.shape:
         raise ShapeError(f"pair_inner: atom rows {q.shape} and {k.shape}")
-    blocks = _pair_blocks(sizes, q.shape[0], sum(n * n for n in sizes), "pair_inner")
-    return _make(_rows_times_rows(q.data, k.data, blocks),
-                 ((q, lambda g: _block_times_rows(g, k.data, blocks, False)),
-                  (k, lambda g: _block_times_rows(g, q.data, blocks, True))), "pair_inner")
+    runs = _runs(sizes, q.shape[0], "pair_inner")
+    return _make(_rows_times_rows(q.data, k.data, runs),
+                 ((q, lambda g: _block_times_rows(g, k.data, runs, False)),
+                  (k, lambda g: _block_times_rows(g, q.data, runs, True))), "pair_inner")
 
 
 def ragged_message(filt, x, sizes):
@@ -248,23 +261,25 @@ def ragged_message(filt, x, sizes):
         raise ShapeError(f"ragged_message: filt {filt.shape} and x {x.shape} do not "
                          f"match molecules of {list(sizes)} atoms")
     width = x.shape[1]
-    blocks = [(atoms, pairs, filt.data[pairs].reshape(n, n, width))  # (n, n, L) pair block
-              for n, atoms, pairs in _pair_blocks(sizes, x.shape[0], filt.shape[0],
-                                                  "ragged_message")]
+    runs = [(k, n, atoms, pairs, filt.data[pairs].reshape(k, n, n, width))  # (k, n, n, L)
+            for k, n, atoms, pairs in _runs(sizes, x.shape[0], "ragged_message")]
     out = np.empty_like(x.data)
-    for atoms, _, block in blocks:
-        out[atoms] = (block * x.data[atoms]).sum(axis=1)
+    for k, n, atoms, _, block in runs:
+        product = block * x.data[atoms].reshape(k, 1, n, width)  # (k, n, n, L)
+        product.sum(axis=2, out=out[atoms].reshape(k, n, width))
 
     def dfilt(g):  # dfilt_ij = g_i x_j
         grad = np.empty(filt.shape)
-        for atoms, pairs, block in blocks:
-            np.multiply(g[atoms, None], x.data[atoms], out=grad[pairs].reshape(block.shape))
+        for k, n, atoms, pairs, block in runs:
+            np.multiply(g[atoms].reshape(k, n, 1, width), x.data[atoms].reshape(k, 1, n, width),
+                        out=grad[pairs].reshape(block.shape))
         return grad
 
     def dx(g):  # einsum sums over i in order from +0.0, as numpy's reduction does
         grad = np.empty_like(x.data)
-        for atoms, _, block in blocks:
-            np.einsum("ijl,il->jl", block, g[atoms], out=grad[atoms])
+        for k, n, atoms, _, block in runs:
+            np.einsum("kijl,kil->kjl", block, g[atoms].reshape(k, n, width),
+                      out=grad[atoms].reshape(k, n, width))
         return grad
 
     return _make(out, ((filt, dfilt), (x, dx)), "ragged_message")
@@ -324,14 +339,14 @@ def pair_softmax(a, sizes):
     """Softmax over j of each molecule's (n, n) block of pair values (P, 1)."""
     a = as_tensor(a)
     _check_pair_values(a, "pair_softmax")
-    blocks = _pair_blocks(sizes, sum(sizes), a.shape[0], "pair_softmax")
-    out = np.concatenate([_softmax(a.data[pairs].reshape(n, n), -1).reshape(-1, 1)
-                          for n, _, pairs in blocks])
+    runs = _runs(sizes, sum(sizes), "pair_softmax", a.shape[0])
+    out = np.concatenate([_softmax(a.data[pairs].reshape(k, n, n), -1).reshape(k * n * n, 1)
+                          for k, n, _, pairs in runs])
 
     def grad(g):
         return np.concatenate([
-            _softmax_grad(g[pairs].reshape(n, n), out[pairs].reshape(n, n), -1).reshape(-1, 1)
-            for n, _, pairs in blocks])
+            _softmax_grad(g[pairs].reshape(k, n, n), out[pairs].reshape(k, n, n), -1)
+            .reshape(k * n * n, 1) for k, n, _, pairs in runs])
 
     return _make(out, ((a, grad),), "pair_softmax")
 
@@ -363,13 +378,22 @@ def block_mean(a, rows, axis=0):
     the block's rows (``axis=0``), one row per block, or over all of its
     elements (``axis=None``), one value per block."""
     a = as_tensor(a)
-    blocks = _row_blocks(rows, a.shape[0], "block_mean")
-    out = np.stack([a.data[block].mean(axis=axis) for block in blocks])
+    width = math.prod(a.shape[1:])  # elements per row
+    runs = _runs(rows, a.shape[0], "block_mean")
+    # a run's blocks as (k, n, width), or as (k, n * width) to average all elements
+    out = np.concatenate([
+        a.data[block].reshape((k, n, width) if axis == 0 else (k, n * width)).mean(axis=1)
+        for k, n, block, _ in runs])
+    if axis == 0:
+        out = out.reshape((len(out),) + a.shape[1:])
 
     def grad(g):
-        return np.concatenate([
-            np.broadcast_to(g[i] / (a.data[block].size if axis is None else len(a.data[block])),
-                            a.data[block].shape) for i, block in enumerate(blocks)])
+        g, parts, mol = g.reshape(len(g), width if axis == 0 else 1), [], 0
+        for k, n, _, _ in runs:
+            share = g[mol:mol + k] / (n if axis == 0 else n * width)
+            parts.append(np.broadcast_to(share[:, None], (k, n, width)).reshape(k * n, width))
+            mol += k
+        return np.concatenate(parts).reshape(a.shape)
 
     return _make(out, ((a, grad),), "block_mean")
 

@@ -54,19 +54,21 @@ def local_frame(x_i, neighbors, weights=None):
 
 
 def _cross_rows(a, b):
-    """``np.cross`` of the rows of two (n, 3) arrays, from the same products
+    """``np.cross`` of the rows of two (..., 3) arrays, from the same products
     and differences, without its axis moves."""
     out = np.empty_like(a)
     for k, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(a[:, p], b[:, q], out=out[:, k])
-        out[:, k] -= a[:, q] * b[:, p]
+        np.multiply(a[..., p], b[..., q], out=out[..., k])
+        out[..., k] -= a[..., q] * b[..., p]
     return out
 
 
 def molecule_frames(positions):
     """Per-atom frames as an (n, 3, 3) array, rows e1, e2, e3 of each atom's
     basis; the neighborhood is all other atoms within ``DEFAULT_CUTOFF``
-    (falling back to all other atoms when the cutoff ball is empty).
+    (falling back to all other atoms when the cutoff ball is empty). A stack
+    (k, n, 3) of k molecules of n atoms gives their frames, (k, n, 3, 3),
+    each bit for bit the frames of that molecule alone.
 
     The neighborhood center is distance weighted (exp(-d)). An unweighted
     mean over "all other atoms" of a zero-CoM cloud is exactly proportional
@@ -81,27 +83,26 @@ def molecule_frames(positions):
     positions cannot underflow every weight to 0.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    n = positions.shape[0]
+    n = positions.shape[-2]
     if n == 1:
-        return _CANONICAL[None].copy()
-    dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
+        return np.broadcast_to(_CANONICAL, positions.shape[:-1] + (3, 3)).copy()
+    dists = np.linalg.norm(positions[..., :, None, :] - positions[..., None, :, :], axis=-1)
     off_diagonal = ~np.eye(n, dtype=bool)
     mask = (dists <= DEFAULT_CUTOFF) & off_diagonal
-    empty = ~mask.any(axis=1)
-    mask[empty] = off_diagonal[empty]
-    d_min = np.where(mask, dists, np.inf).min(axis=1, keepdims=True)
+    mask |= ~mask.any(axis=-1, keepdims=True) & off_diagonal  # an empty ball: all others
+    d_min = np.where(mask, dists, np.inf).min(axis=-1, keepdims=True)
     weights = np.exp(d_min - dists, out=np.zeros_like(dists), where=mask)
-    center = (weights @ positions) / weights.sum(axis=1, keepdims=True)
+    center = (weights @ positions) / weights.sum(axis=-1, keepdims=True)
 
     e1 = positions - center
     e2 = _cross_rows(center, positions)
-    norm1 = np.linalg.norm(e1, axis=1, keepdims=True)
-    norm2 = np.linalg.norm(e2, axis=1, keepdims=True)
+    norm1 = np.linalg.norm(e1, axis=-1, keepdims=True)
+    norm2 = np.linalg.norm(e2, axis=-1, keepdims=True)
     # same fallback as local_frame: canonical axes when either axis vanishes
     # (a NaN norm is not degenerate, so non-finite input stays non-finite)
     usable = ~((norm1 < DEGENERACY_EPS) | (norm2 < DEGENERACY_EPS))
     e1 = np.divide(e1, norm1, out=np.zeros_like(e1), where=usable)
     e2 = np.divide(e2, norm2, out=np.zeros_like(e2), where=usable)
-    basis = np.stack([e1, e2, _cross_rows(e1, e2)], axis=1)
-    basis[~usable[:, 0]] = _CANONICAL
+    basis = np.stack([e1, e2, _cross_rows(e1, e2)], axis=-2)
+    basis[~usable[..., 0]] = _CANONICAL
     return basis

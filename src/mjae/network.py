@@ -22,16 +22,20 @@ autodiff primitives so the whole model trains with reverse mode.
 batch of (conditioner, input, time) triples, owns every encoding and runs
 every stage after the encoders once over the whole batch. Atom rows and pair
 rows (n^2 per molecule) of all molecules are stacked, and each GEMM and
-reduction runs per molecule block (``autodiff``'s block primitives), so a
-molecule's outputs are bit for bit those of a forward of it alone. Callers
-bound their own batches: sampling, eval and the probe advance in
-``self_paired_groups``, and a training batch runs whole.
+reduction makes one stacked numpy call per run of equal-size molecules
+(``autodiff``'s block primitives). Frames and pair features likewise take a
+(k, n, 3) stack of positions. Each stacked call repeats, molecule by
+molecule, the call a forward of that molecule alone makes, so a molecule's
+outputs are bit for bit those of a forward of it alone. Callers bound their
+own batches: sampling, eval and the probe advance in ``self_paired_groups``,
+and a training batch runs whole.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -154,15 +158,17 @@ def _mlp2(x, params, prefix, rows=None, act=ad.silu):
 
 def rbf_features(positions, cfg):
     """Smooth radial basis expansion of pairwise distances within the cutoff:
-    one row per ordered atom pair (i, j), in row-major (i, j) order."""
-    n = positions.shape[0]
-    d = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
+    one row per ordered atom pair (i, j), in row-major (i, j) order. A stack
+    (k, n, 3) of k molecules of n atoms gives each molecule's rows,
+    (k, n^2, n_rbf), bit for bit those of that molecule alone."""
+    n = positions.shape[-2]
+    d = np.linalg.norm(positions[..., :, None, :] - positions[..., None, :, :], axis=-1)
     centers = np.linspace(0.0, DEFAULT_CUTOFF, cfg.n_rbf)
     gamma = (cfg.n_rbf / DEFAULT_CUTOFF) ** 2
-    rbf = np.exp(-gamma * (d[:, :, None] - centers[None, None, :]) ** 2)
+    rbf = np.exp(-gamma * (d[..., None] - centers) ** 2)
     envelope = 0.5 * (np.cos(np.pi * np.clip(d / DEFAULT_CUTOFF, 0.0, 1.0)) + 1.0)
-    np.fill_diagonal(envelope, 0.0)
-    return (rbf * envelope[:, :, None]).reshape(n * n, cfg.n_rbf)
+    envelope[..., range(n), range(n)] = 0.0
+    return (rbf * envelope[..., None]).reshape(positions.shape[:-2] + (n * n, cfg.n_rbf))
 
 
 def encode(mols, params, cfg, branch, rbf):
@@ -343,19 +349,23 @@ def latents(params, cfg, conds, inputs, times, anchors=None):
 
     The clean branch encodes all conditioners in one pass and the noisy branch
     all inputs and anchors in another. Pair features are computed once per
-    distinct positions array and the time embedding once per triple. Fuse,
-    edge MLP and GCN then run once over the input and anchor views together.
+    distinct positions array, in one call per atom count, and the times are
+    embedded in one call. Fuse, edge MLP and GCN then run once over the input
+    and anchor views together.
     """
     sizes = [m.n for m in inputs]
     if [m.n for m in conds] != sizes or (anchors and [m.n for m in anchors] != sizes):
         raise ad.ShapeError("forward: conditioner, input and anchor sizes differ")
     views = [*inputs, *(anchors or [])]
-    positions = {id(m.P): m.P for m in [*conds, *views]}  # each distinct array once
-    rbf = {key: rbf_features(p, cfg) for key, p in positions.items()}
+    distinct = {id(m.P): m.P for m in [*conds, *views]}.values()  # each array once
+    rbf = {}
+    for _, run in groupby(sorted(distinct, key=len), key=len):  # one run per atom count
+        run = list(run)
+        rbf.update(zip(map(id, run), rbf_features(np.stack(run), cfg)))
     f0 = encode(conds, params, cfg, "enc_clean", [rbf[id(m.P)] for m in conds])
     ft = encode(views, params, cfg, "enc_noisy", [rbf[id(m.P)] for m in views])
     copies = len(views) // len(inputs)   # the conditioner pairs with each view
-    emb = np.stack([fourier_embed(t, cfg.d_time) for t in times] * copies)
+    emb = np.tile(fourier_embed(np.asarray(times, dtype=np.float64), cfg.d_time), (copies, 1))
     view_sizes = sizes * copies
     node = fuse(ad.concat([f0] * copies), ft, emb, params, view_sizes)
     w = edge_condition(_pair_channels(conds * copies), _pair_channels(views), emb, params,
@@ -377,7 +387,9 @@ def heads(record, params, cfg, conds, inputs):
     if "anchor_pooled" in record:
         out["anchor"] = project(record["anchor_pooled"], params)
     coeffs = _mlp2(latent.node_h, params, "head3d", latent.sizes)  # (N, 3) invariant
-    basis = np.concatenate([molecule_frames(m.P) for m in inputs])
+    runs = [np.stack(list(run)) for _, run in groupby([m.P for m in inputs], key=len)]
+    basis = np.concatenate([molecule_frames(run).reshape(run.shape[0] * run.shape[1], 3, 3)
+                            for run in runs])  # one call per run of equal-size inputs
     out["coeffs_P"] = coeffs
     out["score_P"] = score_3d(coeffs, basis, latent.sizes)
     out["score_E"] = score_2d(latent, params, cfg, _pair_channels(conds), _pair_channels(inputs))

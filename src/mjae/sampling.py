@@ -32,6 +32,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"SamplerConfig.steps must be >= 1, got {self.steps}")
+        if self.n_atoms < 1:
+            raise ValueError(f"SamplerConfig.n_atoms must be >= 1, got {self.n_atoms}")
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ValueError(f"SamplerConfig.lam must be finite and >= 0, got {self.lam}")
         if not 0 < self.t_end < HORIZON:

@@ -82,11 +82,14 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Standard bias-corrected Adam update of ``params`` and ``state``, in place.
 
     A non-finite gradient rejects the whole step (params and state untouched)
-    with a diagnostic naming the tensor.
+    with a diagnostic naming the tensor. A tensor's entries are checked one by
+    one only when their sum is not finite: a NaN or inf entry makes it so, and
+    finite entries whose sum overflows pass the entrywise check.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"adam_step: non-finite gradient for {name!r}; step rejected")
+    with np.errstate(over="ignore"):  # finite entries may sum beyond the float range
+        for name, g in grads.items():
+            if not math.isfinite(g.sum()) and not np.all(np.isfinite(g)):
+                raise ValueError(f"adam_step: non-finite gradient for {name!r}; step rejected")
     state["step"] += 1
     t = state["step"]
     bc1 = 1.0 - beta1 ** t

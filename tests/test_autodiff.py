@@ -284,6 +284,82 @@ def test_block_primitives_make_each_molecules_own_call(rng):
             build()
 
 
+# (name, operand kinds, output kind, build(*operands, sizes)) of each block
+# primitive; kinds: "atoms" (N, width), "pairs" (P, width), "values" (P, 1),
+# "weight" (width, 3) and "bias" (3,) shared by all molecules; output kinds
+# also "means", one row, and "mean", one value per molecule.
+_BLOCK_CASES = [
+    ("linear", ("atoms", "weight", "bias"), "atoms", ad.linear),
+    ("matmul", ("atoms", "weight"), "atoms", ad.matmul),
+    ("matmul pair rows", ("pairs", "weight"), "pairs",
+     lambda x, w, sizes: ad.matmul(x, w, [n * n for n in sizes])),
+    ("pair_matmul", ("values", "atoms"), "atoms", ad.pair_matmul),
+    ("pair_inner", ("atoms", "atoms"), "values", ad.pair_inner),
+    ("pair_softmax", ("values",), "values", ad.pair_softmax),
+    ("ragged_message", ("pairs", "atoms"), "atoms", ad.ragged_message),
+    ("block_mean rows", ("atoms",), "means", ad.block_mean),
+    ("block_mean all", ("atoms",), "mean", lambda a, sizes: ad.block_mean(a, sizes, axis=None)),
+    ("block_mean pair rows", ("pairs",), "mean",
+     lambda a, sizes: ad.block_mean(a, [n * n for n in sizes], axis=None)),
+]
+
+
+def _kind_shape(kind, sizes, width):
+    return {"atoms": (sum(sizes), width), "pairs": (sum(n * n for n in sizes), width),
+            "values": (sum(n * n for n in sizes), 1), "weight": (width, 3),
+            "bias": (3,)}[kind]
+
+
+def _molecule_rows(kind, sizes, b):
+    """Molecule ``b``'s rows of an array of ``kind``; None for shared operands."""
+    if kind in ("weight", "bias"):
+        return None
+    if kind == "atoms":
+        return slice(sum(sizes[:b]), sum(sizes[:b + 1]))
+    if kind in ("pairs", "values"):
+        return slice(sum(n * n for n in sizes[:b]), sum(n * n for n in sizes[:b + 1]))
+    return slice(b, b + 1)
+
+
+@pytest.mark.parametrize("width", [1, 4, 32])
+@pytest.mark.parametrize("case", _BLOCK_CASES, ids=[c[0] for c in _BLOCK_CASES])
+def test_block_primitives_on_runs_match_each_molecule_alone(case, width, rng):
+    """Consecutive molecules of one size form a run, which makes one stacked
+    numpy call. Each molecule's output rows and the gradient rows of its own
+    operands are still, bit for bit, those of the primitive on that molecule
+    alone, signed zeros included; shared weights are whole-batch operands."""
+    name, kinds, out_kind, build = case
+    sizes = (3, 3, 3, 1, 1, 2, 5, 5)
+
+    def run(arrays, sizes, cotangent):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = build(*leaves, sizes)
+        g = cotangent(out.shape)
+        ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+        return out.data, [leaf.grad for leaf in leaves], g
+
+    def random_cotangent(shape):
+        g = rng.standard_normal(shape)
+        g.reshape(-1)[::5] = -0.0
+        if len(shape) == 2 and shape[1] > 1:
+            g[:, 1] = -0.0   # gradient sums of -0.0 terms keep their sign
+        return g
+
+    arrays = [rng.standard_normal(_kind_shape(kind, sizes, width)) for kind in kinds]
+    for a in arrays:
+        a.reshape(-1)[::7] = -0.0
+    out, grads, cotangent = run(arrays, sizes, random_cotangent)
+    for b, n in enumerate(sizes):
+        own = [a if _molecule_rows(kind, sizes, b) is None else a[_molecule_rows(kind, sizes, b)]
+               for a, kind in zip(arrays, kinds)]
+        rows = _molecule_rows(out_kind, sizes, b)
+        alone, alone_grads, _ = run(own, (n,), lambda shape: cotangent[rows])
+        assert _same_bits(out[rows], alone), (name, b)
+        for kind, grad, grad_alone in zip(kinds, grads, alone_grads):
+            if _molecule_rows(kind, sizes, b) is not None:
+                assert _same_bits(grad[_molecule_rows(kind, sizes, b)], grad_alone), (name, b, kind)
+
+
 def test_ragged_message_row_sums_and_gradient_bitwise(rng):
     """A message over all-ones atom rows is each molecule's row sum of its
     (n, n) pair block, bit for bit, and its pair-value gradient repeats g_i

@@ -123,7 +123,7 @@ def test_symmetry_report_sabotage_negative_control(rng, monkeypatch):
     params = init_params(cfg, rng)
 
     def broken_frames(positions, cutoff=5.0):
-        return np.tile(np.eye(3), (len(positions), 1, 1))
+        return np.broadcast_to(np.eye(3), positions.shape[:-1] + (3, 3)).copy()
 
     monkeypatch.setattr(network, "molecule_frames", broken_frames)
     rep = symmetry_report(params, cfg, toy_corpus(count=2, seed=4),

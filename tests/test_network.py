@@ -20,6 +20,17 @@ from mjae.schedule import NoiseSchedule
 from mjae.trajectory import perturb_continuous
 
 
+# positions (n, 3) whose stacks must not mix molecules: n = 1 and n = 2, a
+# line through the origin (every frame falls back to the canonical axes), and
+# an atom with no neighbor within the cutoff
+_STACK_CLOUDS = {
+    "one atom": np.array([[0.3, -0.2, 0.1]]),
+    "two atoms": np.array([[0.0, 0.0, 0.7], [0.1, 0.2, -0.7]]),
+    "collinear": np.array([[-2.0, 0, 0], [-0.5, 0, 0], [1.0, 0, 0], [1.5, 0, 0]]),
+    "empty cutoff ball": np.array([[0.0, 0, 0], [1.0, 0.2, 0], [0.3, 1.1, 0.4],
+                                   [9.0, -1.0, 2.0]]),
+}
+
 @pytest.fixture
 def cfg():
     return small_net_config()
@@ -550,3 +561,20 @@ def test_self_paired_groups_fill_the_budget(monkeypatch):
     assert [sizes[g] for g in network.self_paired_groups(sizes)] == [
         [5, 5], [6, 3], [10], [1, 2]]
     assert list(network.self_paired_groups([])) == []
+
+
+@pytest.mark.parametrize("name", list(_STACK_CLOUDS))
+def test_stacked_frames_and_pair_features_match_each_molecule(name, cfg, rng):
+    """A stack (k, n, 3) of molecules of n atoms gives each molecule's frames
+    and pair features bit for bit as that molecule alone does, also when the
+    stack mixes degenerate and regular molecules."""
+    base = _STACK_CLOUDS[name]
+    stack = np.stack([base, base @ random_rotation(rng).T,
+                      base + 0.01 * rng.standard_normal(base.shape), -base])
+    k, n, _ = stack.shape
+    frames, rbf = molecule_frames(stack), rbf_features(stack, cfg)
+    assert frames.shape == (k, n, 3, 3) and rbf.shape == (k, n * n, cfg.n_rbf)
+    for i, positions in enumerate(stack):
+        for got, alone in ((frames[i], molecule_frames(positions)),
+                           (rbf[i], rbf_features(positions, cfg))):
+            assert np.array_equal(got.view(np.uint64), alone.view(np.uint64)), (name, i)

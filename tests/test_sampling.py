@@ -30,7 +30,7 @@ def _scores(rng, state):
 
 
 def test_config_validation():
-    for name, bad in (("steps", 0), ("lam", -0.5), ("lam", np.nan), ("lam", np.inf),
+    for name, bad in (("steps", 0), ("n_atoms", 0), ("lam", -0.5), ("lam", np.nan), ("lam", np.inf),
                       ("t_end", 0.0), ("t_end", 1.0), ("t_end", -0.5), ("t_end", np.nan)):
         with pytest.raises(ValueError, match=f"SamplerConfig.{name} must be"):
             SamplerConfig(**{name: bad})
@@ -212,16 +212,17 @@ def test_generate_working_set_does_not_grow_with_count(rng, monkeypatch):
 
 def test_generate_pair_features_once_per_nfe(rng, monkeypatch):
     """The state is both conditioner and input, so both encoders share one
-    set of pair features per network evaluation."""
+    set of pair features per network evaluation: each path's positions are
+    featurized once per step, the paths of a group in one stacked call."""
     net_cfg = small_net_config()
     params = init_params(net_cfg, rng)
     cfg = SamplerConfig(steps=5, lam=0.0, n_atoms=4, seed=3)
-    calls = []
+    stacks = []
     original = network.rbf_features
     monkeypatch.setattr(network, "rbf_features",
-                        lambda positions, c: calls.append(1) or original(positions, c))
+                        lambda positions, c: stacks.append(positions) or original(positions, c))
     generate(params, net_cfg, VP, cfg, 2)
-    assert len(calls) == 2 * cfg.steps
+    assert [p.shape for p in stacks] == [(2, cfg.n_atoms, 3)] * cfg.steps
 
 
 @pytest.mark.parametrize("schedule", [VP, VE])

@@ -86,6 +86,47 @@ def test_adam_rejects_nan_gradient(rng):
     assert state["step"] == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_rejects_one_nonfinite_entry_by_name(bad, rng):
+    """One non-finite entry of the second tensor rejects the whole step,
+    naming that tensor; no parameter or optimizer state changes."""
+    params = {"a": Tensor(rng.standard_normal(3), requires_grad=True),
+              "b": Tensor(rng.standard_normal((2, 2)), requires_grad=True)}
+    state = init_adam_state(params)
+    adam_step(params, {k: rng.standard_normal(p.shape) for k, p in params.items()}, state,
+              lr=0.1)
+    before = {k: p.data.copy() for k, p in params.items()}
+    moments = {k: (state["m"][k].copy(), state["v"][k].copy()) for k in params}
+    g_b = rng.standard_normal((2, 2))
+    g_b[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite gradient for 'b'"):
+        adam_step(params, {"a": rng.standard_normal(3), "b": g_b}, state, lr=0.1)
+    assert state["step"] == 1
+    for k, p in params.items():
+        assert np.array_equal(p.data, before[k])
+        assert np.array_equal(state["m"][k], moments[k][0])
+        assert np.array_equal(state["v"][k], moments[k][1])
+
+
+def test_adam_applies_finite_gradient_whose_sum_overflows(rng):
+    """Finite entries whose sum overflows to inf are a valid gradient: the
+    step is applied, bit for bit as the out-of-place formula."""
+    params = {"w": Tensor(rng.standard_normal(2), requires_grad=True)}
+    ref = params["w"].data.copy()
+    g = np.array([1e308, 1e308])
+    state = init_adam_state(params)
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(g.sum())
+        adam_step(params, {"w": g}, state, lr, b1, b2, eps)
+        m = (1.0 - b1) * g
+        v = (1.0 - b2) * g * g
+        ref = ref - lr * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + eps)
+    assert state["step"] == 1
+    assert np.array_equal(state["m"]["w"], m) and np.array_equal(state["v"]["w"], v)
+    assert np.array_equal(params["w"].data, ref)
+
+
 def test_adam_matches_textbook_formula_bitwise(rng):
     """Twelve in-place steps against the out-of-place formula, written out."""
     shapes = {"w": (3, 4), "b": (4,), "s": ()}
@@ -283,19 +324,23 @@ def test_training_step_encodes_conditioner_once(self_cond_prob, monkeypatch):
 @pytest.mark.parametrize("self_cond_prob", [0.0, 0.5, 1.0])
 def test_training_step_pair_features_once_per_positions(self_cond_prob, monkeypatch):
     """An 8-molecule step is one encoding pass per branch, pair features once
-    per positions array (x_0 and x_t of each molecule) and one time embedding
-    per molecule."""
+    per positions array (x_0 and x_t of each molecule, in stacks of equal
+    atom counts) and one time embedding per molecule."""
     batch = [to_dense(g) for g in toy_corpus(count=8, seed=5)]
     net_cfg = small_net_config()
     params = init_params(net_cfg, np.random.default_rng(3))
     seen, encodes, embeds = [], [], []
-    _spy(monkeypatch, "rbf_features", lambda positions, c: seen.append(positions))
+    _spy(monkeypatch, "rbf_features", lambda stack, c: seen.extend(stack))
     _spy(monkeypatch, "encode", lambda *args: encodes.append(args[3]))
-    _spy(monkeypatch, "fourier_embed", lambda t, d: embeds.append(t))
+    _spy(monkeypatch, "fourier_embed", lambda t, d: embeds.extend(np.ravel(t)))
+    samples = []
+    real_perturb = training.perturb_continuous
+    monkeypatch.setattr(training, "perturb_continuous",
+                        lambda *args: samples.append(real_perturb(*args)) or samples[-1])
     training_step(params, net_cfg, _quick_cfg(self_cond_prob=self_cond_prob), batch,
                   [np.random.default_rng([7, i]) for i in range(len(batch))])
-    assert len(seen) == 2 * len(batch)
-    assert len({id(p) for p in seen}) == len(seen)
+    positions = [m.P for m in batch] + [s.xt.P for s in samples]
+    assert sorted(p.tobytes() for p in seen) == sorted(p.tobytes() for p in positions)
     assert encodes == ["enc_clean", "enc_noisy"]
     assert len(embeds) == len(batch)
 
