@@ -254,6 +254,11 @@ def ragged_message(filt, x, sizes):
     ``filt`` (P, L) stacks each molecule's n^2 pair rows (i, j) in row-major
     order. Each molecule's rows form an (n, n, L) block summed over j; the ``x``
     gradient sums the same block over i: ``dx_j = sum_i filt_ij g_i``.
+
+    At width L > 1, einsum adds the terms over j in order from +0.0, as the
+    reduction of the (k, n, n, L) product does, without building it. At
+    width 1 j is the contiguous axis, which numpy sums pairwise, so the
+    product is summed instead.
     """
     filt, x = as_tensor(filt), as_tensor(x)
     if (filt.data.ndim != 2 or x.data.ndim != 2 or filt.shape[1] != x.shape[1]
@@ -265,8 +270,11 @@ def ragged_message(filt, x, sizes):
             for k, n, atoms, pairs in _runs(sizes, x.shape[0], "ragged_message")]
     out = np.empty_like(x.data)
     for k, n, atoms, _, block in runs:
-        product = block * x.data[atoms].reshape(k, 1, n, width)  # (k, n, n, L)
-        product.sum(axis=2, out=out[atoms].reshape(k, n, width))
+        rows, sums = x.data[atoms].reshape(k, n, width), out[atoms].reshape(k, n, width)
+        if width > 1:
+            np.einsum("kijl,kjl->kil", block, rows, out=sums)
+        else:
+            (block * rows.reshape(k, 1, n, width)).sum(axis=2, out=sums)
 
     def dfilt(g):  # dfilt_ij = g_i x_j
         grad = np.empty(filt.shape)

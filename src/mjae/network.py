@@ -208,9 +208,10 @@ def _pair_rows(sizes):
     return atom0 + i, atom0 + j, row0 + j * n + i
 
 
-def _symmetrize(values, sizes):
-    """(v_ij + v_ji) / 2 off the diagonal and 0 on it, for pair rows (P, ...)."""
-    i, j, mirror = _pair_rows(sizes)
+def _symmetrize(values, pairs):
+    """(v_ij + v_ji) / 2 off the diagonal and 0 on it, for pair rows (P, ...)
+    indexed by ``pairs``, their ``_pair_rows``."""
+    i, j, mirror = pairs
     return ad.mul(ad.add(values, values[mirror]), Tensor(np.where(i == j, 0.0, 0.5)[:, None]))
 
 
@@ -230,23 +231,26 @@ def fuse(f0, ft, emb, params, sizes):
     return _mlp2(ad.concat([emb_rows, f0, ft], axis=1), params, "fuse", sizes)
 
 
-def edge_condition(e0, et, emb, params, sizes):
+def edge_condition(e0, et, emb, params, sizes, pairs=None):
     """Weighted adjacency from the per-edge MLP of [Emd(t) | E0 | Et], as one
     value per pair row of molecules of ``sizes`` atoms, (P, 1).
 
-    ``e0`` and ``et`` are the pair rows (P, e) of the bond channels.
+    ``e0`` and ``et`` are the pair rows (P, e) of the bond channels, and
+    ``pairs`` their ``_pair_rows(sizes)`` when the caller has built it.
     Symmetrized by averaging with the transpose; zero diagonal.
     """
     if e0.shape != et.shape:
         raise ad.ShapeError(f"edge_condition: shapes differ ({e0.shape} vs {et.shape})")
     rows = [n * n for n in sizes]
     flat = np.concatenate([np.repeat(emb, rows, axis=0), e0, et], axis=1)
-    return _symmetrize(_mlp2(Tensor(flat), params, "edge", rows), sizes)
+    return _symmetrize(_mlp2(Tensor(flat), params, "edge", rows),
+                       _pair_rows(sizes) if pairs is None else pairs)
 
 
-def fuse_gcn(node, w, params, cfg, sizes):
+def fuse_gcn(node, w, params, cfg, sizes, pairs=None):
     """Dense residual GCN: h <- h + silu(norm(W) h theta + b), then mean pool,
-    on each molecule's atom rows of ``node`` and pair rows of ``w``.
+    on each molecule's atom rows of ``node`` and pair rows of ``w`` (indexed
+    by ``pairs``, their ``_pair_rows(sizes)``, when the caller has built it).
 
     norm(W) is the symmetric degree normalization with degrees from |W| (+1
     self weight) so it stays defined for signed adjacencies.
@@ -255,7 +259,7 @@ def fuse_gcn(node, w, params, cfg, sizes):
     deg = ad.add(ad.ragged_message(ad.abs_(w), Tensor(np.ones((node.shape[0], 1))), sizes),
                  Tensor(1.0))
     dinv = ad.div(Tensor(1.0), ad.sqrt(deg))
-    i, j, _ = _pair_rows(sizes)
+    i, j, _ = _pair_rows(sizes) if pairs is None else pairs
     w_norm = ad.mul(ad.mul(w, dinv[i]), dinv[j])
     h = node
     for layer in range(cfg.gcn_layers):
@@ -278,14 +282,16 @@ def score_3d(coeffs, basis, sizes):
     return ad.sub(field, centre[np.repeat(np.arange(len(sizes)), sizes)])
 
 
-def score_2d(latent, params, cfg, e0, et):
+def score_2d(latent, params, cfg, e0, et, pairs=None):
     """Invariant edge score: multi-head attention maps, symmetric pairwise
     node features, and the raw per-edge channels of the conditioner and noisy
-    edge tensors (pair rows (P, e)) -> per-edge MLP, symmetric with zero
-    diagonal: pair rows (P, e)."""
+    edge tensors (pair rows (P, e), indexed by ``pairs``, their
+    ``_pair_rows`` when the caller has built it) -> per-edge MLP, symmetric
+    with zero diagonal: pair rows (P, e)."""
     h, sizes = latent.node_h, latent.sizes
     rows = [n * n for n in sizes]
-    i, j, _ = _pair_rows(sizes)
+    pairs = _pair_rows(sizes) if pairs is None else pairs
+    i, j, _ = pairs
     scale = 1.0 / np.sqrt(cfg.head_dim)
     maps = []
     for head in range(cfg.heads):
@@ -304,7 +310,7 @@ def score_2d(latent, params, cfg, e0, et):
                            params["head2d.l1.b"], rows),
                  ad.add(u[i], u[j]))
     edge = ad.linear(ad.silu(pre), params["head2d.l2.w"], params["head2d.l2.b"], rows)
-    return _symmetrize(edge, sizes)
+    return _symmetrize(edge, pairs)
 
 
 def score_h(latent, params):
@@ -343,15 +349,17 @@ def self_paired_groups(sizes):
 
 
 def latents(params, cfg, conds, inputs, times, anchors=None):
-    """Latent stage of ``forward``: the record ``{"latent"}`` of the
-    (conditioner, input, time) triples, plus ``"anchor_pooled"``, the pooled
-    latent rows of the (conditioner, anchor, time) triples, with ``anchors``.
+    """Latent stage of ``forward``: the record ``{"latent", "pairs"}`` of the
+    (conditioner, input, time) triples (``"pairs"`` is the ``_pair_rows``
+    index of their pair rows), plus ``"anchor_pooled"``, the pooled latent
+    rows of the (conditioner, anchor, time) triples, with ``anchors``.
 
     The clean branch encodes all conditioners in one pass and the noisy branch
     all inputs and anchors in another. Pair features are computed once per
     distinct positions array, in one call per atom count, and the times are
     embedded in one call. Fuse, edge MLP and GCN then run once over the input
-    and anchor views together.
+    and anchor views together, on one pair-row index of the views; the inputs
+    come first, so their index is its first rows.
     """
     sizes = [m.n for m in inputs]
     if [m.n for m in conds] != sizes or (anchors and [m.n for m in anchors] != sizes):
@@ -367,15 +375,16 @@ def latents(params, cfg, conds, inputs, times, anchors=None):
     copies = len(views) // len(inputs)   # the conditioner pairs with each view
     emb = np.tile(fourier_embed(np.asarray(times, dtype=np.float64), cfg.d_time), (copies, 1))
     view_sizes = sizes * copies
+    pairs = _pair_rows(view_sizes)
     node = fuse(ad.concat([f0] * copies), ft, emb, params, view_sizes)
     w = edge_condition(_pair_channels(conds * copies), _pair_channels(views), emb, params,
-                       view_sizes)
-    latent = fuse_gcn(node, w, params, cfg, view_sizes)
+                       view_sizes, pairs)
+    latent = fuse_gcn(node, w, params, cfg, view_sizes, pairs)
     if not anchors:
-        return {"latent": latent}
-    atoms, b = sum(sizes), len(sizes)
+        return {"latent": latent, "pairs": pairs}
+    atoms, b, rows = sum(sizes), len(sizes), sum(n * n for n in sizes)
     return {"latent": LatentRepresentation(latent.node_h[:atoms], latent.pooled[:b], tuple(sizes)),
-            "anchor_pooled": latent.pooled[b:]}
+            "anchor_pooled": latent.pooled[b:], "pairs": tuple(a[:rows] for a in pairs)}
 
 
 def heads(record, params, cfg, conds, inputs):
@@ -392,7 +401,8 @@ def heads(record, params, cfg, conds, inputs):
                             for run in runs])  # one call per run of equal-size inputs
     out["coeffs_P"] = coeffs
     out["score_P"] = score_3d(coeffs, basis, latent.sizes)
-    out["score_E"] = score_2d(latent, params, cfg, _pair_channels(conds), _pair_channels(inputs))
+    out["score_E"] = score_2d(latent, params, cfg, _pair_channels(conds), _pair_channels(inputs),
+                              record["pairs"])
     out["score_H"] = score_h(latent, params)
     return out
 

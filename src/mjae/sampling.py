@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .molgraph import CHARGES, ELEMENTS, DenseTensors, make_graph
-from .network import detach_params, forward, per_molecule, self_paired_groups
+from .network import detach_params, forward, self_paired_groups
 from .schedule import HORIZON, alpha_beta, drift_diffusion
 from .trajectory import gauge_noise
 
@@ -53,23 +53,50 @@ def time_grid(t_end, steps):
     return [(HORIZON - k * dt, dt) for k in range(steps)]
 
 
-def reverse_step(state, t, dt, scores, schedule, lam, rng):
-    """One Euler-Maruyama step of the reverse family on all three components,
-    which share the drift and diffusion of ``schedule`` at ``t``.
+def reverse_step(state, t, dt, scores, schedule, lam, rngs):
+    """One Euler-Maruyama step of the reverse family on all three components
+    of a group of paths, which share the drift and diffusion of ``schedule``
+    at ``t``.
 
-    Position noise stays zero-CoM, edge noise stays symmetric, so the state
-    remains inside the data gauge throughout the integration.
+    ``state`` and ``scores`` hold the group as stacks, (k, n, 3), (k, n, h)
+    and (k, n, n, e); ``rngs`` maps each path's sample index to its own
+    stream, in path order. Each path draws its gauge noise from its stream,
+    so its bits do not depend on the other paths of its group. Position noise
+    stays zero-CoM, edge noise stays symmetric, so the state remains inside
+    the data gauge throughout the integration. A non-finite score or new
+    state raises ``FloatingPointError`` naming the first sample that holds it.
     """
-    for comp in ("P", "H", "E"):
-        if not np.all(np.isfinite(scores[comp])):
-            raise FloatingPointError(f"non-finite {comp} score at t={t:.4f}")
+    for comp in "PHE":
+        _check_finite(scores[comp], rngs, f"{comp} score", t)
     f, g = drift_diffusion(schedule, t)
-    z = gauge_noise(state.n, rng) if lam > 0 else DenseTensors(H=0.0, E=0.0, P=0.0)
+    if lam > 0:
+        n = state.P.shape[1]  # atoms per path; state.n would read the path count
+        z = _stack([gauge_noise(n, rng) for rng in rngs.values()])
+    else:
+        z = DenseTensors(H=0.0, E=0.0, P=0.0)
     new = DenseTensors(**{c: euler_maruyama(getattr(state, c), scores[c], f, g, lam, dt,
                                             getattr(z, c)) for c in "PHE"})
-    if not all(np.all(np.isfinite(x)) for x in (new.P, new.H, new.E)):
-        raise FloatingPointError(f"non-finite state after reverse step at t={t:.4f}")
+    for comp in "PHE":
+        _check_finite(getattr(new, comp), rngs, f"{comp} state", t)
     return new
+
+
+def _check_finite(stack, rngs, what, t):
+    """Raise naming the sample of the first path of ``stack`` that is not finite."""
+    finite = np.isfinite(stack).reshape(len(rngs), -1).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(f"non-finite {what} of sample {list(rngs)[finite.argmin()]} "
+                                 f"at t={t:.4f}")
+
+
+def _stack(paths):
+    """One DenseTensors of (k, ...) stacks of the components of ``paths``."""
+    return DenseTensors(**{c: np.stack([getattr(m, c) for m in paths]) for c in "PHE"})
+
+
+def _paths(state):
+    """Each path of a stacked group ``state`` as its own DenseTensors of views."""
+    return [DenseTensors(H=h, E=e, P=p) for h, e, p in zip(state.H, state.E, state.P)]
 
 
 def prior_sample(n_atoms, schedule, rng):
@@ -86,22 +113,24 @@ def generate(params, net_cfg, schedule, cfg, count):
     Each state is also its own clean conditioner (the only structure
     available at generation time), so a path holds 2 n^2 pair rows. The
     reverse paths advance in ``self_paired_groups``, so what the integration
-    holds does not grow with ``count``. Each step of a group is one
-    ``forward`` of its states, then one reverse step per path on its own
-    stream.
+    holds does not grow with ``count``. A group's state is one stack per
+    component; each step of a group is one ``forward`` of its paths, whose
+    score rows reshape into the stacks, then one ``reverse_step`` of the
+    group, each path drawing its noise from its own stream.
     """
     params = detach_params(params)
     molecules = []
     for group in self_paired_groups([cfg.n_atoms] * count):
-        rngs = [np.random.default_rng([cfg.seed, i]) for i in range(count)[group]]
-        states = [prior_sample(cfg.n_atoms, schedule, rng) for rng in rngs]
+        rngs = {i: np.random.default_rng([cfg.seed, i]) for i in range(count)[group]}
+        state = _stack([prior_sample(cfg.n_atoms, schedule, rng) for rng in rngs.values()])
         for t, dt in time_grid(cfg.t_end, cfg.steps):
+            paths = _paths(state)
+            record = forward(params, net_cfg, paths, paths, [t] * len(paths))
             scale = 1.0 / alpha_beta(schedule, t)[1]
-            outs = per_molecule(forward(params, net_cfg, states, states, [t] * len(states)))
-            states = [reverse_step(state, t, dt, {c: out[f"score_{c}"] * scale for c in "PHE"},
-                                   schedule, cfg.lam, rng)
-                      for state, out, rng in zip(states, outs, rngs)]
-        molecules += [quantize(state) for state in states]
+            scores = {c: record[f"score_{c}"].data.reshape(getattr(state, c).shape) * scale
+                      for c in "PHE"}
+            state = reverse_step(state, t, dt, scores, schedule, cfg.lam, rngs)
+        molecules += [quantize(path) for path in _paths(state)]
     return molecules
 
 

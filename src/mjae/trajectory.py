@@ -73,7 +73,8 @@ def perturb_continuous(x0, t, rng, schedule):
 
 
 def sample_time(rng, t_min=T_MIN):
-    """Draw t ~ Uniform(t_min, 1]; t_min avoids the beta -> 0 blow-up."""
+    """Draw t ~ Uniform[t_min, 1) (``rng.uniform`` draws from [0, 1)); t_min
+    avoids the beta -> 0 blow-up."""
     return t_min + (1.0 - t_min) * rng.uniform()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_corpus, write_raw_checkpoint
-from mjae import cli, evalsuite
+from mjae import cli, evalsuite, sampling
 from mjae.cli import load_config_file, main, read_dataset
 from mjae.molgraph import serialize_molecule
 from mjae.network import NetworkConfig
@@ -466,14 +466,21 @@ def test_flags_that_cannot_do_work_are_usage_errors(trained, tmp_path, capsys, a
 
 
 def test_sampler_failure_is_a_named_runtime_error(trained, tmp_path, capsys, monkeypatch):
+    """A NaN in the score rows of path 2 of a 3-path group exits 1 with an
+    error naming that sample, and writes no file."""
     ck, _, _ = trained
+    real_forward = sampling.forward
 
-    def blow_up(*args):
-        raise FloatingPointError("non-finite P score at t=0.5000")
+    def poisoned(*args):
+        record = real_forward(*args)
+        rows = record["score_P"].data
+        rows[2 * rows.shape[0] // 3] = np.nan  # the first atom row of path 2
+        return record
 
-    monkeypatch.setattr(cli, "generate", blow_up)
-    assert main(["sample", ck, "--out", str(tmp_path / "s.jsonl"), "--steps", "2"]) == 1
-    assert capsys.readouterr().err == "error: non-finite P score at t=0.5000\n"
+    monkeypatch.setattr(sampling, "forward", poisoned)
+    assert main(["sample", ck, "--out", str(tmp_path / "s.jsonl"), "--steps", "2",
+                 "--count", "3"]) == 1
+    assert capsys.readouterr().err == "error: non-finite P score of sample 2 at t=1.0000\n"
     assert not os.listdir(tmp_path)
 
 

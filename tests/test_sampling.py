@@ -5,6 +5,7 @@ import pytest
 
 from conftest import small_net_config, toy_corpus, water_graph
 from mjae import network, sampling
+from mjae.autodiff import Tensor
 from mjae.evalsuite import gaussian_marginal_score, random_rotation
 from mjae.molgraph import (DenseTensors, N_BOND_CATEGORIES, feature_width,
                            to_dense)
@@ -17,10 +18,16 @@ VP = NoiseSchedule(kind="VP")
 VE = NoiseSchedule(kind="VE")
 
 
-def _state(rng, n=4):
-    return DenseTensors(P=rng.standard_normal((n, 3)),
-                        H=rng.standard_normal((n, feature_width())),
-                        E=rng.standard_normal((n, n, N_BOND_CATEGORIES)))
+def _state(rng, n=4, k=1):
+    """A group of k random n-atom paths, stacked per component."""
+    return DenseTensors(P=rng.standard_normal((k, n, 3)),
+                        H=rng.standard_normal((k, n, feature_width())),
+                        E=rng.standard_normal((k, n, n, N_BOND_CATEGORIES)))
+
+
+def _group_of_one(path):
+    """A lone path as a group of one: each component stacked with k = 1."""
+    return DenseTensors(P=path.P[None], H=path.H[None], E=path.E[None])
 
 
 def _scores(rng, state):
@@ -40,9 +47,9 @@ def test_reverse_step_ode_deterministic(rng):
     state = _state(rng)
     scores = _scores(rng, state)
     a = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
-                     np.random.default_rng(0))
+                     {0: np.random.default_rng(0)})
     b = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
-                     np.random.default_rng(99))
+                     {0: np.random.default_rng(99)})
     for comp in ("P", "H", "E"):
         assert np.array_equal(getattr(a, comp), getattr(b, comp))
 
@@ -52,14 +59,14 @@ def test_reverse_step_zero_score_ve(rng):
     zeros = {c: np.zeros_like(v) for c, v in
              (("P", state.P), ("H", state.H), ("E", state.E))}
     # lam=0, VE (f=0), zero score: the state is a fixed point
-    out = reverse_step(state, 0.5, 1e-3, zeros, VE, 0.0, np.random.default_rng(0))
+    out = reverse_step(state, 0.5, 1e-3, zeros, VE, 0.0, {0: np.random.default_rng(0)})
     assert np.array_equal(out.H, state.H)
     # lam=1: pure noise injection of magnitude lam g sqrt(dt)
     from mjae.schedule import drift_diffusion
     g = drift_diffusion(VE, 0.5)[1]
     dt = 1e-3
     draws = [(reverse_step(state, 0.5, dt, zeros, VE, 1.0,
-                           np.random.default_rng(s)).H - state.H)
+                           {0: np.random.default_rng(s)}).H - state.H)
              for s in range(200)]
     std = np.std(np.stack(draws))
     assert abs(std - g * np.sqrt(dt)) < 0.1 * g * np.sqrt(dt)
@@ -68,34 +75,47 @@ def test_reverse_step_zero_score_ve(rng):
 def test_reverse_step_rejects_nonfinite(rng):
     state = _state(rng)
     scores = _scores(rng, state)
-    scores["P"][0, 0] = np.nan
+    scores["P"][0, 0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="P score"):
         reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
-                     np.random.default_rng(0))
+                     {0: np.random.default_rng(0)})
+
+
+def test_reverse_step_names_the_nonfinite_sample(rng):
+    """A non-finite score or new state in one path of a group names that
+    path's sample index, the key of its stream."""
+    state = _state(rng, k=3)
+    rngs = {i: np.random.default_rng(i) for i in (3, 4, 5)}
+    scores = _scores(rng, state)
+    scores["H"][1, 2, 0] = np.nan
+    with pytest.raises(FloatingPointError, match=r"^non-finite H score of sample 4 at t=0\.5000$"):
+        reverse_step(state, 0.5, 1e-3, scores, VP, 0.0, rngs)
+    scores = _scores(rng, state)
+    state.E[2, 0, 1, 0] = np.inf
+    with pytest.raises(FloatingPointError, match=r"^non-finite E state of sample 5 at t=0\.5000$"):
+        reverse_step(state, 0.5, 1e-3, scores, VP, 1.0, rngs)
 
 
 def test_reverse_step_gauge_preserved(rng):
-    p = rng.standard_normal((5, 3))
-    state = DenseTensors(P=p - p.mean(axis=0),
-                         H=rng.standard_normal((5, feature_width())),
-                         E=rng.standard_normal((5, 5, N_BOND_CATEGORIES)))
+    state = _state(rng, n=5)
+    state.P[0] -= state.P[0].mean(axis=0)
     scores = _scores(rng, state)
-    scores["P"] -= scores["P"].mean(axis=0)
+    scores["P"][0] -= scores["P"][0].mean(axis=0)
     out = reverse_step(state, 0.7, 1e-3, scores, VP, 1.0,
-                       np.random.default_rng(0))
-    assert np.abs(out.P.mean(axis=0)).max() < 1e-9
+                       {0: np.random.default_rng(0)})
+    assert np.abs(out.P[0].mean(axis=0)).max() < 1e-9
 
 
 def test_reverse_step_rotation_equivariance(rng):
     state = _state(rng)
     scores = _scores(rng, state)
     base = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
-                        np.random.default_rng(0))
+                        {0: np.random.default_rng(0)})
     r = random_rotation(rng)
     rot_state = DenseTensors(P=state.P @ r.T, H=state.H, E=state.E)
     rot_scores = dict(scores, P=scores["P"] @ r.T)
     got = reverse_step(rot_state, 0.5, 1e-3, rot_scores, VP, 0.0,
-                       np.random.default_rng(0))
+                       {0: np.random.default_rng(0)})
     assert np.abs(got.P - base.P @ r.T).max() < 1e-9
 
 
@@ -164,15 +184,16 @@ def test_generate_advances_paths_together_bitwise(schedule, lam, rng, monkeypatc
     reference = []
     for i in range(3):
         path_rng = np.random.default_rng([cfg.seed, i])
-        state = prior_sample(cfg.n_atoms, schedule, path_rng)
+        path = prior_sample(cfg.n_atoms, schedule, path_rng)
         dt = (1.0 - cfg.t_end) / cfg.steps
         for k in range(cfg.steps):
             t = 1.0 - k * dt
-            out = network.per_molecule(network.forward(params, net_cfg, [state], [state], [t]))[0]
+            out = network.per_molecule(network.forward(params, net_cfg, [path], [path], [t]))[0]
             scale = 1.0 / alpha_beta(schedule, t)[1]
-            scores = {c: out[f"score_{c}"] * scale for c in ("P", "H", "E")}
-            state = reverse_step(state, t, dt, scores, schedule, lam, path_rng)
-        reference.append(state)
+            scores = {c: out[f"score_{c}"][None] * scale for c in ("P", "H", "E")}
+            group = reverse_step(_group_of_one(path), t, dt, scores, schedule, lam, {i: path_rng})
+            path = DenseTensors(P=group.P[0], H=group.H[0], E=group.E[0])
+        reference.append(path)
 
     finals, batch_sizes = [], []
     real_forward = sampling.forward
@@ -189,6 +210,29 @@ def test_generate_advances_paths_together_bitwise(schedule, lam, rng, monkeypatc
     for got, ref in zip(finals, reference * 2, strict=True):
         for comp in ("P", "H", "E"):
             assert np.array_equal(getattr(got, comp), getattr(ref, comp)), comp
+
+
+def test_generate_names_the_sample_with_a_nonfinite_score(rng, monkeypatch):
+    """A NaN in one path's score rows of a 3-path group stops generate with
+    an error naming that path by its sample index, here in the second group."""
+    net_cfg = small_net_config()
+    params = init_params(net_cfg, rng)
+    cfg = SamplerConfig(steps=3, n_atoms=4, seed=5)
+    monkeypatch.setattr(network, "MAX_PAIR_ROWS", 3 * 2 * cfg.n_atoms ** 2)
+    real_forward, groups = sampling.forward, []
+
+    def poisoned(p, c, conds, *rest):
+        record = real_forward(p, c, conds, *rest)
+        groups.append(len(conds))
+        if len(groups) == cfg.steps + 2:  # second step of paths 3-5: path 4's rows
+            record["score_P"].data[cfg.n_atoms:2 * cfg.n_atoms, 1] = np.nan
+        return record
+
+    monkeypatch.setattr(sampling, "forward", poisoned)
+    t = sampling.time_grid(cfg.t_end, cfg.steps)[1][0]
+    with pytest.raises(FloatingPointError, match=f"^non-finite P score of sample 4 at t={t:.4f}$"):
+        generate(params, net_cfg, VP, cfg, 6)
+    assert groups == [3] * (cfg.steps + 2)
 
 
 def test_generate_working_set_does_not_grow_with_count(rng, monkeypatch):
@@ -228,7 +272,8 @@ def test_generate_pair_features_once_per_nfe(rng, monkeypatch):
 @pytest.mark.parametrize("schedule", [VP, VE])
 def test_generate_scales_heads_by_inverse_beta(schedule, rng, monkeypatch):
     """Each network evaluation hands the reverse step the O(1) heads times
-    1/beta(t) of the schedule: the noise-prediction parametrization."""
+    1/beta(t) of the schedule (the noise-prediction parametrization): the
+    group's stacked scores are the record's score rows times 1/beta(t)."""
     net_cfg = small_net_config()
     params = init_params(net_cfg, rng)
     outs, steps = [], []
@@ -240,15 +285,17 @@ def test_generate_scales_heads_by_inverse_beta(schedule, rng, monkeypatch):
 
     def spy_step(state, t, dt, scores, *rest):
         inv_beta = 1.0 / alpha_beta(schedule, t)[1]
+        assert state.P.shape == (2, 3, 3)
         for comp in ("P", "H", "E"):
-            assert np.array_equal(scores[comp],
-                                  network.per_molecule(outs[-1])[0][f"score_{comp}"] * inv_beta)
+            rows = outs[-1][f"score_{comp}"].data
+            assert scores[comp].shape == getattr(state, comp).shape
+            assert np.array_equal(scores[comp].reshape(rows.shape), rows * inv_beta)
         steps.append(t)
         return real_step(state, t, dt, scores, *rest)
 
     monkeypatch.setattr(sampling, "forward", spy_forward)
     monkeypatch.setattr(sampling, "reverse_step", spy_step)
-    generate(params, net_cfg, schedule, SamplerConfig(steps=4, n_atoms=3, seed=1), 1)
+    generate(params, net_cfg, schedule, SamplerConfig(steps=4, n_atoms=3, seed=1), 2)
     assert len(steps) == len(outs) == 4
 
 
@@ -280,12 +327,14 @@ def test_generate_ends_in_the_data_law_under_the_exact_score(schedule, lam, monk
     finals = []
 
     def exact_scores(params, net_cfg, conds, inputs, times):
-        return [{f"score_{c}": alpha_beta(schedule, t)[1] * gaussian_marginal_score(
-                    getattr(x, c), t, 0.0, ORACLE_SIGMA, schedule) for c in "PHE"}
-                for x, t in zip(inputs, times)]
+        """A forward record of the scores' rows: atom rows of P and H, pair rows of E."""
+        return {f"score_{c}": Tensor(np.concatenate([
+                    alpha_beta(schedule, t)[1] * gaussian_marginal_score(
+                        getattr(x, c), t, 0.0, ORACLE_SIGMA, schedule).reshape(-1, width)
+                    for x, t in zip(inputs, times)]))
+                for c, width in (("P", 3), ("H", feature_width()), ("E", N_BOND_CATEGORIES))}
 
     monkeypatch.setattr(sampling, "forward", exact_scores)
-    monkeypatch.setattr(sampling, "per_molecule", lambda record: record)
     monkeypatch.setattr(sampling, "quantize", lambda state: finals.append(state) or state)
     generate({}, None, schedule, cfg, count)
 

@@ -321,6 +321,24 @@ def test_training_step_encodes_conditioner_once(self_cond_prob, monkeypatch):
         assert np.linalg.norm(grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
+def test_forward_builds_its_pair_row_index_once(monkeypatch):
+    """A forward builds the pair-row index of its molecules once: a detached
+    forward (no anchors) of one size list, and a training step of the size
+    list of its inputs and anchors, whose first rows index the inputs."""
+    batch = [to_dense(g) for g in toy_corpus(count=8, seed=5)]
+    sizes = [m.n for m in batch]
+    net_cfg = small_net_config()
+    params = init_params(net_cfg, np.random.default_rng(3))
+    built = []
+    _spy(monkeypatch, "_pair_rows", lambda s: built.append(list(s)))
+    network.forward(network.detach_params(params), net_cfg, batch, batch, [0.5] * len(batch))
+    assert built == [sizes]
+    built.clear()
+    training_step(params, net_cfg, _quick_cfg(), batch,
+                  [np.random.default_rng([7, i]) for i in range(len(batch))])
+    assert built == [sizes * 2]
+
+
 @pytest.mark.parametrize("self_cond_prob", [0.0, 0.5, 1.0])
 def test_training_step_pair_features_once_per_positions(self_cond_prob, monkeypatch):
     """An 8-molecule step is one encoding pass per branch, pair features once

@@ -42,12 +42,13 @@ def test_gauge_noise_is_drawn_in_one_order_everywhere():
     x0 = to_dense(water_graph())
     n = x0.n
     shapes = [(n, 3), (n, feature_width()), (n, n, N_BOND_CATEGORIES)]
-    scores = {"P": np.zeros((n, 3)), "H": np.zeros(x0.H.shape), "E": np.zeros(x0.E.shape)}
+    group = DenseTensors(P=x0.P[None], H=x0.H[None], E=x0.E[None])  # a group of one path
+    scores = {c: np.zeros(getattr(group, c).shape) for c in "PHE"}
     draws = []
     for draw in (lambda r: perturb_continuous(x0, 0.5, r, VP),
                  lambda r: prior_sample(n, VP, r),
-                 lambda r: reverse_step(x0, 0.5, 1e-3, scores, VP, 0.5, r),
-                 lambda r: reverse_step(x0, 0.5, 1e-3, scores, VP, 0.0, r)):
+                 lambda r: reverse_step(group, 0.5, 1e-3, scores, VP, 0.5, {0: r}),
+                 lambda r: reverse_step(group, 0.5, 1e-3, scores, VP, 0.0, {0: r})):
         rec = RecordingRng(0)
         draw(rec)
         draws.append(rec.shapes)
