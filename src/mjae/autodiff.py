@@ -2,8 +2,8 @@
 
 A ``Tensor`` wraps a numpy array and, when gradients are requested, links back
 to its parents so that ``backward`` can replay the chain rule. The recorded
-graph is single-use: after ``backward`` the tape is cleared and a second call
-raises. Dense tensors of rank <= 4 only; no GPU, no higher-order derivatives.
+graph is single-use: ``backward`` cuts each node from its parents as it walks
+the tape, and a second call raises. Dense tensors of rank <= 4 only; no GPU, no higher-order derivatives.
 
 Two primitives fuse what the network does most often into one tape node:
 ``linear`` (matmul plus bias) and ``ragged_message`` (the per-pair message
@@ -247,7 +247,7 @@ def pair_inner(q, k, sizes):
                   (k, lambda g: _block_times_rows(g, q.data, runs, True))), "pair_inner")
 
 
-def ragged_message(filt, x, sizes):
+def ragged_message(filt, x, sizes, w=None):
     """Per-atom message sum ``msgs_i = sum_j filt_ij x_j`` of a batch of molecules.
 
     ``x`` (N, L) stacks the atoms of molecules of ``sizes`` atoms in order, and
@@ -255,42 +255,60 @@ def ragged_message(filt, x, sizes):
     order. Each molecule's rows form an (n, n, L) block summed over j; the ``x``
     gradient sums the same block over i: ``dx_j = sum_i filt_ij g_i``.
 
+    With a weight ``w`` (r, L), ``filt`` (P, r) holds pair features and the
+    filter is ``filt @ w``, made per run as the stacked GEMM ``matmul`` with
+    pair-row blocks makes. The filter is never stored: forward builds each
+    run's block and drops it, the ``x`` gradient builds it again, and the
+    ``w`` gradient is ``filt.T @ dfilt``.
+
     At width L > 1, einsum adds the terms over j in order from +0.0, as the
     reduction of the (k, n, n, L) product does, without building it. At
     width 1 j is the contiguous axis, which numpy sums pairwise, so the
     product is summed instead.
     """
     filt, x = as_tensor(filt), as_tensor(x)
-    if (filt.data.ndim != 2 or x.data.ndim != 2 or filt.shape[1] != x.shape[1]
+    w = None if w is None else as_tensor(w)
+    filter_shape = filt.shape if w is None else filt.shape[:1] + w.shape[1:]
+    if (filt.data.ndim != 2 or x.data.ndim != 2 or filter_shape[1:] != x.shape[1:]
+            or (w is not None and (w.data.ndim != 2 or w.shape[0] != filt.shape[1]))
             or filt.shape[0] != sum(n * n for n in sizes) or x.shape[0] != sum(sizes)):
-        raise ShapeError(f"ragged_message: filt {filt.shape} and x {x.shape} do not "
+        weight = "" if w is None else f" and w {w.shape}"
+        raise ShapeError(f"ragged_message: filt {filt.shape}{weight} and x {x.shape} do not "
                          f"match molecules of {list(sizes)} atoms")
-    width = x.shape[1]
-    runs = [(k, n, atoms, pairs, filt.data[pairs].reshape(k, n, n, width))  # (k, n, n, L)
-            for k, n, atoms, pairs in _runs(sizes, x.shape[0], "ragged_message")]
+    feats, width = filt.shape[1], x.shape[1]
+    runs = _runs(sizes, x.shape[0], "ragged_message")
+
+    def block(k, n, pairs):  # a run's (k, n, n, L) filter
+        if w is None:
+            return filt.data[pairs].reshape(k, n, n, width)
+        return np.matmul(filt.data[pairs].reshape(k, n * n, feats), w.data).reshape(k, n, n, width)
+
     out = np.empty_like(x.data)
-    for k, n, atoms, _, block in runs:
+    for k, n, atoms, pairs in runs:
         rows, sums = x.data[atoms].reshape(k, n, width), out[atoms].reshape(k, n, width)
         if width > 1:
-            np.einsum("kijl,kjl->kil", block, rows, out=sums)
+            np.einsum("kijl,kjl->kil", block(k, n, pairs), rows, out=sums)
         else:
-            (block * rows.reshape(k, 1, n, width)).sum(axis=2, out=sums)
+            (block(k, n, pairs) * rows.reshape(k, 1, n, width)).sum(axis=2, out=sums)
 
     def dfilt(g):  # dfilt_ij = g_i x_j
-        grad = np.empty(filt.shape)
-        for k, n, atoms, pairs, block in runs:
+        grad = np.empty((filt.shape[0], width))
+        for k, n, atoms, pairs in runs:
             np.multiply(g[atoms].reshape(k, n, 1, width), x.data[atoms].reshape(k, 1, n, width),
-                        out=grad[pairs].reshape(block.shape))
+                        out=grad[pairs].reshape(k, n, n, width))
         return grad
 
     def dx(g):  # einsum sums over i in order from +0.0, as numpy's reduction does
         grad = np.empty_like(x.data)
-        for k, n, atoms, _, block in runs:
-            np.einsum("kijl,kil->kjl", block, g[atoms].reshape(k, n, width),
+        for k, n, atoms, pairs in runs:
+            np.einsum("kijl,kil->kjl", block(k, n, pairs), g[atoms].reshape(k, n, width),
                       out=grad[atoms].reshape(k, n, width))
         return grad
 
-    return _make(out, ((filt, dfilt), (x, dx)), "ragged_message")
+    if w is None:
+        return _make(out, ((filt, dfilt), (x, dx)), "ragged_message")
+    return _make(out, ((filt, lambda g: dfilt(g) @ w.data.T), (x, dx),
+                       (w, lambda g: filt.data.T @ dfilt(g))), "ragged_message")
 
 
 # -- elementwise unary primitives ---------------------------------------
@@ -480,10 +498,16 @@ def _stacked_weight_grad(uses):
 
 
 def backward(loss):
-    """Populate ``.grad`` on every reachable leaf, then clear the tape.
+    """Populate ``.grad`` on every reachable leaf, consuming the tape.
 
     ``loss`` must be scalar. The recorded graph is consumed; calling
-    ``backward`` twice on the same loss raises ``TapeError``.
+    ``backward`` twice on the same loss raises ``TapeError``, also when the
+    first call raised part-way.
+
+    Nodes are popped in topological order and each is cut from its parents
+    before their contributions are formed, so an interior array (a node's
+    data and what its gradient functions hold) is freed once its last
+    consumer's gradient is formed, not when the walk ends.
 
     A leaf that is the right operand of k > 1 matmuls (a weight shared by
     several rows, rounds or molecules) gets one ``concat(a).T @ concat(g)``
@@ -496,8 +520,8 @@ def backward(loss):
         raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss._consumed:
         raise TapeError("backward: tape already consumed")
+    loss._consumed = True
     if not loss.requires_grad:
-        loss._consumed = True
         return
 
     order = []
@@ -523,14 +547,16 @@ def backward(loss):
 
     grads = {id(loss): np.ones_like(loss.data)}
     rows = {}  # id(leaf) -> [(a, g)] of its matmul uses seen so far
-    for node in reversed(order):
+    while order:
+        node = order.pop()
+        parents, node._parents = node._parents, ()
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if not node._parents:
+        if not parents:
             node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, grad_fn in node._parents:
+        for parent, grad_fn in parents:
             if not parent.requires_grad:
                 continue
             key = id(parent)
@@ -545,7 +571,3 @@ def backward(loss):
                 grads[key] = grads[key] + contrib
             else:
                 grads[key] = contrib
-
-    for node in order:
-        node._parents = ()
-    loss._consumed = True

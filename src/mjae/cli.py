@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict, fields
@@ -90,6 +91,9 @@ def write_manifest(out_path, command, config, seed, inputs, outputs, started):
         "input_hashes": {p: _file_hash(p) for p in inputs if os.path.exists(p)},
         "outputs": outputs,
         "wall_time_s": round(time.time() - started, 3),
+        # ru_maxrss counts KB on Linux and bytes on macOS
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                             / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 1),
     }
     text = strict_json(manifest, "manifest")
     tmp = out_path + ".tmp"

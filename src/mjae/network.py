@@ -180,13 +180,11 @@ def encode(mols, params, cfg, branch, rbf):
     inside which every molecule's GEMMs run as its own block.
     """
     sizes = [m.n for m in mols]
-    pairs = [n * n for n in sizes]
     pair_rbf = Tensor(np.concatenate(rbf))  # (sum n_b^2, n_rbf) constant
     h = ad.matmul(Tensor(np.concatenate([m.H for m in mols])), params[f"{branch}.embed"], sizes)
     for k in range(cfg.rounds):
-        filt = ad.matmul(pair_rbf, params[f"{branch}.r{k}.filter"], pairs)
         x = ad.matmul(h, params[f"{branch}.r{k}.msg"], sizes)
-        msgs = ad.ragged_message(filt, x, sizes)
+        msgs = ad.ragged_message(pair_rbf, x, sizes, params[f"{branch}.r{k}.filter"])
         upd = ad.linear(ad.concat([h, msgs], axis=1), params[f"{branch}.r{k}.upd.w"],
                         params[f"{branch}.r{k}.upd.b"], sizes)
         h = ad.add(h, ad.silu(upd))

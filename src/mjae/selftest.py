@@ -98,6 +98,8 @@ def _primitive_cases(rng):
             spread(x, (21, 1)), Tensor(np.ones((7, 1))), sizes))),
         ("block_mean rows", lambda x: reduce(ad.block_mean(spread(x, (7, 4)), sizes))),
         ("block_mean all", lambda x: reduce(ad.block_mean(spread(x, (7, 4)), sizes, axis=None))),
+        # the filter f @ x of molecules of 1 and 3 atoms, built per run
+        ("ragged_message w", lambda x: reduce(ad.ragged_message(Tensor(f), Tensor(c2), (1, 3), x))),
     ]
 
 

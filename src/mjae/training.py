@@ -261,7 +261,7 @@ def load_checkpoint(path):
         header = json.loads(blob[20:20 + hlen])
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from e
-    body = blob[20 + hlen:]
+    body = memoryview(blob)[20 + hlen:]  # a view: each tensor below is the one copy
     tensors = {}
     for name, shape, offset in _tensor_entries(header):
         size = math.prod(shape) * 8

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +63,43 @@ def test_backward_contracts(rng):
         ad.backward(ad.square(Tensor(np.ones(3), requires_grad=True)))
     with pytest.raises(TypeError):
         ad.backward(np.ones(1))
+
+
+def test_failed_backward_consumes_the_tape(rng):
+    """A gradient function that raises leaves a half-walked tape, which a
+    second ``backward`` refuses."""
+    x = Tensor(rng.standard_normal(3), requires_grad=True)
+
+    def boom(g):
+        raise FloatingPointError("boom")
+
+    loss = ad.sum_(Tensor(x.data * 2.0, requires_grad=True, _parents=((x, boom),)))
+    with pytest.raises(FloatingPointError):
+        ad.backward(loss)
+    with pytest.raises(TapeError, match="consumed"):
+        ad.backward(loss)
+
+
+def test_backward_frees_interior_arrays_before_the_leaves(rng):
+    """An interior array is freed once its last consumer's gradient is
+    formed: by the time backward reaches the node under it, the silu output
+    is gone."""
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    alive = []
+
+    def probe(g):
+        gc.collect()
+        alive.append(ref() is not None)
+        return g
+
+    under = Tensor(x.data + 1.0, requires_grad=True, _parents=((x, probe),))
+    act = ad.silu(under)
+    ref = weakref.ref(act.data)
+    loss = ad.sum_(ad.square(act))
+    del act, under
+    ad.backward(loss)
+    assert alive == [False]
+    assert np.all(np.isfinite(x.grad))
 
 
 def test_grad_accumulates_over_reuse(rng):
@@ -241,6 +281,37 @@ def test_ragged_message_bitwise_to_block_products(width, rng):
     assert _same_bits(out.data, np.concatenate(msgs))
     assert _same_bits(filt.grad, np.concatenate(dfilt))
     assert _same_bits(x.grad, np.concatenate(dx))
+
+
+@pytest.mark.parametrize("width", [1, 2, 128])
+def test_ragged_message_weight_matches_stored_filter(width, rng):
+    """With a weight, the filter built per run inside the node gives, bit for
+    bit, the forward and the feature, x and weight gradients of a stored
+    ``matmul`` filter, on runs of k > 1 and of lone atoms, signed zeros
+    included."""
+    sizes = (1, 1, 3, 3, 3, 2, 5, 5, 1, 4)
+    pairs = [n * n for n in sizes]
+    feats0 = rng.standard_normal((sum(pairs), 6))
+    feats0[::7] = -0.0
+    x0 = rng.standard_normal((sum(sizes), width))
+    w0 = rng.standard_normal((6, width))
+    g = rng.standard_normal(x0.shape)
+    g[::3] = -0.0
+
+    def run(build):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (feats0, x0, w0)]
+        out = build(*leaves)
+        ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    fused = run(lambda f, x, w: ad.ragged_message(f, x, sizes, w))
+    stored = run(lambda f, x, w: ad.ragged_message(ad.matmul(f, w, pairs), x, sizes))
+    for name, a, b in zip(("out", "feats", "x", "w"), fused, stored):
+        assert _same_bits(a, b), name
+    with pytest.raises(ShapeError, match="ragged_message"):
+        ad.ragged_message(Tensor(feats0), Tensor(x0), sizes, Tensor(w0[1:]))
+    with pytest.raises(ShapeError, match="ragged_message"):
+        ad.ragged_message(Tensor(feats0), Tensor(x0[:, :1]), sizes, Tensor(np.ones((6, 2))))
 
 
 def test_block_primitives_make_each_molecules_own_call(rng):

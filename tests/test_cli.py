@@ -540,7 +540,9 @@ def test_selftest_passes_and_writes_manifest(tmp_path, capsys):
     manifest = str(tmp_path / "selftest.manifest.json")
     assert main(["selftest", "--manifest", manifest]) == 0
     assert "[PASS]" in capsys.readouterr().out
-    assert json.load(open(manifest))["command"] == "selftest"
+    written = json.load(open(manifest))
+    assert written["command"] == "selftest"
+    assert written["peak_rss_mb"] > 0
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +364,37 @@ def test_training_step_pair_features_once_per_positions(self_cond_prob, monkeypa
     assert len(embeds) == len(batch)
 
 
+def test_training_step_tape_stores_no_pair_row_filter(monkeypatch):
+    """The encoder filters are built inside ``ragged_message``: no matmul
+    node of a training step's tape has pair rows, and each encoder round's
+    filter weight feeds one message node of each branch."""
+    batch = [to_dense(g) for g in toy_corpus(count=8, seed=5)]
+    net_cfg = small_net_config()
+    params = init_params(net_cfg, np.random.default_rng(3))
+    nodes = []   # (op, rows, ids of parents) of each tape node
+    real_backward = ad.backward
+
+    def spy(loss):
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            node = stack.pop()
+            nodes.append((node._op, node.shape[:1], {id(p) for p, _ in node._parents}))
+            for parent, _ in node._parents:
+                if parent.requires_grad and id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        real_backward(loss)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    training_step(params, net_cfg, _quick_cfg(), batch,
+                  [np.random.default_rng([7, i]) for i in range(len(batch))])
+    pairs = sum(m.n ** 2 for m in batch)
+    assert not [n for n in nodes if n[0] == "matmul" and n[1][0] in (pairs, 2 * pairs)]
+    for name, p in params.items():
+        if name.endswith(".filter"):
+            assert [op for op, _, parents in nodes if id(p) in parents] == ["ragged_message"]
+
+
 # -- checkpoints ----------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path, rng):
@@ -382,6 +414,23 @@ def test_checkpoint_round_trip(tmp_path, rng):
     for k in state["m"]:
         assert np.array_equal(state2["m"][k], state["m"][k])
     check_shapes(params2, cfg)
+
+
+def test_load_checkpoint_copies_the_body_once(tmp_path):
+    """Loading a default-net checkpoint holds the file's bytes and one copy
+    of each tensor, which stays writable for the in-place Adam update."""
+    params = init_params(NetworkConfig(), np.random.default_rng(0))
+    path = str(tmp_path / "ck.bin")
+    save_checkpoint(params, init_adam_state(params), path)
+    tracemalloc.start()
+    try:
+        loaded, state, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * os.path.getsize(path)
+    assert all(t.data.flags.writeable for t in loaded.values())
+    assert all(m.flags.writeable for m in state["m"].values())
 
 
 def test_checkpoint_bad_magic(tmp_path):
