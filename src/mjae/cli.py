@@ -5,7 +5,9 @@ key=value config file (default path from MJAE_CONFIG) supplies defaults;
 flags override. Network and noise-schedule flags exist on pretrain only: its
 checkpoint stores both configs, and sample, eval and probe read them back.
 Every completed run that writes a file writes a JSON manifest next to it;
-eval and probe print their report and write a file only with --report.
+eval and probe print their report and write a file only with --report, and
+selftest writes its manifest only with --manifest. Checkpoints and manifests
+are written to a temporary file that then replaces the target.
 Each command that reads a JSONL file prints its malformed lines to stderr.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -30,8 +32,8 @@ from .network import NetworkConfig, init_params
 from .sampling import SamplerConfig, generate
 from .schedule import NoiseSchedule
 from .selftest import run_selftest
-from .training import (CheckpointError, TrainConfig, check_shapes,
-                       init_adam_state, load_checkpoint, save_checkpoint, train)
+from .training import (CheckpointError, TrainConfig, check_shapes, init_adam_state,
+                       load_checkpoint, replacing, save_checkpoint, train)
 
 __version__ = "0.1.0"
 
@@ -96,10 +98,8 @@ def write_manifest(out_path, command, config, seed, inputs, outputs, started):
                              / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 1),
     }
     text = strict_json(manifest, "manifest")
-    tmp = out_path + ".tmp"
-    with open(tmp, "w") as fh:
+    with replacing(out_path, "w") as fh:
         fh.write(text)
-    os.replace(tmp, out_path)
 
 
 def read_dataset(path):
@@ -314,8 +314,9 @@ def cmd_probe(args):
 def cmd_selftest(args):
     started = time.time()
     ok, results = run_selftest(verbose=True)
-    write_manifest(args.manifest, "selftest", vars(args), args.seed, [],
-                   [args.manifest], started)
+    if args.manifest:
+        write_manifest(args.manifest, "selftest", vars(args), args.seed, [],
+                       [args.manifest], started)
     return 0 if ok else 1
 
 
@@ -420,7 +421,7 @@ def build_parser(defaults):
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("selftest", help="run the built-in verification battery")
-    p.add_argument("--manifest", default="selftest.manifest.json")
+    p.add_argument("--manifest", default=None)
     common(p)
     p.set_defaults(fn=cmd_selftest)
 

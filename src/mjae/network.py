@@ -108,19 +108,21 @@ def _dense_init(rng, fan_in, fan_out):
     return rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
 
 
-def init_params(cfg, rng):
-    """Named parameter map; shapes are fixed by the config."""
-    p = {}
+def param_shapes(cfg):
+    """Name -> shape of every parameter the config fixes, in the order
+    ``init_params`` draws them: (fan_in, fan_out) for a matrix, (fan_out,)
+    for the bias of a dense layer."""
+    shapes = {}
 
     def dense(name, fan_in, fan_out):
-        p[f"{name}.w"] = _dense_init(rng, fan_in, fan_out)
-        p[f"{name}.b"] = np.zeros(fan_out)
+        shapes[f"{name}.w"] = (fan_in, fan_out)
+        shapes[f"{name}.b"] = (fan_out,)
 
     for branch in ("enc_clean", "enc_noisy"):
-        p[f"{branch}.embed"] = _dense_init(rng, cfg.h_width, cfg.latent)
+        shapes[f"{branch}.embed"] = (cfg.h_width, cfg.latent)
         for k in range(cfg.rounds):
-            p[f"{branch}.r{k}.filter"] = _dense_init(rng, cfg.n_rbf, cfg.latent)
-            p[f"{branch}.r{k}.msg"] = _dense_init(rng, cfg.latent, cfg.latent)
+            shapes[f"{branch}.r{k}.filter"] = (cfg.n_rbf, cfg.latent)
+            shapes[f"{branch}.r{k}.msg"] = (cfg.latent, cfg.latent)
             dense(f"{branch}.r{k}.upd", 2 * cfg.latent, cfg.latent)
 
     dense("fuse.l1", cfg.d_time + 2 * cfg.latent, cfg.latent)
@@ -130,8 +132,8 @@ def init_params(cfg, rng):
     for layer in range(cfg.gcn_layers):
         dense(f"gcn.l{layer}", cfg.latent, cfg.latent)
     for head in range(cfg.heads):
-        p[f"att.h{head}.q"] = _dense_init(rng, cfg.latent, cfg.head_dim)
-        p[f"att.h{head}.k"] = _dense_init(rng, cfg.latent, cfg.head_dim)
+        shapes[f"att.h{head}.q"] = (cfg.latent, cfg.head_dim)
+        shapes[f"att.h{head}.k"] = (cfg.latent, cfg.head_dim)
     dense("head2d.l1", cfg.heads + 2 * cfg.latent + 2 * cfg.e_width, cfg.edge_hidden)
     dense("head2d.l2", cfg.edge_hidden, cfg.e_width)
     dense("head3d.l1", cfg.latent, cfg.hidden)
@@ -140,8 +142,15 @@ def init_params(cfg, rng):
     dense("headh.l2", cfg.hidden, cfg.h_width)
     dense("proj.l1", cfg.latent, cfg.hidden)
     dense("proj.l2", cfg.hidden, cfg.d_contrast)
+    return shapes
 
-    return {name: Tensor(v, requires_grad=True) for name, v in p.items()}
+
+def init_params(cfg, rng):
+    """Named parameter map of ``param_shapes(cfg)``: each matrix is drawn from
+    ``rng`` in that order, each bias is zero."""
+    return {name: Tensor(_dense_init(rng, *shape) if len(shape) == 2 else np.zeros(shape),
+                         requires_grad=True)
+            for name, shape in param_shapes(cfg).items()}
 
 
 def detach_params(params):

@@ -9,8 +9,10 @@ fully determines the loss history.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -19,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as losses
 from .molgraph import to_dense
-from .network import NetworkConfig, forward, init_params
+from .network import NetworkConfig, forward, init_params, param_shapes
 from .schedule import NoiseSchedule, alpha_beta
 from .trajectory import perturb_continuous, sample_time
 
@@ -224,54 +226,83 @@ def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):
 
 # -- checkpoints ---------------------------------------------------------
 
+@contextlib.contextmanager
+def replacing(path, mode="wb"):
+    """A file opened on ``path + ".tmp"`` that replaces ``path`` when the
+    block completes. If the block raises, ``path`` keeps its old contents and
+    the temporary file is removed."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(params, state, path, meta=None):
-    """Binary checkpoint: magic, version, JSON header, raw little-endian buffers."""
+    """Binary checkpoint: magic, version, JSON header, raw little-endian buffers.
+    Each array's own buffer is written to a temporary file, which then replaces
+    ``path``, so an interrupted save leaves the previous checkpoint intact."""
     tensors = {f"param/{k}": v.data for k, v in params.items()}
     tensors.update({f"adam_m/{k}": v for k, v in state["m"].items()})
     tensors.update({f"adam_v/{k}": v for k, v in state["v"].items()})
+    tensors = {name: np.ascontiguousarray(arr, dtype="<f8") for name, arr in tensors.items()}
     entries = []
     offset = 0
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
         entries.append({"name": name, "shape": list(arr.shape),
                         "dtype": "float64", "offset": offset})
         offset += arr.nbytes
     header = json.dumps({"tensors": entries, "adam_step": state["step"],
                          "meta": meta or {}}).encode()
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         for arr in tensors.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(arr)
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (params, adam state, meta)."""
+    """Inverse of save_checkpoint; returns (params, adam state, meta). Every
+    extent is checked against the file's size before anything is allocated,
+    and each tensor is read straight into its own array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 20 or blob[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad checkpoint magic")
-    (version,) = struct.unpack("<I", blob[8:12])
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<Q", blob[12:20])
-    try:
-        header = json.loads(blob[20:20 + hlen])
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-        raise CheckpointError(f"corrupt checkpoint header: {e}") from e
-    body = memoryview(blob)[20 + hlen:]  # a view: each tensor below is the one copy
-    tensors = {}
-    for name, shape, offset in _tensor_entries(header):
-        size = math.prod(shape) * 8
-        raw = body[offset:offset + size]
-        if len(raw) != size:
-            raise CheckpointError(f"truncated checkpoint at tensor {name!r}")
+        file_size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(20)
+        if len(preamble) < 20 or preamble[:8] != CHECKPOINT_MAGIC:
+            raise CheckpointError("bad checkpoint magic")
+        (version,) = struct.unpack("<I", preamble[8:12])
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        (hlen,) = struct.unpack("<Q", preamble[12:20])
+        body_start = 20 + hlen
+        if body_start > file_size:
+            raise CheckpointError(f"corrupt checkpoint header: its length {hlen} "
+                                  f"runs past the end of the {file_size}-byte file")
         try:
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        except ValueError as e:  # e.g. a zero-size shape with a dimension numpy cannot hold
-            raise CheckpointError(f"checkpoint tensor {name!r} has shape {shape}: {e}") from e
+            header = json.loads(fh.read(hlen))
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+            raise CheckpointError(f"corrupt checkpoint header: {e}") from e
+        tensors = {}
+        for name, shape, offset in _tensor_entries(header):
+            size = math.prod(shape) * 8
+            # a zero-size tensor reads nothing, wherever its offset points
+            if size and body_start + offset + size > file_size:
+                raise CheckpointError(f"truncated checkpoint at tensor {name!r}")
+            try:
+                arr = np.empty(shape, dtype="<f8")
+            except ValueError as e:  # e.g. a zero-size shape with a dimension numpy cannot hold
+                raise CheckpointError(f"checkpoint tensor {name!r} has shape {shape}: {e}") from e
+            # a uint8 view of the flat array: memoryview.cast refuses zero-size shapes
+            fh.seek(body_start + offset)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != size:
+                raise CheckpointError(f"truncated checkpoint at tensor {name!r}")
+            tensors[name] = arr
     params = {k[len("param/"):]: ad.Tensor(v, requires_grad=True)
               for k, v in tensors.items() if k.startswith("param/")}
     state = {
@@ -306,14 +337,14 @@ def _tensor_entries(header):
 
 def check_shapes(params, net_cfg):
     """Validate loaded parameters against a config; names the first mismatch."""
-    reference = init_params(net_cfg, np.random.default_rng(0))
-    for name, ref in reference.items():
+    reference = param_shapes(net_cfg)
+    for name, shape in reference.items():
         if name not in params:
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
-        if params[name].shape != ref.shape:
+        if params[name].shape != shape:
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {params[name].shape}, "
-                f"config expects {ref.shape}")
+                f"config expects {shape}")
     extra = set(params) - set(reference)
     if extra:
         raise CheckpointError(f"checkpoint has unexpected tensors {sorted(extra)}")

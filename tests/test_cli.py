@@ -545,6 +545,13 @@ def test_selftest_passes_and_writes_manifest(tmp_path, capsys):
     assert written["peak_rss_mb"] > 0
 
 
+def test_selftest_without_manifest_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["selftest"]) == 0
+    assert "[PASS]" in capsys.readouterr().out
+    assert os.listdir(tmp_path) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])

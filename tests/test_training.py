@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import tempfile
@@ -417,8 +418,9 @@ def test_checkpoint_round_trip(tmp_path, rng):
 
 
 def test_load_checkpoint_copies_the_body_once(tmp_path):
-    """Loading a default-net checkpoint holds the file's bytes and one copy
-    of each tensor, which stays writable for the in-place Adam update."""
+    """Loading a default-net checkpoint reads each tensor straight into its
+    own array, which stays writable for the in-place Adam update; the file
+    is never held in one piece."""
     params = init_params(NetworkConfig(), np.random.default_rng(0))
     path = str(tmp_path / "ck.bin")
     save_checkpoint(params, init_adam_state(params), path)
@@ -428,9 +430,71 @@ def test_load_checkpoint_copies_the_body_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * os.path.getsize(path)
+    assert peak < 1.3 * os.path.getsize(path)
     assert all(t.data.flags.writeable for t in loaded.values())
     assert all(m.flags.writeable for m in state["m"].values())
+
+
+def test_save_checkpoint_bytes_are_the_documented_layout(tmp_path, rng):
+    """Magic, version, header length, JSON header, then each tensor's
+    little-endian float64 buffer in header order."""
+    params = init_params(small_net_config(), rng)
+    state = init_adam_state(params)
+    state["step"] = 5
+    state["m"] = {k: rng.standard_normal(v.shape) for k, v in state["m"].items()}
+    path = tmp_path / "ck.bin"
+    save_checkpoint(params, state, str(path), meta={"note": "x"})
+    tensors = ([(f"param/{k}", v.data) for k, v in params.items()]
+               + [(f"adam_m/{k}", v) for k, v in state["m"].items()]
+               + [(f"adam_v/{k}", v) for k, v in state["v"].items()])
+    entries, body = [], b""
+    for name, arr in tensors:
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": "float64",
+                        "offset": len(body)})
+        body += arr.astype("<f8").tobytes()
+    raw = write_raw_checkpoint(tmp_path / "raw.ck", {"tensors": entries, "adam_step": 5,
+                                                     "meta": {"note": "x"}}, body)
+    assert path.read_bytes() == open(raw, "rb").read()
+
+
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, rng, monkeypatch):
+    """A save that fails part-way through its tensors leaves the previous
+    checkpoint's bytes in place, loadable, and no temporary file."""
+    cfg = small_net_config()
+    params = init_params(cfg, rng)
+    path = str(tmp_path / "ck.bin")
+    save_checkpoint(params, init_adam_state(params), path)
+    before = open(path, "rb").read()
+
+    class FullDisk:
+        """A file whose third array write stores half its bytes, then fails."""
+
+        def __init__(self, fh):
+            self.fh, self.arrays = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, data):
+            if isinstance(data, np.ndarray):
+                self.arrays += 1
+                if self.arrays == 3:
+                    self.fh.write(data.reshape(-1).view(np.uint8)[:data.nbytes // 2])
+                    raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    newer = init_params(cfg, np.random.default_rng(1))
+    with monkeypatch.context() as m:
+        m.setattr(training, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(newer, init_adam_state(newer), path)
+    assert os.listdir(tmp_path) == ["ck.bin"]
+    assert open(path, "rb").read() == before
+    loaded, _, _ = load_checkpoint(path)
+    assert all(np.array_equal(loaded[k].data, params[k].data) for k in params)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -500,6 +564,30 @@ def test_checkpoint_malformed_header_is_checkpoint_error(tmp_path, header, messa
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("hlen_extra, header, message", [
+    (2 ** 40, {"tensors": [], "adam_step": 0}, "corrupt checkpoint header"),
+    (2 ** 64 - 1, None, "corrupt checkpoint header"),
+    (0, {"tensors": [GOOD_ENTRY | {"shape": [2 ** 20]}], "adam_step": 0}, "truncated"),
+    (0, {"tensors": [GOOD_ENTRY | {"offset": 2 ** 40}], "adam_step": 0}, "truncated"),
+])
+def test_extent_past_eof_allocates_nothing(tmp_path, hlen_extra, header, message):
+    """A header length or tensor extent that runs past the end of the file is
+    a CheckpointError raised before any buffer of that size exists."""
+    raw = json.dumps(header).encode() if header is not None else b""
+    hlen = len(raw) + hlen_extra
+    path = tmp_path / "bad.ck"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+                     + struct.pack("<Q", hlen) + raw + np.arange(2.0).tobytes())
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_checkpoint_shape_mismatch_names_tensor(tmp_path, rng):
     cfg = small_net_config()
     params = init_params(cfg, rng)
@@ -511,6 +599,19 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path, rng):
                           edge_hidden=8)
     with pytest.raises(CheckpointError, match="enc_clean.embed"):
         check_shapes(params2, other)
+
+
+def test_check_shapes_draws_no_parameters(rng, monkeypatch):
+    """check_shapes reads the shape table; it never draws a parameter set."""
+    cfg = small_net_config()
+    params = init_params(cfg, rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_shapes drew a parameter set")
+
+    monkeypatch.setattr(training, "init_params", refuse)
+    monkeypatch.setattr(network, "init_params", refuse)
+    check_shapes(params, cfg)
 
 
 def test_checkpoint_missing_tensor(rng):
