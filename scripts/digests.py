@@ -1,0 +1,145 @@
+"""Print one SHA-256 per output of a fixed run matrix, as sorted JSON.
+
+Two trees give the same outputs bit for bit when this script prints the same
+JSON on both, within one numpy/BLAS build:
+
+    git worktree add ../parent HEAD^
+    python3 scripts/digests.py ../parent > parent.json
+    python3 scripts/digests.py > head.json
+    diff parent.json head.json
+
+ROOT (default: the tree holding this script) names the tree whose
+``src/mjae`` is imported. Inputs come from this script's own
+``make_toy_corpus.random_molecule``, so both trees see the same inputs. The
+matrix, each output keyed by its settings:
+
+* ``generate`` on a tiny net: VP and VE, lam 0, 0.7 and 1, count 1 and 3
+  (4 atoms), and 60 paths of 12 atoms, which advance in two groups; each
+  key hashes the molecules and the final states handed to ``quantize``;
+* ``reverse_paths_1d`` on the exact Gaussian score: lam 0, 0.5 and 1;
+* ``train`` history and parameters on a tiny net: VP and VE,
+  ``self_cond_prob`` 0 and 0.5, and the default net on VP at 0.
+
+Usage:
+    python3 scripts/digests.py [ROOT]
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("root", nargs="?", default=str(HERE.parent),
+                    help="tree whose src/mjae is imported (default: this checkout)")
+    return ap.parse_args(argv)
+
+
+def digest(*values):
+    """SHA-256 of ``values``: arrays by dtype, shape and bytes, floats by their
+    exact hex, containers element by element (dicts in key order)."""
+    import numpy as np
+
+    h = hashlib.sha256()
+
+    def feed(v):
+        if isinstance(v, np.ndarray):
+            h.update(f"array {v.dtype.str} {v.shape}".encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        elif isinstance(v, dict):
+            h.update(f"dict {len(v)}".encode())
+            for k in sorted(v):
+                feed(str(k))
+                feed(v[k])
+        elif isinstance(v, (list, tuple)):
+            h.update(f"list {len(v)}".encode())
+            for x in v:
+                feed(x)
+        elif isinstance(v, (float, np.floating)):
+            h.update(f"float {float(v).hex()}".encode())
+        elif isinstance(v, (int, str, np.integer)):
+            h.update(f"{type(v).__name__} {v}".encode())
+        else:
+            raise TypeError(f"digest: cannot hash {type(v).__name__}")
+
+    for v in values:
+        feed(v)
+    return h.hexdigest()
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    src = Path(args.root).resolve() / "src"
+    if not (src / "mjae" / "__init__.py").is_file():
+        sys.exit(f"digests: no mjae package under {src}")
+    sys.path[:0] = [str(src), str(HERE)]
+
+    import numpy as np
+
+    import mjae
+    from make_toy_corpus import random_molecule
+    from mjae.evalsuite import gaussian_marginal_score
+    from mjae.network import NetworkConfig, init_params
+    from mjae import sampling
+    from mjae.sampling import SamplerConfig, reverse_paths_1d
+    from mjae.schedule import NoiseSchedule
+    from mjae.training import TrainConfig, train
+
+    if Path(mjae.__file__).resolve().parent != src / "mjae":
+        sys.exit(f"digests: imported mjae from {mjae.__file__}, not from {src}")
+
+    schedules = {"VP": NoiseSchedule(kind="VP"), "VE": NoiseSchedule(kind="VE")}
+    tiny = NetworkConfig(latent=16, rounds=1, n_rbf=8, gcn_layers=1, heads=2, head_dim=8,
+                         d_time=8, d_contrast=8, hidden=16, edge_hidden=8)
+    out = {}
+
+    # quantize drops the bits of H and E, so each path's final state is
+    # hashed too, as generate hands it to quantize
+    finals, quantize = [], sampling.quantize
+    sampling.quantize = lambda state: finals.append((state.H, state.E, state.P)) or quantize(state)
+
+    def generate(key, *args):
+        finals.clear()
+        graphs = sampling.generate(params, tiny, *args)
+        out[key] = digest(finals, [(g.atom_types, g.charges, g.bonds, g.positions)
+                                   for g in graphs])
+
+    params = init_params(tiny, np.random.default_rng(0))
+    for kind, schedule in schedules.items():
+        for lam in (0.0, 0.7, 1.0):
+            for count in (1, 3):
+                generate(f"generate/{kind}/lam={lam}/count={count}", schedule,
+                         SamplerConfig(steps=6, lam=lam, n_atoms=4, seed=11), count)
+    # 60 paths of 12 atoms advance in two groups (56 + 4) of self-paired forwards
+    generate("generate/VP/lam=1.0/count=60/n_atoms=12", schedules["VP"],
+             SamplerConfig(steps=3, lam=1.0, n_atoms=12, seed=5), 60)
+
+    for i, lam in enumerate((0.0, 0.5, 1.0)):
+        vp = schedules["VP"]
+        x = reverse_paths_1d(vp, lambda x_, t_: gaussian_marginal_score(x_, t_, 1.0, 0.5, vp),
+                             lam, 200, 1000, np.random.default_rng([0, i]))
+        out[f"reverse_paths_1d/lam={lam}"] = digest(x)
+
+    rng = np.random.default_rng(401)
+    corpus = [random_molecule(rng, int(rng.integers(2, 5))) for _ in range(12)]
+    runs = [(kind, p, "tiny", tiny) for kind in schedules for p in (0.0, 0.5)]
+    runs.append(("VP", 0.0, "default", NetworkConfig()))
+    for kind, p, name, net in runs:
+        cfg = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=3, schedule=schedules[kind],
+                          self_cond_prob=p)
+        trained, history = train(corpus[:8] if name == "default" else corpus, cfg, net)
+        key = f"train/{kind}/self_cond_prob={p}/net={name}"
+        out[f"{key}/history"] = digest(history)
+        out[f"{key}/params"] = digest({k: v.data for k, v in trained.items()})
+
+    print(json.dumps(out, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

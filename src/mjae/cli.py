@@ -315,7 +315,7 @@ def cmd_selftest(args):
     started = time.time()
     ok, results = run_selftest(verbose=True)
     if args.manifest:
-        write_manifest(args.manifest, "selftest", vars(args), args.seed, [],
+        write_manifest(args.manifest, "selftest", vars(args), None, [],
                        [args.manifest], started)
     return 0 if ok else 1
 
@@ -360,7 +360,6 @@ def build_parser(defaults):
     p = sub.add_parser("ingest", help="validate and normalize a JSONL dataset")
     p.add_argument("input")
     p.add_argument("output")
-    common(p)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("pretrain", help="train the score network")
@@ -422,7 +421,6 @@ def build_parser(defaults):
 
     p = sub.add_parser("selftest", help="run the built-in verification battery")
     p.add_argument("--manifest", default=None)
-    common(p)
     p.set_defaults(fn=cmd_selftest)
 
     unknown = sorted(set(defaults) - read)

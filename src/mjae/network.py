@@ -238,26 +238,25 @@ def fuse(f0, ft, emb, params, sizes):
     return _mlp2(ad.concat([emb_rows, f0, ft], axis=1), params, "fuse", sizes)
 
 
-def edge_condition(e0, et, emb, params, sizes, pairs=None):
+def edge_condition(e0, et, emb, params, sizes, pairs):
     """Weighted adjacency from the per-edge MLP of [Emd(t) | E0 | Et], as one
     value per pair row of molecules of ``sizes`` atoms, (P, 1).
 
     ``e0`` and ``et`` are the pair rows (P, e) of the bond channels, and
-    ``pairs`` their ``_pair_rows(sizes)`` when the caller has built it.
-    Symmetrized by averaging with the transpose; zero diagonal.
+    ``pairs`` their ``_pair_rows(sizes)``. Symmetrized by averaging with the
+    transpose; zero diagonal.
     """
     if e0.shape != et.shape:
         raise ad.ShapeError(f"edge_condition: shapes differ ({e0.shape} vs {et.shape})")
     rows = [n * n for n in sizes]
     flat = np.concatenate([np.repeat(emb, rows, axis=0), e0, et], axis=1)
-    return _symmetrize(_mlp2(Tensor(flat), params, "edge", rows),
-                       _pair_rows(sizes) if pairs is None else pairs)
+    return _symmetrize(_mlp2(Tensor(flat), params, "edge", rows), pairs)
 
 
-def fuse_gcn(node, w, params, cfg, sizes, pairs=None):
+def fuse_gcn(node, w, params, cfg, sizes, pairs):
     """Dense residual GCN: h <- h + silu(norm(W) h theta + b), then mean pool,
     on each molecule's atom rows of ``node`` and pair rows of ``w`` (indexed
-    by ``pairs``, their ``_pair_rows(sizes)``, when the caller has built it).
+    by ``pairs``, their ``_pair_rows(sizes)``).
 
     norm(W) is the symmetric degree normalization with degrees from |W| (+1
     self weight) so it stays defined for signed adjacencies.
@@ -266,7 +265,7 @@ def fuse_gcn(node, w, params, cfg, sizes, pairs=None):
     deg = ad.add(ad.ragged_message(ad.abs_(w), Tensor(np.ones((node.shape[0], 1))), sizes),
                  Tensor(1.0))
     dinv = ad.div(Tensor(1.0), ad.sqrt(deg))
-    i, j, _ = _pair_rows(sizes) if pairs is None else pairs
+    i, j, _ = pairs
     w_norm = ad.mul(ad.mul(w, dinv[i]), dinv[j])
     h = node
     for layer in range(cfg.gcn_layers):
@@ -289,15 +288,14 @@ def score_3d(coeffs, basis, sizes):
     return ad.sub(field, centre[np.repeat(np.arange(len(sizes)), sizes)])
 
 
-def score_2d(latent, params, cfg, e0, et, pairs=None):
+def score_2d(latent, params, cfg, e0, et, pairs):
     """Invariant edge score: multi-head attention maps, symmetric pairwise
     node features, and the raw per-edge channels of the conditioner and noisy
     edge tensors (pair rows (P, e), indexed by ``pairs``, their
-    ``_pair_rows`` when the caller has built it) -> per-edge MLP, symmetric
-    with zero diagonal: pair rows (P, e)."""
+    ``_pair_rows``) -> per-edge MLP, symmetric with zero diagonal: pair rows
+    (P, e)."""
     h, sizes = latent.node_h, latent.sizes
     rows = [n * n for n in sizes]
-    pairs = _pair_rows(sizes) if pairs is None else pairs
     i, j, _ = pairs
     scale = 1.0 / np.sqrt(cfg.head_dim)
     maps = []

@@ -2,10 +2,13 @@
 
 The reverse family dy = [f(t) y - (1 + lam^2)/2 g^2(t) s(y, t)] dt
 + lam g(t) dB shares its marginals across lam (lam = 0 is the
-probability-flow ODE, lam = 1 the reverse SDE). Generation integrates it with
-Euler-Maruyama from the prior down to a small terminal time, with one noise
-schedule for P, H and E, then argmax-quantizes the one-hot channels back into
-a molecule.
+probability-flow ODE, lam = 1 the reverse SDE). ``integrate`` runs it with
+Euler-Maruyama from the prior down to a small terminal time, given a
+``noise()`` closure (the prior is beta(T) times its first draw) and a
+``score_fn(state, t)`` closure. ``generate`` passes the network's score and
+each path's gauge noise, under one schedule for P, H and E, then
+argmax-quantizes the one-hot channels back into a molecule;
+``reverse_paths_1d`` passes an exact scalar score.
 """
 
 from __future__ import annotations
@@ -53,57 +56,50 @@ def time_grid(t_end, steps):
     return [(HORIZON - k * dt, dt) for k in range(steps)]
 
 
-def reverse_step(state, t, dt, scores, schedule, lam, rngs):
-    """One Euler-Maruyama step of the reverse family on all three components
-    of a group of paths, which share the drift and diffusion of ``schedule``
-    at ``t``.
+def integrate(noise, score_fn, schedule, lam, steps, t_end, names):
+    """The state at ``t_end`` after ``steps`` reverse steps from the prior.
 
-    ``state`` and ``scores`` hold the group as stacks, (k, n, 3), (k, n, h)
-    and (k, n, n, e); ``rngs`` maps each path's sample index to its own
-    stream, in path order. Each path draws its gauge noise from its stream,
-    so its bits do not depend on the other paths of its group. Position noise
-    stays zero-CoM, edge noise stays symmetric, so the state remains inside
-    the data gauge throughout the integration. A non-finite score or new
-    state raises ``FloatingPointError`` naming the first sample that holds it.
+    A state maps each component to a (k, ...) stack of k paths; ``noise()``
+    draws one standard normal state, ``score_fn(state, t)`` returns one score
+    per component and ``names[i]`` names path i in errors. The prior is
+    beta(T) times the first draw; each step at lam > 0 draws once more.
     """
-    for comp in "PHE":
-        _check_finite(scores[comp], rngs, f"{comp} score", t)
+    scale = alpha_beta(schedule, HORIZON)[1]
+    state = {c: scale * z for c, z in noise().items()}
+    for t, dt in time_grid(t_end, steps):
+        state = reverse_step(state, t, dt, score_fn(state, t), schedule, lam, noise, names)
+    return state
+
+
+def reverse_step(state, t, dt, scores, schedule, lam, noise, names):
+    """One Euler-Maruyama step of the reverse family on every component of
+    ``state``, which share the drift and diffusion of ``schedule`` at ``t``.
+
+    Draws ``noise()`` only at lam > 0. A non-finite score or new state
+    raises ``FloatingPointError`` naming, through ``names``, the first path
+    that holds it.
+    """
+    for c in state:
+        _check_finite(scores[c], names, f"{c} score", t)
     f, g = drift_diffusion(schedule, t)
-    if lam > 0:
-        n = state.P.shape[1]  # atoms per path; state.n would read the path count
-        z = _stack([gauge_noise(n, rng) for rng in rngs.values()])
-    else:
-        z = DenseTensors(H=0.0, E=0.0, P=0.0)
-    new = DenseTensors(**{c: euler_maruyama(getattr(state, c), scores[c], f, g, lam, dt,
-                                            getattr(z, c)) for c in "PHE"})
-    for comp in "PHE":
-        _check_finite(getattr(new, comp), rngs, f"{comp} state", t)
+    z = noise() if lam > 0 else dict.fromkeys(state, 0.0)
+    new = {c: euler_maruyama(state[c], scores[c], f, g, lam, dt, z[c]) for c in state}
+    for c in new:
+        _check_finite(new[c], names, f"{c} state", t)
     return new
 
 
-def _check_finite(stack, rngs, what, t):
-    """Raise naming the sample of the first path of ``stack`` that is not finite."""
-    finite = np.isfinite(stack).reshape(len(rngs), -1).all(axis=1)
+def _check_finite(stack, names, what, t):
+    """Raise naming the first path of ``stack`` that is not finite."""
+    finite = np.isfinite(stack).reshape(len(names), -1).all(axis=1)
     if not finite.all():
-        raise FloatingPointError(f"non-finite {what} of sample {list(rngs)[finite.argmin()]} "
+        raise FloatingPointError(f"non-finite {what} of sample {names[finite.argmin()]} "
                                  f"at t={t:.4f}")
-
-
-def _stack(paths):
-    """One DenseTensors of (k, ...) stacks of the components of ``paths``."""
-    return DenseTensors(**{c: np.stack([getattr(m, c) for m in paths]) for c in "PHE"})
 
 
 def _paths(state):
     """Each path of a stacked group ``state`` as its own DenseTensors of views."""
-    return [DenseTensors(H=h, E=e, P=p) for h, e, p in zip(state.H, state.E, state.P)]
-
-
-def prior_sample(n_atoms, schedule, rng):
-    """Terminal-time prior: N(0, beta(T)^2) per component, gauge-projected."""
-    scale = alpha_beta(schedule, HORIZON)[1]
-    z = gauge_noise(n_atoms, rng)
-    return DenseTensors(P=scale * z.P, H=scale * z.H, E=scale * z.E)
+    return [DenseTensors(H=h, E=e, P=p) for h, e, p in zip(state["H"], state["E"], state["P"])]
 
 
 def generate(params, net_cfg, schedule, cfg, count):
@@ -113,23 +109,30 @@ def generate(params, net_cfg, schedule, cfg, count):
     Each state is also its own clean conditioner (the only structure
     available at generation time), so a path holds 2 n^2 pair rows. The
     reverse paths advance in ``self_paired_groups``, so what the integration
-    holds does not grow with ``count``. A group's state is one stack per
-    component; each step of a group is one ``forward`` of its paths, whose
-    score rows reshape into the stacks, then one ``reverse_step`` of the
-    group, each path drawing its noise from its own stream.
+    holds does not grow with ``count``. Each group is one ``integrate``: a
+    score is one ``forward`` of the group, its rows reshaped into the stacks
+    times 1/beta(t); the noise stacks each path's gauge noise drawn from its
+    own stream, so a path's bits do not depend on its group. Gauge noise is
+    zero-CoM in P and symmetric in E, so the state stays in the data gauge.
     """
     params = detach_params(params)
+
+    def score(state, t):
+        paths = _paths(state)
+        record = forward(params, net_cfg, paths, paths, [t] * len(paths))
+        scale = 1.0 / alpha_beta(schedule, t)[1]
+        return {c: record[f"score_{c}"].data.reshape(state[c].shape) * scale for c in "PHE"}
+
     molecules = []
     for group in self_paired_groups([cfg.n_atoms] * count):
-        rngs = {i: np.random.default_rng([cfg.seed, i]) for i in range(count)[group]}
-        state = _stack([prior_sample(cfg.n_atoms, schedule, rng) for rng in rngs.values()])
-        for t, dt in time_grid(cfg.t_end, cfg.steps):
-            paths = _paths(state)
-            record = forward(params, net_cfg, paths, paths, [t] * len(paths))
-            scale = 1.0 / alpha_beta(schedule, t)[1]
-            scores = {c: record[f"score_{c}"].data.reshape(getattr(state, c).shape) * scale
-                      for c in "PHE"}
-            state = reverse_step(state, t, dt, scores, schedule, cfg.lam, rngs)
+        names = range(count)[group]
+        rngs = [np.random.default_rng([cfg.seed, i]) for i in names]
+
+        def noise():
+            draws = [gauge_noise(cfg.n_atoms, rng) for rng in rngs]
+            return {c: np.stack([getattr(z, c) for z in draws]) for c in "PHE"}
+
+        state = integrate(noise, score, schedule, cfg.lam, cfg.steps, cfg.t_end, names)
         molecules += [quantize(path) for path in _paths(state)]
     return molecules
 
@@ -152,20 +155,14 @@ def quantize(tensors):
     return make_graph(atom_types, charges, bonds, tensors.P)
 
 
-def reverse_paths_1d(schedule, score_fn, lam, steps, n_paths, rng, t_end=1e-3,
-                     x_init=None):
+def reverse_paths_1d(schedule, score_fn, lam, steps, n_paths, rng, t_end=1e-3):
     """Vectorized scalar reverse integration with an externally supplied score.
 
     Used by the analytic Ornstein-Uhlenbeck toys: ``score_fn(x, t)`` is the
     exact marginal score, and the terminal samples should match the data law
     for every lam (the marginal-preservation property).
     """
-    if x_init is None:
-        x = alpha_beta(schedule, HORIZON)[1] * rng.standard_normal(n_paths)
-    else:
-        x = np.array(x_init, dtype=np.float64)
-    for t, dt in time_grid(t_end, steps):
-        f, g = drift_diffusion(schedule, t)
-        x = euler_maruyama(x, score_fn(x, t), f, g, lam, dt,
-                           rng.standard_normal(n_paths) if lam > 0 else 0.0)
-    return x
+    state = integrate(lambda: {"x": rng.standard_normal(n_paths)},
+                      lambda s, t: {"x": score_fn(s["x"], t)},
+                      schedule, lam, steps, t_end, range(n_paths))
+    return state["x"]

@@ -542,7 +542,20 @@ def test_selftest_passes_and_writes_manifest(tmp_path, capsys):
     assert "[PASS]" in capsys.readouterr().out
     written = json.load(open(manifest))
     assert written["command"] == "selftest"
+    assert written["seed"] is None  # selftest's seeds are fixed
     assert written["peak_rss_mb"] > 0
+
+
+@pytest.mark.parametrize("argv", [["selftest", "--seed", "3"],
+                                  ["ingest", "in.jsonl", "out.jsonl", "--seed", "3"]])
+def test_commands_that_read_no_seed_take_no_seed_flag(argv, tmp_path, monkeypatch, capsys):
+    """ingest draws nothing and selftest uses fixed seeds: --seed is a usage error."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_selftest_without_manifest_writes_nothing(tmp_path, monkeypatch, capsys):

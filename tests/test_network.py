@@ -221,12 +221,13 @@ def test_edge_condition_symmetry_and_permutation(cfg, params, rng):
     g = random_molecule(rng, 2)
     e = _pair_rows(to_dense(g).E)
     emb = _emb(0.4, cfg)
-    w = edge_condition(e, e, emb, params, [g.n]).data.reshape(g.n, g.n)
+    pairs = network._pair_rows([g.n])
+    w = edge_condition(e, e, emb, params, [g.n], pairs).data.reshape(g.n, g.n)
     assert np.array_equal(w, w.T)
     assert np.all(np.diag(w) == 0.0)
     perm = rng.permutation(g.n)
     pe = _pair_rows(to_dense(permute(g, perm)).E)
-    wp = edge_condition(pe, pe, emb, params, [g.n]).data.reshape(g.n, g.n)
+    wp = edge_condition(pe, pe, emb, params, [g.n], pairs).data.reshape(g.n, g.n)
     assert np.abs(wp - w[np.ix_(perm, perm)]).max() < 1e-9
 
 
@@ -234,7 +235,7 @@ def test_edge_condition_zero_weights(cfg, params, rng):
     dense = _dense(rng)
     zeroed = {k: Tensor(np.zeros_like(v.data)) for k, v in params.items()}
     e = _pair_rows(dense.E)
-    w = edge_condition(e, e, _emb(0.2, cfg), zeroed, [dense.n])
+    w = edge_condition(e, e, _emb(0.2, cfg), zeroed, [dense.n], network._pair_rows([dense.n]))
     assert np.all(w.data == 0.0)
 
 
@@ -242,7 +243,7 @@ def test_fuse_gcn_zero_adjacency_residual_path(cfg, params, rng):
     n = 4
     node = Tensor(rng.standard_normal((n, cfg.latent)))
     w = Tensor(np.zeros((n * n, 1)))
-    latent = fuse_gcn(node, w, params, cfg, [n])
+    latent = fuse_gcn(node, w, params, cfg, [n], network._pair_rows([n]))
     # W = 0: each layer adds silu(bias) rows only
     expect = node.data.copy()
     for layer in range(cfg.gcn_layers):
@@ -261,7 +262,8 @@ def test_fuse_gcn_closed_form_single_layer(rng):
     w = rng.standard_normal((n, n))
     w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
-    got = fuse_gcn(Tensor(h), Tensor(w.reshape(n * n, 1)), params, cfg, [n]).node_h.data
+    got = fuse_gcn(Tensor(h), Tensor(w.reshape(n * n, 1)), params, cfg, [n],
+                   network._pair_rows([n])).node_h.data
     # independent numpy replication
     deg = np.abs(w).sum(axis=1) + 1.0
     dinv = 1.0 / np.sqrt(deg)
@@ -302,7 +304,7 @@ def test_score_2d_symmetric_zero_diag(cfg, params, rng):
     latent = _latent(cfg, params, dense)
     e = _pair_rows(dense.E)
     n = dense.n
-    out = score_2d(latent, params, cfg, e, e).data.reshape(n, n, -1)
+    out = score_2d(latent, params, cfg, e, e, network._pair_rows([n])).data.reshape(n, n, -1)
     assert np.array_equal(out, np.swapaxes(out, 0, 1))
     assert np.all(out[np.arange(n), np.arange(n)] == 0.0)
 

@@ -10,9 +10,10 @@ from mjae.evalsuite import gaussian_marginal_score, random_rotation
 from mjae.molgraph import (DenseTensors, N_BOND_CATEGORIES, feature_width,
                            to_dense)
 from mjae.network import init_params
-from mjae.sampling import (SamplerConfig, generate, prior_sample, quantize,
-                           reverse_paths_1d, reverse_step)
-from mjae.schedule import NoiseSchedule, alpha_beta
+from mjae.sampling import (SamplerConfig, generate, integrate, quantize, reverse_paths_1d,
+                           reverse_step)
+from mjae.schedule import NoiseSchedule, alpha_beta, drift_diffusion
+from mjae.trajectory import gauge_noise
 
 VP = NoiseSchedule(kind="VP")
 VE = NoiseSchedule(kind="VE")
@@ -20,20 +21,23 @@ VE = NoiseSchedule(kind="VE")
 
 def _state(rng, n=4, k=1):
     """A group of k random n-atom paths, stacked per component."""
-    return DenseTensors(P=rng.standard_normal((k, n, 3)),
-                        H=rng.standard_normal((k, n, feature_width())),
-                        E=rng.standard_normal((k, n, n, N_BOND_CATEGORIES)))
+    return {"P": rng.standard_normal((k, n, 3)),
+            "H": rng.standard_normal((k, n, feature_width())),
+            "E": rng.standard_normal((k, n, n, N_BOND_CATEGORIES))}
 
 
-def _group_of_one(path):
-    """A lone path as a group of one: each component stacked with k = 1."""
-    return DenseTensors(P=path.P[None], H=path.H[None], E=path.E[None])
+def _noise(seeds, n=4):
+    """A group's ``noise``: each path's gauge noise from its own stream, stacked."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+
+    def noise():
+        draws = [gauge_noise(n, r) for r in rngs]
+        return {c: np.stack([getattr(z, c) for z in draws]) for c in "PHE"}
+    return noise
 
 
 def _scores(rng, state):
-    return {"P": rng.standard_normal(state.P.shape),
-            "H": rng.standard_normal(state.H.shape),
-            "E": rng.standard_normal(state.E.shape)}
+    return {c: rng.standard_normal(v.shape) for c, v in state.items()}
 
 
 def test_config_validation():
@@ -46,27 +50,22 @@ def test_config_validation():
 def test_reverse_step_ode_deterministic(rng):
     state = _state(rng)
     scores = _scores(rng, state)
-    a = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
-                     {0: np.random.default_rng(0)})
-    b = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
-                     {0: np.random.default_rng(99)})
+    a = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0, _noise([0]), [0])
+    b = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0, _noise([99]), [0])
     for comp in ("P", "H", "E"):
-        assert np.array_equal(getattr(a, comp), getattr(b, comp))
+        assert np.array_equal(a[comp], b[comp])
 
 
 def test_reverse_step_zero_score_ve(rng):
     state = _state(rng)
-    zeros = {c: np.zeros_like(v) for c, v in
-             (("P", state.P), ("H", state.H), ("E", state.E))}
+    zeros = {c: np.zeros_like(v) for c, v in state.items()}
     # lam=0, VE (f=0), zero score: the state is a fixed point
-    out = reverse_step(state, 0.5, 1e-3, zeros, VE, 0.0, {0: np.random.default_rng(0)})
-    assert np.array_equal(out.H, state.H)
+    out = reverse_step(state, 0.5, 1e-3, zeros, VE, 0.0, _noise([0]), [0])
+    assert np.array_equal(out["H"], state["H"])
     # lam=1: pure noise injection of magnitude lam g sqrt(dt)
-    from mjae.schedule import drift_diffusion
     g = drift_diffusion(VE, 0.5)[1]
     dt = 1e-3
-    draws = [(reverse_step(state, 0.5, dt, zeros, VE, 1.0,
-                           {0: np.random.default_rng(s)}).H - state.H)
+    draws = [reverse_step(state, 0.5, dt, zeros, VE, 1.0, _noise([s]), [0])["H"] - state["H"]
              for s in range(200)]
     std = np.std(np.stack(draws))
     assert abs(std - g * np.sqrt(dt)) < 0.1 * g * np.sqrt(dt)
@@ -77,53 +76,62 @@ def test_reverse_step_rejects_nonfinite(rng):
     scores = _scores(rng, state)
     scores["P"][0, 0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="P score"):
-        reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
-                     {0: np.random.default_rng(0)})
+        reverse_step(state, 0.5, 1e-3, scores, VP, 0.0, _noise([0]), [0])
 
 
 def test_reverse_step_names_the_nonfinite_sample(rng):
     """A non-finite score or new state in one path of a group names that
-    path's sample index, the key of its stream."""
+    path by its entry in ``names``."""
     state = _state(rng, k=3)
-    rngs = {i: np.random.default_rng(i) for i in (3, 4, 5)}
+    names = range(3, 6)
     scores = _scores(rng, state)
     scores["H"][1, 2, 0] = np.nan
     with pytest.raises(FloatingPointError, match=r"^non-finite H score of sample 4 at t=0\.5000$"):
-        reverse_step(state, 0.5, 1e-3, scores, VP, 0.0, rngs)
+        reverse_step(state, 0.5, 1e-3, scores, VP, 0.0, _noise(names), names)
     scores = _scores(rng, state)
-    state.E[2, 0, 1, 0] = np.inf
+    state["E"][2, 0, 1, 0] = np.inf
     with pytest.raises(FloatingPointError, match=r"^non-finite E state of sample 5 at t=0\.5000$"):
-        reverse_step(state, 0.5, 1e-3, scores, VP, 1.0, rngs)
+        reverse_step(state, 0.5, 1e-3, scores, VP, 1.0, _noise(names), names)
 
 
 def test_reverse_step_gauge_preserved(rng):
     state = _state(rng, n=5)
-    state.P[0] -= state.P[0].mean(axis=0)
+    state["P"][0] -= state["P"][0].mean(axis=0)
     scores = _scores(rng, state)
     scores["P"][0] -= scores["P"][0].mean(axis=0)
-    out = reverse_step(state, 0.7, 1e-3, scores, VP, 1.0,
-                       {0: np.random.default_rng(0)})
-    assert np.abs(out.P[0].mean(axis=0)).max() < 1e-9
+    out = reverse_step(state, 0.7, 1e-3, scores, VP, 1.0, _noise([0], n=5), [0])
+    assert np.abs(out["P"][0].mean(axis=0)).max() < 1e-9
 
 
 def test_reverse_step_rotation_equivariance(rng):
     state = _state(rng)
     scores = _scores(rng, state)
-    base = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0,
-                        {0: np.random.default_rng(0)})
+    base = reverse_step(state, 0.5, 1e-3, scores, VP, 0.0, _noise([0]), [0])
     r = random_rotation(rng)
-    rot_state = DenseTensors(P=state.P @ r.T, H=state.H, E=state.E)
+    rot_state = dict(state, P=state["P"] @ r.T)
     rot_scores = dict(scores, P=scores["P"] @ r.T)
-    got = reverse_step(rot_state, 0.5, 1e-3, rot_scores, VP, 0.0,
-                       {0: np.random.default_rng(0)})
-    assert np.abs(got.P - base.P @ r.T).max() < 1e-9
+    got = reverse_step(rot_state, 0.5, 1e-3, rot_scores, VP, 0.0, _noise([0]), [0])
+    assert np.abs(got["P"] - base["P"] @ r.T).max() < 1e-9
 
 
-def test_prior_sample_gauge(rng):
-    prior = prior_sample(6, VP, rng)
-    assert np.abs(prior.P.mean(axis=0)).max() < 1e-12
-    assert np.allclose(prior.E, np.swapaxes(prior.E, 0, 1))
-    assert prior.H.shape == (6, feature_width())
+def test_prior_sample_gauge():
+    """The prior, the state of the first step, is beta(T) times the first
+    draw of ``noise``: per path zero-CoM P and symmetric E."""
+    seen = []
+
+    def score(state, t):
+        seen.append(state)
+        return {c: np.zeros_like(v) for c, v in state.items()}
+
+    integrate(_noise([0, 1], n=6), score, VP, 0.0, 1, 1e-3, range(2))
+    prior = seen[0]
+    assert prior["H"].shape == (2, 6, feature_width())
+    assert np.abs(prior["P"].mean(axis=1)).max() < 1e-12
+    assert np.array_equal(prior["E"], np.swapaxes(prior["E"], 1, 2))
+    first = gauge_noise(6, np.random.default_rng(1))
+    scale = alpha_beta(VP, 1.0)[1]
+    for c in "PHE":
+        assert np.array_equal(prior[c][1], scale * getattr(first, c))
 
 
 # -- quantize -------------------------------------------------------------
@@ -183,17 +191,17 @@ def test_generate_advances_paths_together_bitwise(schedule, lam, rng, monkeypatc
     cfg = SamplerConfig(steps=4, lam=lam, n_atoms=4, seed=7)
     reference = []
     for i in range(3):
-        path_rng = np.random.default_rng([cfg.seed, i])
-        path = prior_sample(cfg.n_atoms, schedule, path_rng)
+        noise = _noise([[cfg.seed, i]], cfg.n_atoms)
+        state = {c: alpha_beta(schedule, 1.0)[1] * z for c, z in noise().items()}
         dt = (1.0 - cfg.t_end) / cfg.steps
         for k in range(cfg.steps):
             t = 1.0 - k * dt
+            path = DenseTensors(P=state["P"][0], H=state["H"][0], E=state["E"][0])
             out = network.per_molecule(network.forward(params, net_cfg, [path], [path], [t]))[0]
             scale = 1.0 / alpha_beta(schedule, t)[1]
             scores = {c: out[f"score_{c}"][None] * scale for c in ("P", "H", "E")}
-            group = reverse_step(_group_of_one(path), t, dt, scores, schedule, lam, {i: path_rng})
-            path = DenseTensors(P=group.P[0], H=group.H[0], E=group.E[0])
-        reference.append(path)
+            state = reverse_step(state, t, dt, scores, schedule, lam, noise, [i])
+        reference.append(DenseTensors(P=state["P"][0], H=state["H"][0], E=state["E"][0]))
 
     finals, batch_sizes = [], []
     real_forward = sampling.forward
@@ -285,10 +293,10 @@ def test_generate_scales_heads_by_inverse_beta(schedule, rng, monkeypatch):
 
     def spy_step(state, t, dt, scores, *rest):
         inv_beta = 1.0 / alpha_beta(schedule, t)[1]
-        assert state.P.shape == (2, 3, 3)
+        assert state["P"].shape == (2, 3, 3)
         for comp in ("P", "H", "E"):
             rows = outs[-1][f"score_{comp}"].data
-            assert scores[comp].shape == getattr(state, comp).shape
+            assert scores[comp].shape == state[comp].shape
             assert np.array_equal(scores[comp].reshape(rows.shape), rows * inv_beta)
         steps.append(t)
         return real_step(state, t, dt, scores, *rest)
@@ -365,9 +373,23 @@ def test_ou_marginal_preservation_quick(rng):
 
     n = 4000
     for lam in (0.0, 0.5, 1.0):
-        r = np.random.default_rng(5)
-        x0 = alpha_beta(VP, 1.0)[1] * r.standard_normal(n)
         x = reverse_paths_1d(VP, score, lam, steps=400, n_paths=n,
-                             rng=r, x_init=x0)
+                             rng=np.random.default_rng(5))
         assert abs(x.mean() - mu0) < 3.0 * sigma0 / np.sqrt(n) + 0.02
         assert abs(x.std() - sigma0) < 3.0 * sigma0 / np.sqrt(2 * n) + 0.02
+
+
+def test_reverse_paths_1d_names_a_nonfinite_score():
+    """The scalar toy runs the same finiteness check as generate: a score
+    that turns NaN on one path at one step names that path and step."""
+    t_bad = sampling.time_grid(1e-3, 5)[2][0]
+
+    def score(x, t):
+        s = -x
+        if t == t_bad:
+            s[7] = np.nan
+        return s
+
+    message = f"^non-finite x score of sample 7 at t={t_bad:.4f}$"
+    with pytest.raises(FloatingPointError, match=message):
+        reverse_paths_1d(VP, score, 0.5, steps=5, n_paths=10, rng=np.random.default_rng(0))

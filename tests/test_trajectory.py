@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_molecule, water_graph
+from conftest import random_molecule, small_net_config, water_graph
+from mjae import sampling
 from mjae.molgraph import N_BOND_CATEGORIES, DenseTensors, feature_width, permute, to_dense
-from mjae.sampling import prior_sample, reverse_step
+from mjae.network import init_params
 from mjae.schedule import NoiseSchedule, alpha_beta
-from mjae.trajectory import (T_MIN, perturb_absorbing, perturb_continuous,
+from mjae.trajectory import (T_MIN, gauge_noise, perturb_absorbing, perturb_continuous,
                              project_zero_com, sample_time,
                              symmetrize_edge_noise)
 
@@ -36,23 +37,25 @@ class RecordingRng:
         return self.rng.standard_normal(shape)
 
 
-def test_gauge_noise_is_drawn_in_one_order_everywhere():
-    """Perturbation, prior and a stochastic reverse step each draw P, H and E
-    noise of an n-atom molecule in that order; an ODE step draws nothing."""
+def test_gauge_noise_is_drawn_in_one_order_everywhere(monkeypatch):
+    """Perturbation draws P, H and E noise of an n-atom molecule in that
+    order. ``generate``'s integration draws it once for the prior and once
+    per step at lam > 0, and only for the prior on the ODE (lam = 0)."""
     x0 = to_dense(water_graph())
     n = x0.n
     shapes = [(n, 3), (n, feature_width()), (n, n, N_BOND_CATEGORIES)]
-    group = DenseTensors(P=x0.P[None], H=x0.H[None], E=x0.E[None])  # a group of one path
-    scores = {c: np.zeros(getattr(group, c).shape) for c in "PHE"}
-    draws = []
-    for draw in (lambda r: perturb_continuous(x0, 0.5, r, VP),
-                 lambda r: prior_sample(n, VP, r),
-                 lambda r: reverse_step(group, 0.5, 1e-3, scores, VP, 0.5, {0: r}),
-                 lambda r: reverse_step(group, 0.5, 1e-3, scores, VP, 0.0, {0: r})):
+    rec = RecordingRng(0)
+    perturb_continuous(x0, 0.5, rec, VP)
+    assert rec.shapes == shapes
+    net_cfg = small_net_config()
+    params = init_params(net_cfg, np.random.default_rng(0))
+    steps = 2
+    for lam, draws in ((0.5, 1 + steps), (0.0, 1)):
         rec = RecordingRng(0)
-        draw(rec)
-        draws.append(rec.shapes)
-    assert draws == [shapes, shapes, shapes, []]
+        monkeypatch.setattr(sampling, "gauge_noise", lambda n_atoms, _: gauge_noise(n_atoms, rec))
+        sampling.generate(params, net_cfg, VP, sampling.SamplerConfig(steps=steps, lam=lam,
+                                                                      n_atoms=n), 1)
+        assert rec.shapes == shapes * draws, lam
 
 
 def test_project_zero_com(rng):
