@@ -17,14 +17,18 @@ matrix, each output keyed by its settings:
   (4 atoms), and 60 paths of 12 atoms, which advance in two groups; each
   key hashes the molecules and the final states handed to ``quantize``;
 * ``reverse_paths_1d`` on the exact Gaussian score: lam 0, 0.5 and 1;
+* ``gaussian_score_toy`` (acceptance criterion 5) at 16 train steps: VP and
+  VE, each key hashing the error and the per-time errors;
 * ``train`` history and parameters on a tiny net: VP and VE,
-  ``self_cond_prob`` 0 and 0.5, and the default net on VP at 0.
+  ``self_cond_prob`` 0 and 0.5; and on VP at 0, the tiny net at latent
+  width 1 and the default net.
 
 Usage:
     python3 scripts/digests.py [ROOT]
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -83,7 +87,7 @@ def main(argv=None):
 
     import mjae
     from make_toy_corpus import random_molecule
-    from mjae.evalsuite import gaussian_marginal_score
+    from mjae.evalsuite import gaussian_marginal_score, gaussian_score_toy
     from mjae.network import NetworkConfig, init_params
     from mjae import sampling
     from mjae.sampling import SamplerConfig, reverse_paths_1d
@@ -125,9 +129,14 @@ def main(argv=None):
                              lam, 200, 1000, np.random.default_rng([0, i]))
         out[f"reverse_paths_1d/lam={lam}"] = digest(x)
 
+    for kind, schedule in schedules.items():
+        out[f"gaussian_score_toy/{kind}/train_steps=16"] = digest(
+            *gaussian_score_toy(schedule, train_steps=16))
+
     rng = np.random.default_rng(401)
     corpus = [random_molecule(rng, int(rng.integers(2, 5))) for _ in range(12)]
     runs = [(kind, p, "tiny", tiny) for kind in schedules for p in (0.0, 0.5)]
+    runs.append(("VP", 0.0, "latent1", dataclasses.replace(tiny, latent=1)))
     runs.append(("VP", 0.0, "default", NetworkConfig()))
     for kind, p, name, net in runs:
         cfg = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=3, schedule=schedules[kind],

@@ -83,6 +83,7 @@ def _nonfinite(obj, path=""):
 
 def write_manifest(out_path, command, config, seed, inputs, outputs, started):
     """Atomic run manifest: what ran, on what, producing what."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     snapshot = {k: v for k, v in config.items()
                 if isinstance(v, (str, int, float, bool, list, dict, type(None)))}
     manifest = {
@@ -94,8 +95,9 @@ def write_manifest(out_path, command, config, seed, inputs, outputs, started):
         "outputs": outputs,
         "wall_time_s": round(time.time() - started, 3),
         # ru_maxrss counts KB on Linux and bytes on macOS
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        "peak_rss_mb": round(usage.ru_maxrss
                              / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 1),
+        "minor_faults": usage.ru_minflt,
     }
     text = strict_json(manifest, "manifest")
     with replacing(out_path, "w") as fh:

@@ -22,37 +22,6 @@ DEFAULT_CUTOFF = 5.0
 _CANONICAL = np.eye(3)
 
 
-def _normalize(v):
-    norm = np.linalg.norm(v)
-    if norm < DEGENERACY_EPS:
-        return None
-    return v / norm
-
-
-def local_frame(x_i, neighbors, weights=None):
-    """Frame at ``x_i`` from the (optionally weighted) neighbor center, as a
-    (3, 3) array with rows e1, e2, e3.
-
-    Degenerate configurations (x_i at the neighborhood center, or x_i
-    collinear with it through the origin) deterministically fall back to the
-    canonical axes.
-    """
-    neighbors = np.asarray(neighbors, dtype=np.float64)
-    if neighbors.ndim != 2 or neighbors.shape[0] == 0:
-        raise ValueError("local_frame requires at least one neighbor")
-    x_i = np.asarray(x_i, dtype=np.float64)
-    if weights is None:
-        center = neighbors.mean(axis=0)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        center = (weights[:, None] * neighbors).sum(axis=0) / weights.sum()
-    e1 = _normalize(x_i - center)
-    e2 = _normalize(np.cross(center, x_i))
-    if e1 is None or e2 is None:
-        return _CANONICAL.copy()
-    return np.stack([e1, e2, np.cross(e1, e2)])
-
-
 def _cross_rows(a, b):
     """``np.cross`` of the rows of two (..., 3) arrays, from the same products
     and differences, without its axis moves."""
@@ -76,11 +45,12 @@ def molecule_frames(positions):
     atom of any molecule smaller than the cutoff; the smooth weighting keeps
     the construction equivariant while breaking that proportionality.
 
-    Each atom's frame is the one ``local_frame`` builds from its neighbors
-    and weights, computed for all atoms at once. The weights of a row are
-    scaled by exp(d_min) of that row's nearest neighbor, which leaves the
-    center unchanged but keeps the largest weight at 1, so spread-out
-    positions cannot underflow every weight to 0.
+    An atom whose axis e1 or e2 vanishes (it sits at its neighborhood
+    center, or is collinear with it through the origin) deterministically
+    gets the canonical axes. The weights of a row are scaled by exp(d_min)
+    of that row's nearest neighbor, which leaves the center unchanged but
+    keeps the largest weight at 1, so spread-out positions cannot underflow
+    every weight to 0.
     """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[-2]
@@ -98,8 +68,8 @@ def molecule_frames(positions):
     e2 = _cross_rows(center, positions)
     norm1 = np.linalg.norm(e1, axis=-1, keepdims=True)
     norm2 = np.linalg.norm(e2, axis=-1, keepdims=True)
-    # same fallback as local_frame: canonical axes when either axis vanishes
-    # (a NaN norm is not degenerate, so non-finite input stays non-finite)
+    # canonical axes when either axis vanishes (a NaN norm is not
+    # degenerate, so non-finite input stays non-finite)
     usable = ~((norm1 < DEGENERACY_EPS) | (norm2 < DEGENERACY_EPS))
     e1 = np.divide(e1, norm1, out=np.zeros_like(e1), where=usable)
     e2 = np.divide(e2, norm2, out=np.zeros_like(e2), where=usable)

@@ -544,6 +544,7 @@ def test_selftest_passes_and_writes_manifest(tmp_path, capsys):
     assert written["command"] == "selftest"
     assert written["seed"] is None  # selftest's seeds are fixed
     assert written["peak_rss_mb"] > 0
+    assert isinstance(written["minor_faults"], int) and written["minor_faults"] >= 0
 
 
 @pytest.mark.parametrize("argv", [["selftest", "--seed", "3"],

@@ -1,67 +1,60 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import methane_graph, water_graph
 from mjae import frames
 from mjae.evalsuite import random_rotation
-from mjae.frames import local_frame, molecule_frames
+from mjae.frames import molecule_frames
 
 SQ2 = np.sqrt(2.0)
 
 
 def test_hand_example():
-    f = local_frame(np.array([1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0]]))
+    # atom 0 at (1, 0, 0) with its one neighbor at (0, 1, 0)
+    f = molecule_frames(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))[0]
     assert np.allclose(f[0], [1 / SQ2, -1 / SQ2, 0.0])
     assert np.allclose(f[1], [0.0, 0.0, -1.0])
     assert np.allclose(f[2], [1 / SQ2, 1 / SQ2, 0.0])
 
 
 def test_rotation_equivariance(rng):
+    # clouds off their center of mass: the axes still rotate with the cloud
     for _ in range(20):
-        x = rng.standard_normal(3)
-        nbrs = rng.standard_normal((4, 3))
-        base = local_frame(x, nbrs)
+        pos = rng.standard_normal((5, 3))
+        base = molecule_frames(pos)
         for _ in range(20):
             r = random_rotation(rng)
-            rot = local_frame(x @ r.T, nbrs @ r.T)
+            rot = molecule_frames(pos @ r.T)
             assert np.abs(rot - base @ r.T).max() < 1e-5
 
 
 def test_point_reflection_axis_pattern(rng):
-    x = rng.standard_normal(3)
-    nbrs = rng.standard_normal((3, 3))
-    base = local_frame(x, nbrs)
-    refl = local_frame(-x, -nbrs)
-    assert np.allclose(refl[0], -base[0], atol=1e-12)
-    assert np.allclose(refl[1], base[1], atol=1e-12)
-    assert np.allclose(refl[2], -base[2], atol=1e-12)
-    # the frame does NOT transform as a plain sign flip (that would be
-    # reflection equivariance); both frames stay right-handed
-    assert np.abs(refl + base).max() > 0.1
-    assert np.linalg.det(refl) > 0 and np.linalg.det(base) > 0
+    pos = rng.standard_normal((4, 3))
+    for base, refl in zip(molecule_frames(pos), molecule_frames(-pos)):
+        assert np.allclose(refl[0], -base[0], atol=1e-12)
+        assert np.allclose(refl[1], base[1], atol=1e-12)
+        assert np.allclose(refl[2], -base[2], atol=1e-12)
+        # the frame does NOT transform as a plain sign flip (that would be
+        # reflection equivariance); both frames stay right-handed
+        assert np.abs(refl + base).max() > 0.1
+        assert np.linalg.det(refl) > 0 and np.linalg.det(base) > 0
 
 
 def test_degenerate_fallback():
-    # x_i at the neighborhood center
-    f = local_frame(np.zeros(3), np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
+    # atom 0 at its neighborhood center
+    f = molecule_frames(np.array([[0.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0]]))[0]
     assert np.allclose(f, np.eye(3))
-    # x_i collinear with the center through the origin (cross product vanishes)
-    f = local_frame(np.array([2.0, 0, 0]), np.array([[1.0, 0, 0]]))
+    # atom 0 collinear with its neighbor center through the origin (the cross
+    # product vanishes)
+    f = molecule_frames(np.array([[2.0, 0, 0], [1.0, 0, 0]]))[0]
     assert np.allclose(f, np.eye(3))
-
-
-def test_requires_neighbors():
-    with pytest.raises(ValueError):
-        local_frame(np.zeros(3), np.zeros((0, 3)))
 
 
 def test_orthonormality_everywhere(rng):
     for _ in range(100):
-        x = rng.standard_normal(3)
-        nbrs = rng.standard_normal((rng.integers(1, 6), 3))
-        f = local_frame(x, nbrs)
-        assert np.abs(f @ f.T - np.eye(3)).max() < 1e-6
+        pos = rng.standard_normal((rng.integers(2, 7), 3))
+        for f in molecule_frames(pos):
+            assert np.abs(f @ f.T - np.eye(3)).max() < 1e-6
 
 
 def test_molecule_frames_nondegenerate_on_centered_clouds(rng):
@@ -100,18 +93,34 @@ def test_frames_always_orthonormal_property(seed):
         assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-6
 
 
+def _unit(v):
+    norm = np.linalg.norm(v)
+    return None if norm < frames.DEGENERACY_EPS else v / norm
+
+
+def _local_frame(x_i, neighbors, weights):
+    """One atom's frame from its neighbors and their weights, with the
+    canonical fallback when either axis vanishes."""
+    center = (weights[:, None] * neighbors).sum(axis=0) / weights.sum()
+    e1 = _unit(x_i - center)
+    e2 = _unit(np.cross(center, x_i))
+    if e1 is None or e2 is None:
+        return np.eye(3)
+    return np.stack([e1, e2, np.cross(e1, e2)])
+
+
 def _per_atom_frames(positions, cutoff=5.0):
-    """Loop reference: one local_frame call per atom with exp(-d) weights."""
+    """Loop reference: one ``_local_frame`` call per atom with exp(-d) weights."""
     n = positions.shape[0]
     dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
-    frames = []
+    out = []
     for i in range(n):
         mask = dists[i] <= cutoff
         mask[i] = False
         if not mask.any():
             mask = np.arange(n) != i
-        frames.append(local_frame(positions[i], positions[mask], np.exp(-dists[i][mask])))
-    return frames
+        out.append(_local_frame(positions[i], positions[mask], np.exp(-dists[i][mask])))
+    return out
 
 
 def test_molecule_frames_match_per_atom_reference(rng):
