@@ -18,20 +18,30 @@ matrix, each output keyed by its settings:
   key hashes the molecules and the final states handed to ``quantize``;
 * ``reverse_paths_1d`` on the exact Gaussian score: lam 0, 0.5 and 1;
 * ``gaussian_score_toy`` (acceptance criterion 5) at 16 train steps: VP and
-  VE, each key hashing the error and the per-time errors;
+  VE, one key hashing the error and the per-time errors and one the trained
+  parameters, as the last ``adam_step`` leaves them;
 * ``train`` history and parameters on a tiny net: VP and VE,
   ``self_cond_prob`` 0 and 0.5; and on VP at 0, the tiny net at latent
-  width 1 and the default net.
+  width 1 and the default net;
+* the CLI smoke flow, ``cli.main`` in a temporary directory: ``ingest`` of
+  12 toy molecules and one malformed line, a VE ``pretrain`` with
+  ``--loss-log``, ``sample`` at lam 0 and 1, ``eval --report``, ``probe
+  --report`` and ``selftest``; one key per file written (manifests left out:
+  they hold wall time and memory) and one for ``selftest``'s stdout.
 
 Usage:
     python3 scripts/digests.py [ROOT]
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -52,7 +62,10 @@ def digest(*values):
     h = hashlib.sha256()
 
     def feed(v):
-        if isinstance(v, np.ndarray):
+        if isinstance(v, bytes):
+            h.update(f"bytes {len(v)}".encode())
+            h.update(v)
+        elif isinstance(v, np.ndarray):
             h.update(f"array {v.dtype.str} {v.shape}".encode())
             h.update(np.ascontiguousarray(v).tobytes())
         elif isinstance(v, dict):
@@ -76,17 +89,64 @@ def digest(*values):
     return h.hexdigest()
 
 
+def cli_smoke(random_molecule):
+    """SHA-256 of each file the CLI smoke flow writes, manifests left out, and
+    of ``selftest``'s stdout."""
+    import numpy as np
+
+    from mjae import cli
+    from mjae.molgraph import serialize_molecule
+
+    out = {}
+    with tempfile.TemporaryDirectory() as work:
+        def path(name):
+            return os.path.join(work, name)
+
+        rng = np.random.default_rng(12)
+        with open(path("raw.jsonl"), "w") as fh:
+            for _ in range(12):
+                fh.write(serialize_molecule(random_molecule(rng, int(rng.integers(2, 5)))) + "\n")
+            fh.write('{"atoms": [1]}\n')
+        ck, clean = path("model.ck"), path("clean.jsonl")
+        small = ["--epochs", "1", "--batch-size", "4", "--latent", "12", "--rounds", "1",
+                 "--gcn-layers", "1", "--d-time", "8", "--d-contrast", "8"]
+        for argv in (["ingest", path("raw.jsonl"), clean],
+                     ["pretrain", clean, "--out", ck, *small, "--schedule-kind", "VE",
+                      "--loss-log", path("loss.json")],
+                     ["sample", ck, "--out", path("ode.jsonl"), "--steps", "5", "--count", "3"],
+                     ["sample", ck, "--out", path("sde.jsonl"), "--steps", "5", "--count", "3",
+                      "--lam", "1"],
+                     ["eval", ck, "--probe-set", clean, "--samples", path("ode.jsonl"),
+                      "--reference", clean, "--n-rotations", "2", "--max-probes", "2",
+                      "--report", path("eval.json")],
+                     ["probe", ck, clean, "--probe-seeds", "2", "--report", path("probe.json")],
+                     ["selftest"]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            if code != 0:
+                sys.exit(f"digests: mjae {argv[0]} exited {code}:\n{stderr.getvalue()}")
+        out["cli/selftest/stdout"] = digest(stdout.getvalue())  # selftest ran last
+        for name in sorted(os.listdir(work)):
+            if not name.endswith(".manifest.json"):
+                with open(path(name), "rb") as fh:
+                    out[f"cli/{name}"] = digest(fh.read())
+    return out
+
+
 def main(argv=None):
     args = parse_args(argv)
     src = Path(args.root).resolve() / "src"
     if not (src / "mjae" / "__init__.py").is_file():
         sys.exit(f"digests: no mjae package under {src}")
     sys.path[:0] = [str(src), str(HERE)]
+    os.environ.pop("MJAE_CONFIG", None)   # the CLI flow reads no config file
 
     import numpy as np
 
     import mjae
     from make_toy_corpus import random_molecule
+    from mjae import evalsuite
     from mjae.evalsuite import gaussian_marginal_score, gaussian_score_toy
     from mjae.network import NetworkConfig, init_params
     from mjae import sampling
@@ -129,9 +189,15 @@ def main(argv=None):
                              lam, 200, 1000, np.random.default_rng([0, i]))
         out[f"reverse_paths_1d/lam={lam}"] = digest(x)
 
+    # the toy's error rounds away small changes, so its trained parameters
+    # are hashed too, as its last adam_step leaves them
+    toy_params, adam_step = [], evalsuite.adam_step
+    evalsuite.adam_step = lambda params, *args: toy_params.append(params) or adam_step(
+        params, *args)
     for kind, schedule in schedules.items():
-        out[f"gaussian_score_toy/{kind}/train_steps=16"] = digest(
-            *gaussian_score_toy(schedule, train_steps=16))
+        key = f"gaussian_score_toy/{kind}/train_steps=16"
+        out[key] = digest(*gaussian_score_toy(schedule, train_steps=16))
+        out[f"{key}/params"] = digest({k: v.data for k, v in toy_params[-1].items()})
 
     rng = np.random.default_rng(401)
     corpus = [random_molecule(rng, int(rng.integers(2, 5))) for _ in range(12)]
@@ -146,6 +212,7 @@ def main(argv=None):
         out[f"{key}/history"] = digest(history)
         out[f"{key}/params"] = digest({k: v.data for k, v in trained.items()})
 
+    out.update(cli_smoke(random_molecule))
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 

@@ -3,7 +3,9 @@
 A ``Tensor`` wraps a numpy array and, when gradients are requested, links back
 to its parents so that ``backward`` can replay the chain rule. The recorded
 graph is single-use: ``backward`` cuts each node from its parents as it walks
-the tape, and a second call raises. Dense tensors of rank <= 4 only; no GPU, no higher-order derivatives.
+the tape, and a second call raises. A node whose operands need no gradient
+records nothing: it is a bare ``Tensor`` with no parents and no gradient
+functions. Dense tensors of rank <= 4 only; no GPU, no higher-order derivatives.
 
 Two primitives fuse what the network does most often into one tape node:
 ``linear`` (matmul plus bias) and ``ragged_message`` (the per-pair message
@@ -22,6 +24,7 @@ batch-mates; a run of one molecule is exactly that molecule's own call.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import groupby
 
@@ -82,11 +85,19 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _needs_grad(*operands):
+    """Whether a node of ``operands`` (``None`` for an absent one) goes on the
+    tape: when one of them needs a gradient. Otherwise the primitive returns
+    its output as a bare ``Tensor`` and builds no gradient function."""
+    for t in operands:
+        if t is not None and t.requires_grad:
+            return True
+    return False
+
+
 def _make(data, parents, op):
-    for p, _ in parents:
-        if p.requires_grad:
-            return Tensor(data, requires_grad=True, _parents=parents, _op=op)
-    return Tensor(data, _op=op)
+    """Record a node: ``op``'s output with its ``(parent, grad_fn)`` pairs."""
+    return Tensor(data, requires_grad=True, _parents=parents, _op=op)
 
 
 # -- elementwise binary primitives --------------------------------------
@@ -97,6 +108,8 @@ def _binary(a, b, op, fwd, da, db):
         out = fwd(a.data, b.data)
     except ValueError as e:
         raise ShapeError(f"{op}: incompatible shapes {a.shape} vs {b.shape}") from e
+    if not _needs_grad(a, b):
+        return Tensor(out, _op=op)
     return _make(out, ((a, _operand_grad(da, a, b, a.shape, out.shape)),
                        (b, _operand_grad(db, a, b, b.shape, out.shape))), op)
 
@@ -140,16 +153,25 @@ class _RightOperandGrad:
         return self.a.T @ g
 
 
-def _runs(sizes, rows, op, pairs=None):
-    """(k, n, atom rows, pair rows) of each run of ``sizes``: a maximal stretch
-    of k consecutive blocks of n rows, its slice of the ``rows`` rows that the
-    blocks must cover and its slice of the pair rows (n^2 per block), which
-    must cover ``pairs`` when given. A run's rows reshape freely to (k, n, ...)."""
+@functools.lru_cache(maxsize=8)
+def _run_slices(sizes):
+    """The runs of the tuple ``sizes`` (see ``_runs``) and the atom and pair
+    rows they cover. A forward hands its few size lists to many primitives,
+    so the last few are kept."""
     runs, atom, pair = [], 0, 0
     for n, run in groupby(sizes):
         k = len(list(run))
         runs.append((k, n, slice(atom, atom + k * n), slice(pair, pair + k * n * n)))
         atom, pair = atom + k * n, pair + k * n * n
+    return tuple(runs), atom, pair
+
+
+def _runs(sizes, rows, op, pairs=None):
+    """(k, n, atom rows, pair rows) of each run of ``sizes``: a maximal stretch
+    of k consecutive blocks of n rows, its slice of the ``rows`` rows that the
+    blocks must cover and its slice of the pair rows (n^2 per block), which
+    must cover ``pairs`` when given. A run's rows reshape freely to (k, n, ...)."""
+    runs, atom, pair = _run_slices(tuple(sizes))
     if atom != rows:
         raise ShapeError(f"{op}: blocks of {list(sizes)} rows do not cover {rows} rows")
     if pairs is not None and pair != pairs:
@@ -170,9 +192,12 @@ def _gemm(x, w, b, rows, op):
         for k, n, block, _ in _runs(rows, x.shape[0], op):
             np.matmul(x.data[block].reshape(k, n, width), w.data,
                       out=out[block].reshape(k, n, cols))
-    parents = [(x, lambda g: g @ w.data.T), (w, _RightOperandGrad(x.data))]
     if b is not None:
         out += b.data
+    if not _needs_grad(x, w, b):
+        return Tensor(out, _op=op)
+    parents = [(x, lambda g: g @ w.data.T), (w, _RightOperandGrad(x.data))]
+    if b is not None:
         parents.append((b, lambda g: g.sum(axis=0)))
     return _make(out, tuple(parents), op)
 
@@ -230,9 +255,11 @@ def pair_matmul(w, x, sizes):
     if x.data.ndim != 2:
         raise ShapeError(f"pair_matmul: atom rows {x.shape} are not a matrix")
     runs = _runs(sizes, x.shape[0], "pair_matmul", w.shape[0])
-    return _make(_block_times_rows(w.data, x.data, runs, False),
-                 ((w, lambda g: _rows_times_rows(g, x.data, runs)),
-                  (x, lambda g: _block_times_rows(w.data, g, runs, True))), "pair_matmul")
+    out = _block_times_rows(w.data, x.data, runs, False)
+    if not _needs_grad(w, x):
+        return Tensor(out, _op="pair_matmul")
+    return _make(out, ((w, lambda g: _rows_times_rows(g, x.data, runs)),
+                       (x, lambda g: _block_times_rows(w.data, g, runs, True))), "pair_matmul")
 
 
 def pair_inner(q, k, sizes):
@@ -242,9 +269,11 @@ def pair_inner(q, k, sizes):
     if q.data.ndim != 2 or q.shape != k.shape:
         raise ShapeError(f"pair_inner: atom rows {q.shape} and {k.shape}")
     runs = _runs(sizes, q.shape[0], "pair_inner")
-    return _make(_rows_times_rows(q.data, k.data, runs),
-                 ((q, lambda g: _block_times_rows(g, k.data, runs, False)),
-                  (k, lambda g: _block_times_rows(g, q.data, runs, True))), "pair_inner")
+    out = _rows_times_rows(q.data, k.data, runs)
+    if not _needs_grad(q, k):
+        return Tensor(out, _op="pair_inner")
+    return _make(out, ((q, lambda g: _block_times_rows(g, k.data, runs, False)),
+                       (k, lambda g: _block_times_rows(g, q.data, runs, True))), "pair_inner")
 
 
 def ragged_message(filt, x, sizes, w=None):
@@ -269,14 +298,14 @@ def ragged_message(filt, x, sizes, w=None):
     filt, x = as_tensor(filt), as_tensor(x)
     w = None if w is None else as_tensor(w)
     filter_shape = filt.shape if w is None else filt.shape[:1] + w.shape[1:]
+    runs, atom_rows, pair_rows = _run_slices(tuple(sizes))
     if (filt.data.ndim != 2 or x.data.ndim != 2 or filter_shape[1:] != x.shape[1:]
             or (w is not None and (w.data.ndim != 2 or w.shape[0] != filt.shape[1]))
-            or filt.shape[0] != sum(n * n for n in sizes) or x.shape[0] != sum(sizes)):
+            or (filt.shape[0], x.shape[0]) != (pair_rows, atom_rows)):
         weight = "" if w is None else f" and w {w.shape}"
         raise ShapeError(f"ragged_message: filt {filt.shape}{weight} and x {x.shape} do not "
                          f"match molecules of {list(sizes)} atoms")
     feats, width = filt.shape[1], x.shape[1]
-    runs = _runs(sizes, x.shape[0], "ragged_message")
 
     def block(k, n, pairs):  # a run's (k, n, n, L) filter
         if w is None:
@@ -290,6 +319,8 @@ def ragged_message(filt, x, sizes, w=None):
             np.einsum("kijl,kjl->kil", block(k, n, pairs), rows, out=sums)
         else:
             (block(k, n, pairs) * rows.reshape(k, 1, n, width)).sum(axis=2, out=sums)
+    if not _needs_grad(filt, x, w):
+        return Tensor(out, _op="ragged_message")
 
     def dfilt(g):  # dfilt_ij = g_i x_j
         grad = np.empty((filt.shape[0], width))
@@ -316,6 +347,8 @@ def ragged_message(filt, x, sizes, w=None):
 def _unary(a, op, fwd, dfn):
     a = as_tensor(a)
     out = fwd(a.data)
+    if not a.requires_grad:
+        return Tensor(out, _op=op)
     return _make(out, ((a, lambda g: dfn(g, a.data, out)),), op)
 
 
@@ -341,6 +374,8 @@ def silu(a):
     a = as_tensor(a)
     s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
     out = a.data * s
+    if not a.requires_grad:
+        return Tensor(out, _op="silu")
     return _make(out, ((a, lambda g: g * (s + out * (1.0 - s))),), "silu")
 
 
@@ -358,6 +393,8 @@ def softmax(a, axis=-1):
     """Numerically stable softmax along ``axis`` (row-wise for matrices)."""
     a = as_tensor(a)
     out = _softmax(a.data, axis)
+    if not a.requires_grad:
+        return Tensor(out, _op="softmax")
     return _make(out, ((a, lambda g: _softmax_grad(g, out, axis)),), "softmax")
 
 
@@ -368,6 +405,8 @@ def pair_softmax(a, sizes):
     runs = _runs(sizes, sum(sizes), "pair_softmax", a.shape[0])
     out = np.concatenate([_softmax(a.data[pairs].reshape(k, n, n), -1).reshape(k * n * n, 1)
                           for k, n, _, pairs in runs])
+    if not a.requires_grad:
+        return Tensor(out, _op="pair_softmax")
 
     def grad(g):
         return np.concatenate([
@@ -389,14 +428,19 @@ def _spread(g, shape, axis):
 
 def sum_(a, axis=None):
     a = as_tensor(a)
-    return _make(a.data.sum(axis=axis), ((a, lambda g: _spread(g, a.shape, axis)),), "sum")
+    out = a.data.sum(axis=axis)
+    if not a.requires_grad:
+        return Tensor(out, _op="sum")
+    return _make(out, ((a, lambda g: _spread(g, a.shape, axis)),), "sum")
 
 
 def mean(a, axis=None):
     a = as_tensor(a)
+    out = a.data.mean(axis=axis)
+    if not a.requires_grad:
+        return Tensor(out, _op="mean")
     n = a.data.size if axis is None else a.shape[axis]
-    return _make(a.data.mean(axis=axis), ((a, lambda g: _spread(g / n, a.shape, axis)),),
-                 "mean")
+    return _make(out, ((a, lambda g: _spread(g / n, a.shape, axis)),), "mean")
 
 
 def block_mean(a, rows, axis=0):
@@ -412,6 +456,8 @@ def block_mean(a, rows, axis=0):
         for k, n, block, _ in runs])
     if axis == 0:
         out = out.reshape((len(out),) + a.shape[1:])
+    if not a.requires_grad:
+        return Tensor(out, _op="block_mean")
 
     def grad(g):
         g, parts, mol = g.reshape(len(g), width if axis == 0 else 1), [], 0
@@ -430,6 +476,8 @@ def concat(tensors, axis=0):
         out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as e:
         raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]}") from e
+    if not _needs_grad(*tensors):
+        return Tensor(out, _op="concat")
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def _grad_fn(i):
@@ -457,6 +505,8 @@ def slice_(a, idx):
     positions it picks."""
     a = as_tensor(a)
     out = a.data[idx]
+    if not a.requires_grad:
+        return Tensor(out, _op="slice")
     basic = _is_basic_index(idx)
 
     def _grad(g):
@@ -477,6 +527,8 @@ def reshape(a, shape):
         out = a.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(f"reshape: {a.shape} -> {shape}") from e
+    if not a.requires_grad:
+        return Tensor(out, _op="reshape")
     return _make(out, ((a, lambda g: g.reshape(a.shape)),), "reshape")
 
 
@@ -485,8 +537,10 @@ def transpose(a):
     a = as_tensor(a)
     if a.data.ndim < 2:
         raise ShapeError(f"transpose: rank {a.data.ndim} < 2")
-    return _make(a.data.swapaxes(-1, -2),
-                 ((a, lambda g: g.swapaxes(-1, -2)),), "transpose")
+    out = a.data.swapaxes(-1, -2)
+    if not a.requires_grad:
+        return Tensor(out, _op="transpose")
+    return _make(out, ((a, lambda g: g.swapaxes(-1, -2)),), "transpose")
 
 
 # -- backward ------------------------------------------------------------

@@ -491,12 +491,74 @@ def test_mul_add_chain_gradients_property(seed):
     assert np.abs(x.grad - (2 * a + b)).max() < 1e-10
 
 
-def test_no_grad_path_is_cheap(rng):
-    x = Tensor(rng.standard_normal((3, 3)))
-    out = ad.silu(ad.matmul(x, x))
-    assert not out.requires_grad
-    ad.backward(ad.sum_(out))  # no-op, but legal
+_SIZES = (2, 2, 3)   # 7 atom rows, 17 pair rows
 
+# (name, op named by its ShapeError, call on operand tensors, operand shapes,
+# mismatched operand shapes or None for a primitive that takes any shape)
+_DETACHED_CASES = [
+    ("add", "add", ad.add, [(3, 4), (4,)], [(3, 4), (3,)]),
+    ("sub", "sub", ad.sub, [(3, 4), (3, 1)], [(3, 4), (2, 1)]),
+    ("mul", "mul", ad.mul, [(3, 4), ()], [(3, 4), (5,)]),
+    ("div", "div", ad.div, [(3, 4), (3, 4)], [(3, 4), (4, 3)]),
+    ("matmul", "matmul", ad.matmul, [(3, 4), (4, 2)], [(3, 4), (3, 2)]),
+    ("matmul rows", "matmul", lambda a, b: ad.matmul(a, b, _SIZES), [(7, 4), (4, 2)],
+     [(6, 4), (4, 2)]),
+    ("linear", "linear", ad.linear, [(3, 4), (4, 2), (2,)], [(3, 4), (4, 2), (3,)]),
+    ("linear rows", "linear", lambda x, w, b: ad.linear(x, w, b, _SIZES),
+     [(7, 4), (4, 2), (2,)], [(8, 4), (4, 2), (2,)]),
+    ("pair_matmul", "pair_matmul", lambda w, x: ad.pair_matmul(w, x, _SIZES),
+     [(17, 1), (7, 3)], [(16, 1), (7, 3)]),
+    ("pair_inner", "pair_inner", lambda q, k: ad.pair_inner(q, k, _SIZES),
+     [(7, 3), (7, 3)], [(7, 3), (7, 2)]),
+    ("ragged_message", "ragged_message", lambda f, x: ad.ragged_message(f, x, _SIZES),
+     [(17, 3), (7, 3)], [(17, 3), (6, 3)]),
+    ("ragged_message w", "ragged_message", lambda f, x, w: ad.ragged_message(f, x, _SIZES, w),
+     [(17, 2), (7, 3), (2, 3)], [(17, 2), (7, 3), (3, 3)]),
+    ("log", "log", ad.log, [(3, 4)], None),
+    ("square", "square", ad.square, [(3, 4)], None),
+    ("sqrt", "sqrt", ad.sqrt, [(3, 4)], None),
+    ("abs", "abs", ad.abs_, [(3, 4)], None),
+    ("silu", "silu", ad.silu, [(3, 4)], None),
+    ("softmax", "softmax", ad.softmax, [(3, 4)], None),
+    ("pair_softmax", "pair_softmax", lambda a: ad.pair_softmax(a, _SIZES), [(17, 1)],
+     [(16, 1)]),
+    ("sum", "sum", lambda a: ad.sum_(a, axis=0), [(3, 4)], None),
+    ("mean", "mean", lambda a: ad.mean(a, axis=1), [(3, 4)], None),
+    ("block_mean", "block_mean", lambda a: ad.block_mean(a, _SIZES), [(7, 3)], [(6, 3)]),
+    ("block_mean all", "block_mean", lambda a: ad.block_mean(a, _SIZES, axis=None),
+     [(7, 3)], [(8, 3)]),
+    ("concat", "concat", lambda a, b: ad.concat([a, b], axis=1), [(3, 4), (3, 2)],
+     [(3, 4), (2, 2)]),
+    ("slice basic", "slice", lambda a: a[1:, 2], [(3, 4)], None),
+    ("slice fancy", "slice", lambda a: a[np.array([2, 0, 2])], [(3, 4)], None),
+    ("reshape", "reshape", lambda a: ad.reshape(a, (4, 3)), [(3, 4)], [(3, 5)]),
+    ("transpose", "transpose", ad.transpose, [(3, 4)], [(4,)]),
+]
+
+
+def test_no_grad_path_is_cheap(monkeypatch):
+    """A primitive whose operands all need no gradient records nothing: it
+    never reaches the tape's recording point and returns a bare tensor with
+    no parents. It still checks its shapes first. With any one operand that
+    needs a gradient, it records one node of the same bits."""
+    recorded, make = [], ad._make
+    monkeypatch.setattr(ad, "_make", lambda *args: recorded.append(args[2]) or make(*args))
+    rng = np.random.default_rng(0)
+    for name, op, call, shapes, bad_shapes in _DETACHED_CASES:
+        arrays = [rng.uniform(0.5, 2.0, shape) for shape in shapes]
+        out = call(*[Tensor(a) for a in arrays])
+        assert not out.requires_grad and out._parents == () and recorded == [], name
+        ad.backward(ad.sum_(out))  # no-op, but legal
+        if bad_shapes is not None:
+            with pytest.raises(ShapeError, match=op):
+                call(*[Tensor(np.ones(shape)) for shape in bad_shapes])
+        assert recorded == [], name
+
+        for i in range(len(arrays)):
+            taped = call(*[Tensor(a, requires_grad=j == i) for j, a in enumerate(arrays)])
+            assert taped.requires_grad and _same_bits(taped.data, out.data), (name, i)
+        assert recorded == [op] * len(arrays), name
+        recorded.clear()
 
 
 def _shared_weight_loss(w_for, xs):

@@ -18,6 +18,7 @@ from mjae.network import (NetworkConfig, detach_params, edge_condition, encode, 
 from mjae.frames import molecule_frames
 from mjae.schedule import NoiseSchedule
 from mjae.trajectory import perturb_continuous
+from mjae.training import TrainConfig, training_step
 
 
 # positions (n, 3) whose stacks must not mix molecules: n = 1 and n = 2, a
@@ -413,6 +414,56 @@ def test_batched_forward_matches_molecules_alone(cfg, params, rng):
     assert set(batched_grads) == set(alone_grads) == set(params)
     for name, ref in alone_grads.items():
         assert np.linalg.norm(batched_grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
+def test_detached_forward_records_nothing_and_matches_trainable(rng, monkeypatch):
+    """On one mixed-size batch, a forward of detached parameters never
+    reaches the tape's recording point and gives, key by key, the bits of a
+    forward of trainable parameters."""
+    cfg = NetworkConfig()
+    conds = [_molecule_of(rng, n) for n in (1, 2, 5, 5, 14)]
+    inputs = [_noisy(rng, m) for m in conds]
+    times = [0.05, 0.3, 0.5, 0.5, 0.9]
+    params = init_params(cfg, np.random.default_rng(4))
+    taped = forward(params, cfg, conds, inputs, times, anchors=conds)
+    recorded, make = [], ad._make
+    monkeypatch.setattr(ad, "_make", lambda *args: recorded.append(args[2]) or make(*args))
+    detached = forward(detach_params(params), cfg, conds, inputs, times, anchors=conds)
+    assert recorded == []
+    assert taped.keys() == detached.keys()
+    assert taped["latent"].sizes == detached["latent"].sizes == (1, 2, 5, 5, 14)
+    pairs = [(key, taped[key], detached[key]) for key in taped if key != "latent"]
+    pairs += [(f"latent.{key}", getattr(taped["latent"], key), getattr(detached["latent"], key))
+              for key in ("node_h", "pooled")]
+    for key, got, ref in pairs:
+        assert got.requires_grad and not ref.requires_grad and ref._parents == (), key
+        assert got.shape == ref.shape, key
+        assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64)), key
+
+
+def test_training_step_records_241_tape_nodes(monkeypatch):
+    """A default-net training step's tape holds 241 nodes: those reachable
+    from the loss through parents that need gradients, the loss and the
+    parameters included."""
+    batch = [to_dense(g) for g in toy_corpus(count=8, seed=5)]
+    net_cfg = NetworkConfig()
+    params = init_params(net_cfg, np.random.default_rng(3))
+    counts, real_backward = [], ad.backward
+
+    def spy(loss):
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            for parent, _ in stack.pop()._parents:
+                if parent.requires_grad and id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        counts.append(len(seen))
+        real_backward(loss)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    training_step(params, net_cfg, TrainConfig(self_cond_prob=0.5), batch,
+                  [np.random.default_rng([7, i]) for i in range(len(batch))])
+    assert counts == [241]
 
 
 def _one_molecule_heads(params, cfg, f0, ft, cond, xt, anchor_ft, anchor, t):
