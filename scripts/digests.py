@@ -22,7 +22,10 @@ matrix, each output keyed by its settings:
   parameters, as the last ``adam_step`` leaves them;
 * ``train`` history and parameters on a tiny net: VP and VE,
   ``self_cond_prob`` 0 and 0.5; and on VP at 0, the tiny net at latent
-  width 1 and the default net;
+  width 1, at latent and edge hidden width 1 (width-1 pair rows on both
+  sides of ``score_2d``), on 8 molecules of one atom count (each batch one
+  run of k = 4, so every block primitive's stacked backward) and the
+  default net;
 * the CLI smoke flow, ``cli.main`` in a temporary directory: ``ingest`` of
   12 toy molecules and one malformed line, a VE ``pretrain`` with
   ``--loss-log``, ``sample`` at lam 0 and 1, ``eval --report``, ``probe
@@ -201,14 +204,23 @@ def main(argv=None):
 
     rng = np.random.default_rng(401)
     corpus = [random_molecule(rng, int(rng.integers(2, 5))) for _ in range(12)]
-    runs = [(kind, p, "tiny", tiny) for kind in schedules for p in (0.0, 0.5)]
-    runs.append(("VP", 0.0, "latent1", dataclasses.replace(tiny, latent=1)))
-    runs.append(("VP", 0.0, "default", NetworkConfig()))
-    for kind, p, name, net in runs:
+    # 8 molecules of one atom count: every batch of 4 is one run of k = 4
+    rng = np.random.default_rng(402)
+    drawn = [random_molecule(rng, 3) for _ in range(40)]
+    equal = [m for m in drawn if m.n == drawn[0].n][:8]
+    if len(equal) != 8:
+        sys.exit(f"digests: {len(equal)} of 40 molecules share an atom count, not 8")
+    runs = [(kind, p, "tiny", tiny, corpus, "") for kind in schedules for p in (0.0, 0.5)]
+    runs += [("VP", 0.0, "latent1", dataclasses.replace(tiny, latent=1), corpus, ""),
+             ("VP", 0.0, "latent1_edge_hidden1",
+              dataclasses.replace(tiny, latent=1, edge_hidden=1), corpus, ""),
+             ("VP", 0.0, "tiny", tiny, equal, "/corpus=equal_size"),
+             ("VP", 0.0, "default", NetworkConfig(), corpus[:8], "")]
+    for kind, p, name, net, data, suffix in runs:
         cfg = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=3, schedule=schedules[kind],
                           self_cond_prob=p)
-        trained, history = train(corpus[:8] if name == "default" else corpus, cfg, net)
-        key = f"train/{kind}/self_cond_prob={p}/net={name}"
+        trained, history = train(data, cfg, net)
+        key = f"train/{kind}/self_cond_prob={p}/net={name}{suffix}"
         out[f"{key}/history"] = digest(history)
         out[f"{key}/params"] = digest({k: v.data for k, v in trained.items()})
 

@@ -7,9 +7,10 @@ the tape, and a second call raises. A node whose operands need no gradient
 records nothing: it is a bare ``Tensor`` with no parents and no gradient
 functions. Dense tensors of rank <= 4 only; no GPU, no higher-order derivatives.
 
-Two primitives fuse what the network does most often into one tape node:
-``linear`` (matmul plus bias) and ``ragged_message`` (the per-pair message
-sum of a batch of molecules, each pairing only its own atoms).
+Three primitives fuse what the network does most often into one tape node:
+``linear`` (matmul plus bias), ``ragged_message`` (the per-pair message sum
+of a batch of molecules, each pairing only its own atoms) and ``pair_outer``
+(each pair row's product or sum of its two atoms' rows, with no gather).
 
 A batch of molecules is stored as stacked rows: atom rows (one per atom) and
 pair rows (n^2 per molecule, its ordered pairs (i, j) in row-major order).
@@ -274,6 +275,54 @@ def pair_inner(q, k, sizes):
         return Tensor(out, _op="pair_inner")
     return _make(out, ((q, lambda g: _block_times_rows(g, k.data, runs, False)),
                        (k, lambda g: _block_times_rows(g, q.data, runs, True))), "pair_inner")
+
+
+def _pair_side_sums(g, x, runs, op, side):
+    """One side's gradient of ``pair_outer``, as atom rows: row a sums over
+    the pair rows whose atom ``side`` (0 for i, 1 for j) is a, in pair-row
+    order from +0.0, as ``np.bincount`` over a gather's positions adds them.
+    A term is g_ij, times the other side's atom row for ``np.multiply``.
+
+    At width L > 1, einsum and a reduction over the (k, n, n, L) block add
+    along the summed axis in order. At width 1 that axis is the innermost,
+    which numpy sums pairwise, so the terms are first copied into C order
+    as (k, summed, kept, 1), which numpy reduces row after row."""
+    grad, width = np.empty_like(x), x.shape[1]
+    for k, n, atoms, pairs in runs:
+        block, rows = g[pairs].reshape(k, n, n, width), x[atoms].reshape(k, n, width)
+        sums = grad[atoms].reshape(k, n, width)
+        if width > 1 and op is np.multiply:
+            np.einsum("kijl,kjl->kil" if side == 0 else "kijl,kil->kjl", block, rows, out=sums)
+        elif width > 1:
+            np.add.reduce(block, axis=2 - side, initial=0.0, out=sums)
+        else:
+            block = block.swapaxes(1, 2) if side == 0 else block
+            terms = block * rows[:, :, None] if op is np.multiply else block
+            np.add.reduce(np.ascontiguousarray(terms), axis=1, initial=0.0, out=sums)
+    return grad
+
+
+def pair_outer(x, sizes, op):
+    """Pair rows ``op(x_i, x_j)`` (P, L) of each molecule's atom rows ``x``
+    (N, L), for ``op`` ``np.multiply`` or ``np.add``: the rows of
+    ``op(x[i], x[j])`` with i and j the atoms of each pair row, written per
+    run by broadcasting without gathering either side. Backward records one
+    gradient per side, each summed straight into atom rows in the order a
+    gathered side's gradient is, so the bits are those of the gather."""
+    x = as_tensor(x)
+    if op not in (np.multiply, np.add):
+        raise ValueError(f"pair_outer: op must be np.multiply or np.add, got {op!r}")
+    if x.data.ndim != 2:
+        raise ShapeError(f"pair_outer: atom rows {x.shape} are not a matrix")
+    runs, width = _runs(sizes, x.shape[0], "pair_outer"), x.shape[1]
+    out = np.empty((sum(k * n * n for k, n, _, _ in runs), width))
+    for k, n, atoms, pairs in runs:
+        rows = x.data[atoms].reshape(k, n, width)
+        op(rows[:, :, None], rows[:, None], out=out[pairs].reshape(k, n, n, width))
+    if not x.requires_grad:
+        return Tensor(out, _op="pair_outer")
+    return _make(out, ((x, lambda g: _pair_side_sums(g, x.data, runs, op, 0)),
+                       (x, lambda g: _pair_side_sums(g, x.data, runs, op, 1))), "pair_outer")
 
 
 def ragged_message(filt, x, sizes, w=None):

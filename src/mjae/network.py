@@ -296,14 +296,13 @@ def score_2d(latent, params, cfg, e0, et, pairs):
     (P, e)."""
     h, sizes = latent.node_h, latent.sizes
     rows = [n * n for n in sizes]
-    i, j, _ = pairs
     scale = 1.0 / np.sqrt(cfg.head_dim)
     maps = []
     for head in range(cfg.heads):
         q = ad.matmul(h, params[f"att.h{head}.q"], sizes)
         k = ad.matmul(h, params[f"att.h{head}.k"], sizes)
         maps.append(ad.pair_softmax(ad.mul(ad.pair_inner(q, k, sizes), Tensor(scale)), sizes))
-    pair_prod = ad.mul(h[i], h[j])
+    pair_prod = ad.pair_outer(h, sizes, np.multiply)
     raw = Tensor(np.concatenate([e0, et], axis=1))
     # l1 reads rows [maps | h_i + h_j | h_i * h_j | raw]; its pair-sum block is
     # (h_i + h_j) W_s = u_i + u_j with u = h W_s, so no (P, L) sum is built
@@ -313,7 +312,7 @@ def score_2d(latent, params, cfg, e0, et, pairs):
     u = ad.matmul(h, w1[sum_rows], sizes)
     pre = ad.add(ad.linear(ad.concat(maps + [pair_prod, raw], axis=1), w1[other_rows],
                            params["head2d.l1.b"], rows),
-                 ad.add(u[i], u[j]))
+                 ad.pair_outer(u, sizes, np.add))
     edge = ad.linear(ad.silu(pre), params["head2d.l2.w"], params["head2d.l2.b"], rows)
     return _symmetrize(edge, pairs)
 

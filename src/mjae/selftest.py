@@ -100,6 +100,9 @@ def _primitive_cases(rng):
         ("block_mean all", lambda x: reduce(ad.block_mean(spread(x, (7, 4)), sizes, axis=None))),
         # the filter f @ x of molecules of 1 and 3 atoms, built per run
         ("ragged_message w", lambda x: reduce(ad.ragged_message(Tensor(f), Tensor(c2), (1, 3), x))),
+        ("pair_outer multiply", lambda x: reduce(ad.pair_outer(spread(x, (7, 4)), sizes,
+                                                                np.multiply))),
+        ("pair_outer add", lambda x: reduce(ad.pair_outer(spread(x, (7, 4)), sizes, np.add))),
     ]
 
 

@@ -209,6 +209,8 @@ def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):
                 adam_step(params, grads, state, cur_lr)
             except ValueError:
                 continue  # rejected step; parameters unchanged
+            finally:
+                del grads  # the next step's forward and backward run without it
             reports.append(report)
         if not reports:
             raise RuntimeError(f"every step of epoch {epoch} was rejected "

@@ -3,11 +3,12 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import fd_grad
 from mjae import autodiff as ad
 from mjae.autodiff import ShapeError, TapeError, Tensor
+from mjae.network import _pair_rows
 
 
 def _same_bits(a, b):
@@ -368,6 +369,9 @@ _BLOCK_CASES = [
     ("pair_inner", ("atoms", "atoms"), "values", ad.pair_inner),
     ("pair_softmax", ("values",), "values", ad.pair_softmax),
     ("ragged_message", ("pairs", "atoms"), "atoms", ad.ragged_message),
+    ("pair_outer multiply", ("atoms",), "pairs",
+     lambda x, sizes: ad.pair_outer(x, sizes, np.multiply)),
+    ("pair_outer add", ("atoms",), "pairs", lambda x, sizes: ad.pair_outer(x, sizes, np.add)),
     ("block_mean rows", ("atoms",), "means", ad.block_mean),
     ("block_mean all", ("atoms",), "mean", lambda a, sizes: ad.block_mean(a, sizes, axis=None)),
     ("block_mean pair rows", ("pairs",), "mean",
@@ -452,6 +456,55 @@ def test_ragged_message_row_sums_and_gradient_bitwise(rng):
     assert _same_bits(w.grad, np.concatenate(grads))
 
 
+# size lists of runs of k > 1 and of 1-atom molecules; 8 atoms and more is
+# where numpy sums a contiguous width-1 axis pairwise
+_PAIR_OUTER_SIZES = st.lists(
+    st.tuples(st.sampled_from([1, 2, 3, 4, 8, 9, 13, 17]), st.integers(1, 3)),
+    min_size=1, max_size=5).map(lambda runs: [n for n, k in runs for _ in range(k)])
+
+
+@settings(max_examples=8, deadline=None)
+@given(sizes=_PAIR_OUTER_SIZES, seed=st.integers(0, 10_000))
+@example(sizes=[1, 1, 3, 3, 3, 2, 9, 9, 1, 17], seed=0)
+@pytest.mark.parametrize("width", [1, 2, 8, 32, 128])
+@pytest.mark.parametrize("op", [np.multiply, np.add], ids=["multiply", "add"])
+def test_pair_outer_bitwise_to_gather(op, width, sizes, seed):
+    """``pair_outer`` gives, bit for bit, the forward and the gradient of
+    ``op`` of the gathered rows ``x[i]`` and ``x[j]``, signed zeros included,
+    whether its gradient arrives contiguous or as a column slice of a wider
+    array, and when every gradient entry is -0.0."""
+    r = np.random.default_rng(seed)
+    i, j, _ = _pair_rows(sizes)
+    x0 = r.standard_normal((sum(sizes), width))
+    x0.reshape(-1)[::7] = -0.0
+    g_random = r.standard_normal((len(i), width))
+    g_random.reshape(-1)[::5] = -0.0
+    g_other = r.standard_normal((len(i), 3))
+    gather = ad.mul if op is np.multiply else ad.add
+
+    def run(build, g, sliced):
+        x = Tensor(x0.copy(), requires_grad=True)
+        out = build(x)
+        if sliced:  # the gradient reaches out as out's columns of a wider one
+            out_wide = ad.concat([out, Tensor(np.zeros(g_other.shape))], axis=1)
+            ad.backward(ad.sum_(ad.mul(out_wide, Tensor(np.concatenate([g, g_other], axis=1)))))
+        else:
+            ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+        return out.data, x.grad
+
+    for g in (g_random, np.full_like(g_random, -0.0)):
+        for sliced in (False, True):
+            got = run(lambda x: ad.pair_outer(x, sizes, op), g, sliced)
+            ref = run(lambda x: gather(x[i], x[j]), g, sliced)
+            assert _same_bits(got[0], ref[0]), sliced
+            assert _same_bits(got[1], ref[1]), sliced
+
+
+def test_pair_outer_takes_multiply_or_add():
+    with pytest.raises(ValueError, match="pair_outer"):
+        ad.pair_outer(Tensor(np.ones((2, 1))), (2,), np.subtract)
+
+
 def test_matmul_gradient(rng):
     w = rng.standard_normal((4, 2))
     _check(lambda x: ad.sum_(ad.square(ad.matmul(x, Tensor(w)))), rng.standard_normal((3, 4)))
@@ -512,6 +565,10 @@ _DETACHED_CASES = [
      [(7, 3), (7, 3)], [(7, 3), (7, 2)]),
     ("ragged_message", "ragged_message", lambda f, x: ad.ragged_message(f, x, _SIZES),
      [(17, 3), (7, 3)], [(17, 3), (6, 3)]),
+    ("pair_outer multiply", "pair_outer", lambda x: ad.pair_outer(x, _SIZES, np.multiply),
+     [(7, 3)], [(6, 3)]),
+    ("pair_outer add", "pair_outer", lambda x: ad.pair_outer(x, _SIZES, np.add),
+     [(7, 3)], [(8, 3)]),
     ("ragged_message w", "ragged_message", lambda f, x, w: ad.ragged_message(f, x, _SIZES, w),
      [(17, 2), (7, 3), (2, 3)], [(17, 2), (7, 3), (3, 3)]),
     ("log", "log", ad.log, [(3, 4)], None),

@@ -441,10 +441,13 @@ def test_detached_forward_records_nothing_and_matches_trainable(rng, monkeypatch
         assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64)), key
 
 
-def test_training_step_records_241_tape_nodes(monkeypatch):
-    """A default-net training step's tape holds 241 nodes: those reachable
+def test_training_step_records_237_tape_nodes(monkeypatch):
+    """A default-net training step's tape holds 237 nodes: those reachable
     from the loss through parents that need gradients, the loss and the
-    parameters included."""
+    parameters included. It held 241 before ``score_2d`` built its pair rows
+    h_i * h_j and u_i + u_j with ``pair_outer``: the four gather nodes
+    ``h[i]``, ``h[j]``, ``u[i]`` and ``u[j]`` went, and one ``pair_outer``
+    node each took the place of the ``mul`` and the ``add`` that read them."""
     batch = [to_dense(g) for g in toy_corpus(count=8, seed=5)]
     net_cfg = NetworkConfig()
     params = init_params(net_cfg, np.random.default_rng(3))
@@ -463,7 +466,7 @@ def test_training_step_records_241_tape_nodes(monkeypatch):
     monkeypatch.setattr(ad, "backward", spy)
     training_step(params, net_cfg, TrainConfig(self_cond_prob=0.5), batch,
                   [np.random.default_rng([7, i]) for i in range(len(batch))])
-    assert counts == [241]
+    assert counts == [237]
 
 
 def _one_molecule_heads(params, cfg, f0, ft, cond, xt, anchor_ft, anchor, t):

@@ -3,6 +3,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -250,6 +251,32 @@ def test_params_stay_finite_after_training():
     data = toy_corpus(count=4, seed=9)
     params, _ = train(data, _quick_cfg(), small_net_config())
     assert all(np.all(np.isfinite(p.data)) for p in params.values())
+
+
+@pytest.mark.parametrize("reject_every_second", [False, True])
+def test_train_holds_one_steps_gradients_at_a_time(monkeypatch, reject_every_second):
+    """Once Adam has applied or rejected a step's gradients, ``train`` lets
+    go of them: when step k + 1 starts, every gradient array step k returned
+    is dead, across epochs too."""
+    refs, alive_at_start = [], []   # weakrefs to each step's gradient arrays
+    real_step, real_adam = training.training_step, training.adam_step
+
+    def step(*args):
+        alive_at_start.append([ref() is not None for ref in refs[-1]] if refs else [])
+        report, grads = real_step(*args)
+        refs.append([weakref.ref(g) for g in grads.values()])
+        return report, grads
+
+    def adam(params, grads, state, lr):
+        if reject_every_second and len(refs) % 2 == 0:
+            raise ValueError("adam_step: non-finite gradient for 'x'; step rejected")
+        return real_adam(params, grads, state, lr)
+
+    monkeypatch.setattr(training, "training_step", step)
+    monkeypatch.setattr(training, "adam_step", adam)
+    train(toy_corpus(count=8, seed=9), _quick_cfg(batch_size=2), small_net_config())
+    assert len(refs) == 8 and all(refs)
+    assert alive_at_start[0] == [] and not any(any(a) for a in alive_at_start)
 
 
 
