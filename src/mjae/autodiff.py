@@ -612,10 +612,11 @@ def backward(loss):
     data and what its gradient functions hold) is freed once its last
     consumer's gradient is formed, not when the walk ends.
 
-    A leaf that is the right operand of k > 1 matmuls (a weight shared by
-    several rows, rounds or molecules) gets one ``concat(a).T @ concat(g)``
-    when the k-th use's gradient arrives, instead of k products and k - 1
-    additions; its rows are freed at once.
+    A leaf that is the right operand of k > 1 matmuls gets one
+    ``concat(a).T @ concat(g)`` when the k-th use's gradient arrives, instead
+    of k products and k - 1 additions; its rows are freed at once. In a
+    training step only ``proj.l1.w`` and ``proj.l2.w`` are such leaves, with
+    2 uses each (the input and the anchor projections).
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")

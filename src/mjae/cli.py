@@ -6,8 +6,10 @@ flags override. Network and noise-schedule flags exist on pretrain only: its
 checkpoint stores both configs, and sample, eval and probe read them back.
 Every completed run that writes a file writes a JSON manifest next to it;
 eval and probe print their report and write a file only with --report, and
-selftest writes its manifest only with --manifest. Checkpoints and manifests
-are written to a temporary file that then replaces the target.
+selftest writes its manifest only with --manifest. Every file a command
+writes (dataset, checkpoint, samples, loss log, report, manifest) is written
+to a temporary file that then replaces the target, so a failed command leaves
+the previous file in place and no partial one.
 Each command that reads a JSONL file prints its malformed lines to stderr.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -25,6 +27,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
+from . import __version__
 from .evalsuite import (generation_metrics, linear_probe, radius_of_gyration,
                         symmetry_report)
 from .molgraph import ParseError, parse_molecule, serialize_molecule
@@ -34,8 +37,6 @@ from .schedule import NoiseSchedule
 from .selftest import run_selftest
 from .training import (CheckpointError, TrainConfig, check_shapes, init_adam_state,
                        load_checkpoint, replacing, save_checkpoint, train)
-
-__version__ = "0.1.0"
 
 
 def load_config_file(path):
@@ -81,6 +82,13 @@ def _nonfinite(obj, path=""):
     return next(filter(None, found), None)
 
 
+def write_text(path, text):
+    """Write the whole of ``text`` to ``path`` through a temporary file that
+    replaces it; if the write fails, ``path`` keeps its old contents."""
+    with replacing(path, "w") as fh:
+        fh.write(text)
+
+
 def write_manifest(out_path, command, config, seed, inputs, outputs, started):
     """Atomic run manifest: what ran, on what, producing what."""
     usage = resource.getrusage(resource.RUSAGE_SELF)
@@ -99,9 +107,7 @@ def write_manifest(out_path, command, config, seed, inputs, outputs, started):
                              / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 1),
         "minor_faults": usage.ru_minflt,
     }
-    text = strict_json(manifest, "manifest")
-    with replacing(out_path, "w") as fh:
-        fh.write(text)
+    write_text(out_path, strict_json(manifest, "manifest"))
 
 
 def read_dataset(path):
@@ -155,9 +161,7 @@ def cmd_ingest(args):
     if not graphs:
         print("error: no valid records", file=sys.stderr)
         return 1
-    with open(args.output, "w") as fh:
-        for g in graphs:
-            fh.write(serialize_molecule(g) + "\n")
+    write_text(args.output, "".join(serialize_molecule(g) + "\n" for g in graphs))
     print(f"ingested {len(graphs)} molecules, rejected {len(diagnostics)}")
     write_manifest(args.output + ".manifest.json", "ingest", vars(args),
                    None, [args.input], [args.output], started)
@@ -189,9 +193,7 @@ def cmd_pretrain(args):
                     meta={"net": asdict(net_cfg), "schedule": asdict(cfg.schedule),
                           "epochs": cfg.epochs})
     if args.loss_log:
-        text = strict_json(history, "loss log")
-        with open(args.loss_log, "w") as fh:
-            fh.write(text)
+        write_text(args.loss_log, strict_json(history, "loss log"))
     write_manifest(args.out + ".manifest.json", "pretrain", vars(args),
                    args.seed, [args.dataset], [args.out], started)
     return 0
@@ -248,9 +250,7 @@ def cmd_sample(args):
     params, net_cfg, meta = _load_model(args.checkpoint)
     schedule = _meta_config(meta, "schedule", NoiseSchedule)
     graphs = generate(params, net_cfg, schedule, cfg, args.count)
-    with open(args.out, "w") as fh:
-        for g in graphs:
-            fh.write(serialize_molecule(g) + "\n")
+    write_text(args.out, "".join(serialize_molecule(g) + "\n" for g in graphs))
     print(f"wrote {len(graphs)} samples to {args.out}")
     write_manifest(args.out + ".manifest.json", "sample",
                    vars(args) | {"checkpoint_hash": _file_hash(args.checkpoint)},
@@ -315,7 +315,7 @@ def cmd_probe(args):
 
 def cmd_selftest(args):
     started = time.time()
-    ok, results = run_selftest(verbose=True)
+    ok = run_selftest()
     if args.manifest:
         write_manifest(args.manifest, "selftest", vars(args), None, [],
                        [args.manifest], started)
@@ -325,8 +325,7 @@ def cmd_selftest(args):
 def _emit_report(report, path):
     text = strict_json(report, "report")
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_text(path, text)
     print(text)
 
 

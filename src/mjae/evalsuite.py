@@ -67,8 +67,8 @@ def _rotate(dense, r):
 
 
 def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
-                    n_permutations=20, t=0.5, seed=0):
-    """Max symmetry residuals of the full model over a probe set.
+                    n_permutations=20, seed=0):
+    """Max symmetry residuals of the full model over a probe set, at t = 0.5.
 
     Equivariance / invariance is architectural, so a random-init model should
     already pass; residuals are float round-off only. Each probe molecule's
@@ -92,7 +92,7 @@ def symmetry_report(params, net_cfg, probe_set, n_rotations=20,
         worst = dict.fromkeys(_RESIDUALS, 0.0)
         for group in self_paired_groups([graph.n] * (n_rotations + n_permutations + 2)):
             batch = list(islice(views, group.stop - group.start))
-            outs = per_molecule(forward(params, net_cfg, batch, batch, [t] * len(batch)))
+            outs = per_molecule(forward(params, net_cfg, batch, batch, [0.5] * len(batch)))
             if group.start == 0:
                 base = outs[0]
             for k, got in zip(range(group.start, group.stop), outs):
@@ -154,15 +154,16 @@ def gaussian_marginal_score(x, t, mu, sigma, schedule):
     return -(x - a * mu) / var
 
 
-def gaussian_score_toy(schedule, mu=1.0, sigma=1.0, hidden=64, d_time=16,
-                       train_steps=4000, batch=512, lr=2e-3, seed=0,
-                       eval_times=(0.1, 0.5, 0.9), t_min=1e-3):
-    """Train a small MLP score net on 1D Gaussian data and compare against the
+def gaussian_score_toy(schedule, train_steps=4000, seed=0):
+    """Train a small MLP score net on 1D N(1, 1) data and compare against the
     analytic marginal score on the grid x in mu +/- 2 std(t).
 
-    Returns (max normalized error over the eval times, per-time dict); the
-    error at each t is max|pred - true| / max|true| over the grid.
+    Returns (max normalized error over the eval times 0.1, 0.5 and 0.9,
+    per-time dict); the error at each t is max|pred - true| / max|true| over
+    the grid.
     """
+    mu, sigma, hidden, d_time = 1.0, 1.0, 64, 16  # data N(mu, sigma^2); MLP, time widths
+    batch, lr, t_min = 512, 2e-3, 1e-3
     rng = np.random.default_rng(seed)
     params = {
         "w1": Tensor(rng.standard_normal((1 + d_time, hidden)) / np.sqrt(1 + d_time),
@@ -203,7 +204,7 @@ def gaussian_score_toy(schedule, mu=1.0, sigma=1.0, hidden=64, d_time=16,
         adam_step(params, grads, state, cur_lr)
 
     per_time = {}
-    for t in eval_times:
+    for t in (0.1, 0.5, 0.9):
         a, b = alpha_beta(schedule, t)
         std = np.sqrt(a * a * sigma * sigma + b * b)
         grid = np.linspace(a * mu - 2 * std, a * mu + 2 * std, 81)
@@ -270,8 +271,8 @@ def radius_of_gyration(graph):
     return float(np.sqrt((graph.positions ** 2).sum(axis=1).mean()))
 
 
-def pooled_embeddings(params, net_cfg, graphs, t=0.5):
-    """Frozen mean-pooled latent per molecule (self-paired, fixed time), from
+def pooled_embeddings(params, net_cfg, graphs):
+    """Frozen mean-pooled latent per molecule (self-paired, at t = 0.5), from
     the latent stage of ``forward`` alone: no heads are built.
 
     The molecules advance in ``self_paired_groups`` and only each group's
@@ -283,17 +284,17 @@ def pooled_embeddings(params, net_cfg, graphs, t=0.5):
     for group in self_paired_groups([g.n for g in graphs]):
         dense = [to_dense(g) for g in graphs[group]]
         pooled[group] = latents(params, net_cfg, dense, dense,
-                                [t] * len(dense))["latent"].pooled.data
+                                [0.5] * len(dense))["latent"].pooled.data
     return pooled
 
 
-def ridge_probe_mse(features, labels, seeds, ridge=1e-3, test_frac=0.2):
-    """Closed-form ridge regression probe MSE, averaged over split seeds."""
+def ridge_probe_mse(features, labels, seeds):
+    """Ridge (1e-3) regression probe MSE on 20% held out, mean over split seeds."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.std() < 1e-12:
         raise ValueError("degenerate constant labels")
     n = len(labels)
-    n_test = max(1, int(round(test_frac * n)))
+    n_test = max(1, int(round(0.2 * n)))
     mses = []
     for seed in seeds:
         order = np.random.default_rng(seed).permutation(n)
@@ -301,7 +302,7 @@ def ridge_probe_mse(features, labels, seeds, ridge=1e-3, test_frac=0.2):
         x_tr, y_tr = features[train], labels[train]
         x_mu, y_mu = x_tr.mean(axis=0), y_tr.mean()
         xc = x_tr - x_mu
-        w = np.linalg.solve(xc.T @ xc + ridge * np.eye(xc.shape[1]), xc.T @ (y_tr - y_mu))
+        w = np.linalg.solve(xc.T @ xc + 1e-3 * np.eye(xc.shape[1]), xc.T @ (y_tr - y_mu))
         pred = (features[test] - x_mu) @ w + y_mu
         mses.append(float(((pred - labels[test]) ** 2).mean()))
     return float(np.mean(mses))

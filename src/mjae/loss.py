@@ -79,21 +79,15 @@ def anneal_tau(tau0, schedule, t):
     return tau0 * (0.5 + alpha_beta(schedule, t)[1])
 
 
-def total_loss(l_sc, l_co, lambda1=1.0, lambda2=0.01, per_component=None):
-    """Weighted sum lambda1 * l_sc + lambda2 * l_co as a LossReport."""
-    if lambda1 < 0 or lambda2 < 0:
-        raise ValueError("loss weights must be non-negative")
-    sc = float(l_sc.data) if isinstance(l_sc, Tensor) else float(l_sc)
-    co = float(l_co.data) if isinstance(l_co, Tensor) else float(l_co)
+def combine(l_sc, l_co, lambda1, lambda2, per_component):
+    """The taped total lambda1 * l_sc + lambda2 * l_co and its LossReport,
+    whose total is read off the tape. A non-finite term raises ValueError."""
+    sc, co = float(l_sc.data), float(l_co.data)
     if not (np.isfinite(sc) and np.isfinite(co)):
         raise ValueError("non-finite loss term")
-    return LossReport(l_sc=sc, l_co=co, total=lambda1 * sc + lambda2 * co,
-                      per_component=dict(per_component or {}))
-
-
-def combine(l_sc, l_co, lambda1, lambda2):
-    """Tape-aware combination used inside the training step."""
-    return ad.add(ad.mul(Tensor(lambda1), l_sc), ad.mul(Tensor(lambda2), l_co))
+    total = ad.add(ad.mul(Tensor(lambda1), l_sc), ad.mul(Tensor(lambda2), l_co))
+    return total, LossReport(l_sc=sc, l_co=co, total=float(total.data),
+                             per_component=dict(per_component))
 
 
 def verify_decomposition(theta, x0_idx, xt_idx):

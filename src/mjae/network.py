@@ -353,10 +353,12 @@ def self_paired_groups(sizes):
 
 
 def latents(params, cfg, conds, inputs, times, anchors=None):
-    """Latent stage of ``forward``: the record ``{"latent", "pairs"}`` of the
-    (conditioner, input, time) triples (``"pairs"`` is the ``_pair_rows``
-    index of their pair rows), plus ``"anchor_pooled"``, the pooled latent
-    rows of the (conditioner, anchor, time) triples, with ``anchors``.
+    """Latent stage of ``forward``: the record ``{"latent", "pairs",
+    "channels"}`` of the (conditioner, input, time) triples (``"pairs"`` is
+    the ``_pair_rows`` index of their pair rows and ``"channels"`` the
+    ``_pair_channels`` of their conditioners and of their inputs), plus
+    ``"anchor_pooled"``, the pooled latent rows of the (conditioner, anchor,
+    time) triples, with ``anchors``.
 
     The clean branch encodes all conditioners in one pass and the noisy branch
     all inputs and anchors in another. Pair features are computed once per
@@ -381,19 +383,20 @@ def latents(params, cfg, conds, inputs, times, anchors=None):
     view_sizes = sizes * copies
     pairs = _pair_rows(view_sizes)
     node = fuse(ad.concat([f0] * copies), ft, emb, params, view_sizes)
-    w = edge_condition(_pair_channels(conds * copies), _pair_channels(views), emb, params,
-                       view_sizes, pairs)
+    channels = (_pair_channels(conds * copies), _pair_channels(views))
+    w = edge_condition(*channels, emb, params, view_sizes, pairs)
     latent = fuse_gcn(node, w, params, cfg, view_sizes, pairs)
     if not anchors:
-        return {"latent": latent, "pairs": pairs}
+        return {"latent": latent, "pairs": pairs, "channels": channels}
     atoms, b, rows = sum(sizes), len(sizes), sum(n * n for n in sizes)
     return {"latent": LatentRepresentation(latent.node_h[:atoms], latent.pooled[:b], tuple(sizes)),
-            "anchor_pooled": latent.pooled[b:], "pairs": tuple(a[:rows] for a in pairs)}
+            "anchor_pooled": latent.pooled[b:], "pairs": tuple(a[:rows] for a in pairs),
+            "channels": tuple(c[:rows] for c in channels)}
 
 
-def heads(record, params, cfg, conds, inputs):
-    """Heads stage of ``forward``: the ``latents`` record of the triples of
-    ``conds`` and ``inputs`` with their projections (and anchor projections),
+def heads(record, params, cfg, inputs):
+    """Heads stage of ``forward``: the ``latents`` record of the triples with
+    inputs ``inputs``, with their projections (and anchor projections),
     head3d coefficients and the three score heads on the input."""
     latent = record["latent"]
     out = {"latent": latent, "projection": project(latent.pooled, params)}
@@ -405,8 +408,7 @@ def heads(record, params, cfg, conds, inputs):
                             for run in runs])  # one call per run of equal-size inputs
     out["coeffs_P"] = coeffs
     out["score_P"] = score_3d(coeffs, basis, latent.sizes)
-    out["score_E"] = score_2d(latent, params, cfg, _pair_channels(conds), _pair_channels(inputs),
-                              record["pairs"])
+    out["score_E"] = score_2d(latent, params, cfg, *record["channels"], record["pairs"])
     out["score_H"] = score_h(latent, params)
     return out
 
@@ -427,8 +429,7 @@ def forward(params, cfg, conds, inputs, times, anchors=None):
     callers advance in ``self_paired_groups``, and a training batch runs
     whole, since the tapes of its parts would all live until backward.
     """
-    return heads(latents(params, cfg, conds, inputs, times, anchors), params, cfg,
-                 conds, inputs)
+    return heads(latents(params, cfg, conds, inputs, times, anchors), params, cfg, inputs)
 
 
 def per_molecule(record):

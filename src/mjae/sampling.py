@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .molgraph import CHARGES, ELEMENTS, DenseTensors, make_graph
+from .molgraph import CHARGES, ELEMENTS, MAX_ATOMS, DenseTensors, make_graph
 from .network import detach_params, forward, self_paired_groups
 from .schedule import HORIZON, alpha_beta, drift_diffusion
 from .trajectory import gauge_noise
@@ -35,8 +35,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"SamplerConfig.steps must be >= 1, got {self.steps}")
-        if self.n_atoms < 1:
-            raise ValueError(f"SamplerConfig.n_atoms must be >= 1, got {self.n_atoms}")
+        if not 1 <= self.n_atoms <= MAX_ATOMS:
+            raise ValueError(f"SamplerConfig.n_atoms must be in [1, {MAX_ATOMS}], "
+                             f"got {self.n_atoms}")
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ValueError(f"SamplerConfig.lam must be finite and >= 0, got {self.lam}")
         if not 0 < self.t_end < HORIZON:
@@ -155,8 +156,8 @@ def quantize(tensors):
     return make_graph(atom_types, charges, bonds, tensors.P)
 
 
-def reverse_paths_1d(schedule, score_fn, lam, steps, n_paths, rng, t_end=1e-3):
-    """Vectorized scalar reverse integration with an externally supplied score.
+def reverse_paths_1d(schedule, score_fn, lam, steps, n_paths, rng):
+    """Vectorized scalar reverse integration to t = 1e-3 with a given score.
 
     Used by the analytic Ornstein-Uhlenbeck toys: ``score_fn(x, t)`` is the
     exact marginal score, and the terminal samples should match the data law
@@ -164,5 +165,5 @@ def reverse_paths_1d(schedule, score_fn, lam, steps, n_paths, rng, t_end=1e-3):
     """
     state = integrate(lambda: {"x": rng.standard_normal(n_paths)},
                       lambda s, t: {"x": score_fn(s["x"], t)},
-                      schedule, lam, steps, t_end, range(n_paths))
+                      schedule, lam, steps, 1e-3, range(n_paths))
     return state["x"]

@@ -19,8 +19,9 @@ from .network import NetworkConfig, init_params
 from .schedule import NoiseSchedule, alpha_beta
 
 
-def finite_difference(fn, x, step=1e-5):
-    """Central finite-difference gradient of scalar ``fn`` at array ``x``."""
+def finite_difference(fn, x):
+    """Central finite-difference gradient, step 1e-5, of scalar ``fn`` at ``x``."""
+    step = 1e-5
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
@@ -106,10 +107,10 @@ def _primitive_cases(rng):
     ]
 
 
-def gradcheck_primitive(builder, rng, probes=5):
-    """Compare reverse-mode against central differences; returns worst error."""
+def gradcheck_primitive(builder, rng):
+    """Worst error of reverse mode against central differences at 5 points."""
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(5):
         base = rng.standard_normal((4, 4))
         base += 0.2 * np.sign(base)  # keep abs away from its kink
         x = Tensor(base.copy(), requires_grad=True)
@@ -126,8 +127,8 @@ def gradcheck_primitive(builder, rng, probes=5):
     return worst
 
 
-def run_selftest(verbose=True):
-    """Run the whole battery; returns (all_ok, list of (name, ok, detail))."""
+def run_selftest():
+    """Run the whole battery and print one line per check; True if all pass."""
     results = []
     rng = np.random.default_rng(42)
 
@@ -171,14 +172,14 @@ def run_selftest(verbose=True):
                     f"2d={rep.rotation_invariance_2d:.1e} "
                     f"perm={rep.permutation_residual:.1e}"))
 
-    all_ok = all(ok for _, ok, _ in results)
-    if verbose:
-        for name, ok, detail in results:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    return all_ok, results
+    for name, ok, detail in results:
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    return all(ok for _, ok, _ in results)
 
 
-def _probe_molecule(rng, n=6):
+def _probe_molecule(rng):
+    """A 6-atom chain at random positions."""
+    n = 6
     types = rng.integers(1, 6, size=n)
     bonds = np.zeros((n, n), dtype=int)
     for i in range(n - 1):

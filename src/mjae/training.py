@@ -154,8 +154,7 @@ def training_step(params, net_cfg, cfg, batch, rngs):
     l_sc, breakdown = losses.score_matching_loss(pred, target, [b ** 2 for b in betas], sizes)
     tau = losses.anneal_tau(cfg.tau0, schedule, float(np.mean(times)))
     l_co = losses.contrastive_loss(out["anchor"], out["projection"], tau)
-    total = losses.combine(l_sc, l_co, cfg.lambda1, cfg.lambda2)
-    report = losses.total_loss(l_sc, l_co, cfg.lambda1, cfg.lambda2, breakdown)
+    total, report = losses.combine(l_sc, l_co, cfg.lambda1, cfg.lambda2, breakdown)
     ad.backward(total)
     grads = {k: p.grad for k, p in params.items() if p.grad is not None}
     for p in params.values():

@@ -18,8 +18,6 @@ import numpy as np
 from .molgraph import N_BOND_CATEGORIES, DenseTensors, feature_width
 from .schedule import alpha_beta
 
-T_MIN = 1e-3
-
 
 @dataclass(frozen=True)
 class TrajectorySample:
@@ -72,7 +70,7 @@ def perturb_continuous(x0, t, rng, schedule):
     return TrajectorySample(x0=x0, xt=xt, t=t, noise=noise, score_target=score_target)
 
 
-def sample_time(rng, t_min=T_MIN):
+def sample_time(rng, t_min):
     """Draw t ~ Uniform[t_min, 1) (``rng.uniform`` draws from [0, 1)); t_min
     avoids the beta -> 0 blow-up."""
     return t_min + (1.0 - t_min) * rng.uniform()

@@ -452,6 +452,7 @@ def test_previous_format_meta_serves_sample_eval_and_probe(trained, tmp_path):
     (["sample", "{ck}", "--out", "{out}", "--lam", "inf"], "lam must be finite and >= 0"),
     (["pretrain", "{data}", "--out", "{out}", "--beta-min", "0", "--beta-max", "0"],
      "beta_max must be > 0 for VP"),
+    (["sample", "{ck}", "--out", "{out}", "--n-atoms", "65"], "n_atoms must be in [1, 64]"),
 ])
 def test_flags_that_cannot_do_work_are_usage_errors(trained, tmp_path, capsys, argv, message):
     ck, data, _ = trained
@@ -482,6 +483,49 @@ def test_sampler_failure_is_a_named_runtime_error(trained, tmp_path, capsys, mon
                  "--count", "3"]) == 1
     assert capsys.readouterr().err == "error: non-finite P score of sample 2 at t=1.0000\n"
     assert not os.listdir(tmp_path)
+
+
+def _fail_on_second_molecule(monkeypatch):
+    """``serialize_molecule`` that raises on its second molecule."""
+    calls = []
+
+    def serialize(graph):
+        calls.append(graph)
+        if len(calls) == 2:
+            raise ValueError("cannot serialize molecule 2")
+        return serialize_molecule(graph)
+
+    monkeypatch.setattr(cli, "serialize_molecule", serialize)
+
+
+def _unencodable_loss_log(monkeypatch):
+    """A loss log that ends in a lone surrogate, which no file encoding holds:
+    its write fails after the file is opened."""
+    real = cli.strict_json
+    monkeypatch.setattr(cli, "strict_json", lambda obj, what: real(obj, what) + (
+        "\udc80" if what == "loss log" else ""))
+
+
+@pytest.mark.parametrize("argv, fail", [
+    (["ingest", "{data}", "{out}"], _fail_on_second_molecule),
+    (["sample", "{ck}", "--out", "{out}", "--steps", "2", "--count", "2", "--n-atoms", "3"],
+     _fail_on_second_molecule),
+    (["pretrain", "{data}", "--out", "{ck_out}", "--epochs", "1", "--batch-size", "3",
+      "--loss-log", "{out}", *NET_FLAGS], _unencodable_loss_log),
+], ids=["ingest", "sample", "loss-log"])
+def test_a_failed_write_leaves_the_previous_file(trained, tmp_path, monkeypatch, argv, fail):
+    """A command whose output fails part-way exits 1, leaves the file it
+    would have replaced byte-identical and leaves no temporary file."""
+    ck, data, _ = trained
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"previous contents\n")
+    fail(monkeypatch)
+    argv = [a.format(ck=ck, data=data, out=str(out), ck_out=str(tmp_path / "m.ck"))
+            for a in argv]
+    assert main(argv) == 1
+    assert out.read_bytes() == b"previous contents\n"
+    assert not list(tmp_path.glob("*.tmp"))
+    assert not list(tmp_path.glob("out.jsonl.manifest.json"))
 
 
 def test_sample_rejects_net_flags(trained, tmp_path):

@@ -6,7 +6,7 @@ from mjae import autodiff as ad
 from mjae import network, training
 from mjae.autodiff import Tensor
 from mjae.loss import (COMPONENTS, anneal_tau, combine, contrastive_loss,
-                       score_matching_loss, total_loss, verify_decomposition)
+                       score_matching_loss, verify_decomposition)
 from mjae.molgraph import DenseTensors, to_dense
 from mjae.network import init_params, per_molecule
 from mjae.schedule import NoiseSchedule, alpha_beta
@@ -190,25 +190,23 @@ def test_anneal_tau_monotone():
 
 # -- combination ----------------------------------------------------------
 
-def test_total_loss_contract():
-    rep = total_loss(2.0, 3.0, lambda1=1.0, lambda2=0.0)
-    assert rep.total == rep.l_sc == 2.0
-    rep = total_loss(2.0, 3.0)  # defaults lambda1=1, lambda2=0.01
-    assert abs(rep.total - (2.0 + 0.03)) < 1e-12
-    assert total_loss(2.0, 3.0, 0.0, 0.0).total == 0.0
-    with pytest.raises(ValueError):
-        total_loss(1.0, 1.0, lambda1=-0.1)
-    with pytest.raises(ValueError):
-        total_loss(np.inf, 1.0)
-
-
-def test_combine_is_tape_aware():
-    a = Tensor(np.array(2.0), requires_grad=True)
-    b = Tensor(np.array(3.0), requires_grad=True)
-    out = combine(a, b, 1.0, 0.01)
-    ad.backward(out)
-    assert abs(float(a.grad) - 1.0) < 1e-12
-    assert abs(float(b.grad) - 0.01) < 1e-12
+def test_combine_reports_the_taped_total():
+    """The report's total is the taped total's own value, bit for bit, the
+    gradients of the two terms are lambda1 and lambda2, and a non-finite
+    term is a ValueError."""
+    for lambda1, lambda2 in ((1.0, 0.01), (1.0, 0.0), (0.0, 0.0), (0.3, 0.7)):
+        a = Tensor(np.array(2.0), requires_grad=True)
+        b = Tensor(np.array(3.1), requires_grad=True)
+        total, rep = combine(a, b, lambda1, lambda2, {"P": 0.5})
+        assert (rep.l_sc, rep.l_co, rep.per_component) == (2.0, 3.1, {"P": 0.5})
+        assert float(rep.total).hex() == float(total.data).hex()
+        ad.backward(total)
+        assert float(a.grad) == lambda1 and float(b.grad) == lambda2
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite loss term"):
+            combine(Tensor(np.array(bad)), Tensor(np.array(1.0)), 1.0, 0.01, {})
+        with pytest.raises(ValueError, match="non-finite loss term"):
+            combine(Tensor(np.array(1.0)), Tensor(np.array(bad)), 1.0, 0.01, {})
 
 
 # -- decomposition identity ----------------------------------------------

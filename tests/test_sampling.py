@@ -41,8 +41,9 @@ def _scores(rng, state):
 
 
 def test_config_validation():
-    for name, bad in (("steps", 0), ("n_atoms", 0), ("lam", -0.5), ("lam", np.nan), ("lam", np.inf),
-                      ("t_end", 0.0), ("t_end", 1.0), ("t_end", -0.5), ("t_end", np.nan)):
+    for name, bad in (("steps", 0), ("n_atoms", 0), ("n_atoms", 65), ("lam", -0.5),
+                      ("lam", np.nan), ("lam", np.inf), ("t_end", 0.0), ("t_end", 1.0),
+                      ("t_end", -0.5), ("t_end", np.nan)):
         with pytest.raises(ValueError, match=f"SamplerConfig.{name} must be"):
             SamplerConfig(**{name: bad})
 

@@ -305,7 +305,7 @@ def _two_forward_step(params, net_cfg, cfg, batch, rngs):
     l_sc = ad.div(l_sc, Tensor(float(len(batch))))
     tau = losses.anneal_tau(cfg.tau0, cfg.schedule, float(np.mean(times)))
     l_co = losses.contrastive_loss(ad.concat(anchors), ad.concat(positives), tau)
-    total = losses.combine(l_sc, l_co, cfg.lambda1, cfg.lambda2)
+    total = ad.add(ad.mul(Tensor(cfg.lambda1), l_sc), ad.mul(Tensor(cfg.lambda2), l_co))
     ad.backward(total)
     grads = {k: p.grad for k, p in params.items()}
     for p in params.values():
@@ -351,21 +351,24 @@ def test_training_step_encodes_conditioner_once(self_cond_prob, monkeypatch):
 
 
 def test_forward_builds_its_pair_row_index_once(monkeypatch):
-    """A forward builds the pair-row index of its molecules once: a detached
-    forward (no anchors) of one size list, and a training step of the size
-    list of its inputs and anchors, whose first rows index the inputs."""
+    """A forward builds the pair-row index and the pair-channel rows of its
+    molecules once: a detached forward (no anchors) of one size list, and a
+    training step of the size list of its inputs and anchors, whose first
+    rows index the inputs and serve the 2D head."""
     batch = [to_dense(g) for g in toy_corpus(count=8, seed=5)]
     sizes = [m.n for m in batch]
     net_cfg = small_net_config()
     params = init_params(net_cfg, np.random.default_rng(3))
-    built = []
+    built, channels = [], []
     _spy(monkeypatch, "_pair_rows", lambda s: built.append(list(s)))
+    _spy(monkeypatch, "_pair_channels", lambda mols: channels.append(len(mols)))
     network.forward(network.detach_params(params), net_cfg, batch, batch, [0.5] * len(batch))
-    assert built == [sizes]
+    assert built == [sizes] and channels == [8, 8]
     built.clear()
+    channels.clear()
     training_step(params, net_cfg, _quick_cfg(), batch,
                   [np.random.default_rng([7, i]) for i in range(len(batch))])
-    assert built == [sizes * 2]
+    assert built == [sizes * 2] and channels == [16, 16]
 
 
 @pytest.mark.parametrize("self_cond_prob", [0.0, 0.5, 1.0])

@@ -6,7 +6,7 @@ from mjae import sampling
 from mjae.molgraph import N_BOND_CATEGORIES, DenseTensors, feature_width, permute, to_dense
 from mjae.network import init_params
 from mjae.schedule import NoiseSchedule, alpha_beta
-from mjae.trajectory import (T_MIN, gauge_noise, perturb_absorbing, perturb_continuous,
+from mjae.trajectory import (gauge_noise, perturb_absorbing, perturb_continuous,
                              project_zero_com, sample_time,
                              symmetrize_edge_noise)
 
@@ -167,8 +167,9 @@ def test_permutation_equivariance(rng):
 
 
 def test_sample_time_range(rng):
-    ts = [sample_time(rng) for _ in range(1000)]
-    assert all(T_MIN < t <= 1.0 for t in ts)
+    for t_min in (1e-3, 0.25):
+        ts = [sample_time(rng, t_min) for _ in range(1000)]
+        assert all(t_min < t <= 1.0 for t in ts)
 
 
 # -- discrete chains ------------------------------------------------------
