@@ -190,23 +190,34 @@ def test_anneal_tau_monotone():
 
 # -- combination ----------------------------------------------------------
 
-def test_combine_reports_the_taped_total():
-    """The report's total is the taped total's own value, bit for bit, the
-    gradients of the two terms are lambda1 and lambda2, and a non-finite
-    term is a ValueError."""
+def test_total_loss_contract():
+    """The report carries both terms and a total that is the taped total's
+    own value, bit for bit; a non-finite term is a ValueError."""
     for lambda1, lambda2 in ((1.0, 0.01), (1.0, 0.0), (0.0, 0.0), (0.3, 0.7)):
-        a = Tensor(np.array(2.0), requires_grad=True)
-        b = Tensor(np.array(3.1), requires_grad=True)
-        total, rep = combine(a, b, lambda1, lambda2, {"P": 0.5})
+        total, rep = combine(Tensor(np.array(2.0)), Tensor(np.array(3.1)),
+                             lambda1, lambda2, {"P": 0.5})
         assert (rep.l_sc, rep.l_co, rep.per_component) == (2.0, 3.1, {"P": 0.5})
         assert float(rep.total).hex() == float(total.data).hex()
-        ad.backward(total)
-        assert float(a.grad) == lambda1 and float(b.grad) == lambda2
+    assert combine(Tensor(np.array(2.0)), Tensor(np.array(3.0)),
+                   1.0, 0.0, {})[1].total == 2.0
+    assert combine(Tensor(np.array(2.0)), Tensor(np.array(3.0)),
+                   0.0, 0.0, {})[1].total == 0.0
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="non-finite loss term"):
             combine(Tensor(np.array(bad)), Tensor(np.array(1.0)), 1.0, 0.01, {})
         with pytest.raises(ValueError, match="non-finite loss term"):
             combine(Tensor(np.array(1.0)), Tensor(np.array(bad)), 1.0, 0.01, {})
+
+
+def test_combine_is_tape_aware():
+    """The gradients of the two terms through the taped total are lambda1
+    and lambda2."""
+    for lambda1, lambda2 in ((1.0, 0.01), (1.0, 0.0), (0.0, 0.0), (0.3, 0.7)):
+        a = Tensor(np.array(2.0), requires_grad=True)
+        b = Tensor(np.array(3.1), requires_grad=True)
+        total, _ = combine(a, b, lambda1, lambda2, {})
+        ad.backward(total)
+        assert float(a.grad) == lambda1 and float(b.grad) == lambda2
 
 
 # -- decomposition identity ----------------------------------------------
