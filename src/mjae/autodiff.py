@@ -428,23 +428,23 @@ def silu(a):
     return _make(out, ((a, lambda g: g * (s + out * (1.0 - s))),), "silu")
 
 
-def _softmax(a, axis):
-    shifted = a - a.max(axis=axis, keepdims=True)
+def _softmax(a):
+    shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_grad(g, out, axis):
-    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+def _softmax_grad(g, out):
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
-def softmax(a, axis=-1):
-    """Numerically stable softmax along ``axis`` (row-wise for matrices)."""
+def softmax(a):
+    """Numerically stable softmax along the last axis (row-wise for matrices)."""
     a = as_tensor(a)
-    out = _softmax(a.data, axis)
+    out = _softmax(a.data)
     if not a.requires_grad:
         return Tensor(out, _op="softmax")
-    return _make(out, ((a, lambda g: _softmax_grad(g, out, axis)),), "softmax")
+    return _make(out, ((a, lambda g: _softmax_grad(g, out)),), "softmax")
 
 
 def pair_softmax(a, sizes):
@@ -452,14 +452,14 @@ def pair_softmax(a, sizes):
     a = as_tensor(a)
     _check_pair_values(a, "pair_softmax")
     runs = _runs(sizes, sum(sizes), "pair_softmax", a.shape[0])
-    out = np.concatenate([_softmax(a.data[pairs].reshape(k, n, n), -1).reshape(k * n * n, 1)
+    out = np.concatenate([_softmax(a.data[pairs].reshape(k, n, n)).reshape(k * n * n, 1)
                           for k, n, _, pairs in runs])
     if not a.requires_grad:
         return Tensor(out, _op="pair_softmax")
 
     def grad(g):
         return np.concatenate([
-            _softmax_grad(g[pairs].reshape(k, n, n), out[pairs].reshape(k, n, n), -1)
+            _softmax_grad(g[pairs].reshape(k, n, n), out[pairs].reshape(k, n, n))
             .reshape(k * n * n, 1) for k, n, _, pairs in runs])
 
     return _make(out, ((a, grad),), "pair_softmax")

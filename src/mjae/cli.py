@@ -11,7 +11,8 @@ writes (dataset, checkpoint, samples, loss log, report, manifest) is written
 to a temporary file that then replaces the target, so a failed command leaves
 the previous file in place and no partial one.
 Each command that reads a JSONL file prints its malformed lines to stderr.
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+A command fails by raising; ``main`` alone prints its ``error:`` line and picks
+the exit code: 0 success, 1 runtime failure, 2 usage error (``UsageError``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ from .schedule import NoiseSchedule
 from .selftest import run_selftest
 from .training import (CheckpointError, TrainConfig, check_shapes, init_adam_state,
                        load_checkpoint, replacing, save_checkpoint, train)
+
+
+class UsageError(ValueError):
+    """A flag value that no config accepts, or a flag combination with nothing
+    to do; ``main`` exits 2 on it."""
 
 
 def load_config_file(path):
@@ -89,15 +95,16 @@ def write_text(path, text):
         fh.write(text)
 
 
-def write_manifest(out_path, command, config, seed, inputs, outputs, started):
-    """Atomic run manifest: what ran, on what, producing what."""
+def write_manifest(out_path, args, inputs, outputs, started):
+    """Atomic run manifest: what ran (the command, flags and seed of ``args``),
+    on what, producing what."""
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    snapshot = {k: v for k, v in config.items()
+    snapshot = {k: v for k, v in vars(args).items()
                 if isinstance(v, (str, int, float, bool, list, dict, type(None)))}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": snapshot,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "build": __version__,
         "input_hashes": {p: _file_hash(p) for p in inputs if os.path.exists(p)},
         "outputs": outputs,
@@ -159,12 +166,11 @@ def cmd_ingest(args):
     started = time.time()
     graphs, diagnostics = _read_reporting(args.input)
     if not graphs:
-        print("error: no valid records", file=sys.stderr)
-        return 1
+        raise ValueError("no valid records")
     write_text(args.output, "".join(serialize_molecule(g) + "\n" for g in graphs))
     print(f"ingested {len(graphs)} molecules, rejected {len(diagnostics)}")
-    write_manifest(args.output + ".manifest.json", "ingest", vars(args),
-                   None, [args.input], [args.output], started)
+    write_manifest(args.output + ".manifest.json", args, [args.input], [args.output],
+                   started)
     return 0
 
 
@@ -173,12 +179,10 @@ def cmd_pretrain(args):
     try:
         cfg, net_cfg = _train_config(args), _net_config(args)
     except ValueError as e:  # a flag value no config accepts
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise UsageError(e) from None
     graphs, _ = _read_reporting(args.dataset)
     if not graphs:
-        print("error: no valid records in dataset", file=sys.stderr)
-        return 1
+        raise ValueError("no valid records in dataset")
     if len(graphs) > 1 and len(graphs) % cfg.batch_size == 1:
         print(f"note: {len(graphs)} molecules in batches of {cfg.batch_size} leave a "
               "final batch of 1 molecule, which training skips every epoch "
@@ -194,8 +198,7 @@ def cmd_pretrain(args):
                           "epochs": cfg.epochs})
     if args.loss_log:
         write_text(args.loss_log, strict_json(history, "loss log"))
-    write_manifest(args.out + ".manifest.json", "pretrain", vars(args),
-                   args.seed, [args.dataset], [args.out], started)
+    write_manifest(args.out + ".manifest.json", args, [args.dataset], [args.out], started)
     return 0
 
 
@@ -245,16 +248,14 @@ def cmd_sample(args):
         cfg = SamplerConfig(steps=args.steps, lam=args.lam, n_atoms=args.n_atoms,
                             seed=args.seed, t_end=args.t_min)
     except ValueError as e:  # a flag value no config accepts
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise UsageError(e) from None
     params, net_cfg, meta = _load_model(args.checkpoint)
     schedule = _meta_config(meta, "schedule", NoiseSchedule)
     graphs = generate(params, net_cfg, schedule, cfg, args.count)
     write_text(args.out, "".join(serialize_molecule(g) + "\n" for g in graphs))
     print(f"wrote {len(graphs)} samples to {args.out}")
-    write_manifest(args.out + ".manifest.json", "sample",
-                   vars(args) | {"checkpoint_hash": _file_hash(args.checkpoint)},
-                   args.seed, [args.checkpoint], [args.out], started)
+    write_manifest(args.out + ".manifest.json", args, [args.checkpoint], [args.out],
+                   started)
     return 0
 
 
@@ -262,16 +263,13 @@ def cmd_eval(args):
     started = time.time()
     for given, missing in (("samples", "reference"), ("reference", "samples")):
         if getattr(args, given) and not getattr(args, missing):
-            print(f"error: --{given} needs --{missing} for the generation metrics",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"--{given} needs --{missing} for the generation metrics")
     report = {}
     params, net_cfg, _ = _load_model(args.checkpoint)
     if args.probe_set:
         probes, _ = _read_reporting(args.probe_set)
         if not probes:
-            print("error: no valid records in probe set", file=sys.stderr)
-            return 1
+            raise ValueError("no valid records in probe set")
         rep = symmetry_report(params, net_cfg, probes[:args.max_probes],
                               n_rotations=args.n_rotations, seed=args.seed)
         report["symmetry"] = rep.as_dict()
@@ -280,13 +278,8 @@ def cmd_eval(args):
         reference, _ = _read_reporting(args.reference)
         report["generation"] = generation_metrics(samples, reference)
     if not report:
-        print("error: nothing to evaluate (need --probe-set or --samples/--reference)",
-              file=sys.stderr)
-        return 2
-    _emit_report(report, args.report)
-    if args.report:
-        write_manifest(args.report + ".manifest.json", "eval", vars(args),
-                       args.seed, [args.checkpoint], [args.report], started)
+        raise UsageError("nothing to evaluate (need --probe-set or --samples/--reference)")
+    _emit_report(report, args, [args.checkpoint], started)
     return 0
 
 
@@ -294,8 +287,7 @@ def cmd_probe(args):
     started = time.time()
     graphs, _ = _read_reporting(args.dataset)
     if not graphs:
-        print("error: no valid records in dataset", file=sys.stderr)
-        return 1
+        raise ValueError("no valid records in dataset")
     labels = [radius_of_gyration(g) for g in graphs]
     seeds = tuple(range(args.probe_seeds))
     params, net_cfg, _ = _load_model(args.checkpoint)
@@ -305,11 +297,7 @@ def cmd_probe(args):
     report = {"pretrained_mse": pretrained, "random_init_mse": random_init,
               "label": "radius_of_gyration", "seeds": list(seeds)}
     print(f"probe MSE  pretrained {pretrained:.5f}  random-init {random_init:.5f}")
-    _emit_report(report, args.report)
-    if args.report:
-        write_manifest(args.report + ".manifest.json", "probe", vars(args),
-                       args.seed, [args.checkpoint, args.dataset], [args.report],
-                       started)
+    _emit_report(report, args, [args.checkpoint, args.dataset], started)
     return 0
 
 
@@ -317,16 +305,18 @@ def cmd_selftest(args):
     started = time.time()
     ok = run_selftest()
     if args.manifest:
-        write_manifest(args.manifest, "selftest", vars(args), None, [],
-                       [args.manifest], started)
+        write_manifest(args.manifest, args, [], [args.manifest], started)
     return 0 if ok else 1
 
 
-def _emit_report(report, path):
+def _emit_report(report, args, inputs, started):
+    """Print ``report``; with ``--report``, write it first and its manifest after."""
     text = strict_json(report, "report")
-    if path:
-        write_text(path, text)
+    if args.report:
+        write_text(args.report, text)
     print(text)
+    if args.report:
+        write_manifest(args.report + ".manifest.json", args, inputs, [args.report], started)
 
 
 # -- parser --------------------------------------------------------------
@@ -445,7 +435,7 @@ def main(argv=None):
         return args.fn(args)
     except (OSError, ValueError, RuntimeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, UsageError) else 1
 
 
 if __name__ == "__main__":

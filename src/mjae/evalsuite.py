@@ -248,6 +248,10 @@ def generation_metrics(samples, reference):
     """Validity, uniqueness, and categorical total-variation distances."""
     if not samples or not reference:
         raise ValueError("empty sample or reference set")
+    for name, graphs in (("sample", samples), ("reference", reference)):
+        if all(g.n < 2 for g in graphs):
+            raise ValueError(f"the {name} set holds no atom pair, so its bond "
+                             "frequencies are undefined")
     validity = float(np.mean([validate_valence(g)[0] for g in samples]))
     unique = len({canonical_hash(g) for g in samples}) / len(samples)
 
@@ -289,12 +293,15 @@ def pooled_embeddings(params, net_cfg, graphs):
 
 
 def ridge_probe_mse(features, labels, seeds):
-    """Ridge (1e-3) regression probe MSE on 20% held out, mean over split seeds."""
+    """Ridge (1e-3) regression probe MSE on 20% held out, mean over split seeds.
+    A split must leave at least 2 training molecules, so at least 3 are needed."""
     labels = np.asarray(labels, dtype=np.float64)
-    if labels.std() < 1e-12:
-        raise ValueError("degenerate constant labels")
     n = len(labels)
     n_test = max(1, int(round(0.2 * n)))
+    if n - n_test < 2:
+        raise ValueError(f"the probe needs at least 3 molecules, got {n}")
+    if labels.std() < 1e-12:
+        raise ValueError("degenerate constant labels")
     mses = []
     for seed in seeds:
         order = np.random.default_rng(seed).permutation(n)

@@ -69,7 +69,7 @@ def contrastive_loss(anchors, positives, tau):
     cross = ad.matmul(anchors, ad.transpose(positives))
     dist2 = ad.add(ad.sub(a2, ad.mul(Tensor(2.0), cross)), p2)
     logits = ad.mul(dist2, Tensor(-1.0 / (tau * tau)))
-    probs = ad.softmax(logits, axis=-1)
+    probs = ad.softmax(logits)
     diag = ad.reshape(probs, (b * b,))[np.arange(b) * (b + 1)]
     return ad.mul(Tensor(-1.0), ad.mean(ad.log(diag)))
 

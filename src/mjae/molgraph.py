@@ -18,6 +18,7 @@ ELEMENTS = ("X", "H", "C", "N", "O", "F")
 ELEMENT_INDEX = {el: i for i, el in enumerate(ELEMENTS)}
 CHARGES = (-1, 0, 1)
 CHARGE_INDEX = {q: i for i, q in enumerate(CHARGES)}
+FEATURE_WIDTH = len(ELEMENTS) + len(CHARGES)  # an H row: atom-type and charge slots
 N_BOND_CATEGORIES = 5  # none, single, double, triple, aromatic
 MAX_ATOMS = 64
 # Largest |coordinate| a record may hold. The frames' cross-product axis has
@@ -75,18 +76,13 @@ class DenseTensors:
     to 2; E[i, j] is a bond-category one-hot with E[i, j] == E[j, i].
     """
 
-    H: np.ndarray  # (n, len(ELEMENTS) + len(CHARGES))
+    H: np.ndarray  # (n, FEATURE_WIDTH)
     E: np.ndarray  # (n, n, N_BOND_CATEGORIES)
     P: np.ndarray  # (n, 3)
 
     @property
     def n(self):
         return self.H.shape[0]
-
-
-def feature_width():
-    """Width of an H row: atom-type slots plus charge slots."""
-    return len(ELEMENTS) + len(CHARGES)
 
 
 def make_graph(atom_types, charges, bonds, positions):
@@ -210,7 +206,7 @@ def serialize_molecule(graph):
 def to_dense(graph):
     """One-hot tensorization: H = type-hot | charge-hot, E = bond-category hot."""
     n = graph.n
-    H = np.zeros((n, feature_width()))
+    H = np.zeros((n, FEATURE_WIDTH))
     H[np.arange(n), graph.atom_types] = 1.0
     charge_slots = np.array([CHARGE_INDEX[int(q)] for q in graph.charges])
     H[np.arange(n), len(ELEMENTS) + charge_slots] = 1.0

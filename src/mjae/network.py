@@ -42,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .frames import DEFAULT_CUTOFF, molecule_frames
-from .molgraph import N_BOND_CATEGORIES, feature_width
+from .molgraph import FEATURE_WIDTH, N_BOND_CATEGORIES
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,6 @@ class NetworkConfig:
                 raise ValueError(f"NetworkConfig.{name} must be >= 1, got {value}")
         if self.d_time % 2:
             raise ValueError(f"NetworkConfig.d_time must be even, got {self.d_time}")
-
-    @property
-    def h_width(self):
-        return feature_width()
-
-    @property
-    def e_width(self):
-        return N_BOND_CATEGORIES
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ def param_shapes(cfg):
         shapes[f"{name}.b"] = (fan_out,)
 
     for branch in ("enc_clean", "enc_noisy"):
-        shapes[f"{branch}.embed"] = (cfg.h_width, cfg.latent)
+        shapes[f"{branch}.embed"] = (FEATURE_WIDTH, cfg.latent)
         for k in range(cfg.rounds):
             shapes[f"{branch}.r{k}.filter"] = (cfg.n_rbf, cfg.latent)
             shapes[f"{branch}.r{k}.msg"] = (cfg.latent, cfg.latent)
@@ -127,19 +119,19 @@ def param_shapes(cfg):
 
     dense("fuse.l1", cfg.d_time + 2 * cfg.latent, cfg.latent)
     dense("fuse.l2", cfg.latent, cfg.latent)
-    dense("edge.l1", cfg.d_time + 2 * cfg.e_width, cfg.edge_hidden)
+    dense("edge.l1", cfg.d_time + 2 * N_BOND_CATEGORIES, cfg.edge_hidden)
     dense("edge.l2", cfg.edge_hidden, 1)
     for layer in range(cfg.gcn_layers):
         dense(f"gcn.l{layer}", cfg.latent, cfg.latent)
     for head in range(cfg.heads):
         shapes[f"att.h{head}.q"] = (cfg.latent, cfg.head_dim)
         shapes[f"att.h{head}.k"] = (cfg.latent, cfg.head_dim)
-    dense("head2d.l1", cfg.heads + 2 * cfg.latent + 2 * cfg.e_width, cfg.edge_hidden)
-    dense("head2d.l2", cfg.edge_hidden, cfg.e_width)
+    dense("head2d.l1", cfg.heads + 2 * cfg.latent + 2 * N_BOND_CATEGORIES, cfg.edge_hidden)
+    dense("head2d.l2", cfg.edge_hidden, N_BOND_CATEGORIES)
     dense("head3d.l1", cfg.latent, cfg.hidden)
     dense("head3d.l2", cfg.hidden, 3)
     dense("headh.l1", cfg.latent, cfg.hidden)
-    dense("headh.l2", cfg.hidden, cfg.h_width)
+    dense("headh.l2", cfg.hidden, FEATURE_WIDTH)
     dense("proj.l1", cfg.latent, cfg.hidden)
     dense("proj.l2", cfg.hidden, cfg.d_contrast)
     return shapes
@@ -158,8 +150,8 @@ def detach_params(params):
     return {k: Tensor(v.data) for k, v in params.items()}
 
 
-def _mlp2(x, params, prefix, rows=None, act=ad.silu):
-    h = act(ad.linear(x, params[f"{prefix}.l1.w"], params[f"{prefix}.l1.b"], rows))
+def _mlp2(x, params, prefix, rows):
+    h = ad.silu(ad.linear(x, params[f"{prefix}.l1.w"], params[f"{prefix}.l1.b"], rows))
     return ad.linear(h, params[f"{prefix}.l2.w"], params[f"{prefix}.l2.b"], rows)
 
 

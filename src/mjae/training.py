@@ -21,13 +21,14 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as losses
 from .molgraph import to_dense
-from .network import NetworkConfig, forward, init_params, param_shapes
+from .network import forward, init_params, param_shapes
 from .schedule import NoiseSchedule, alpha_beta
 from .trajectory import perturb_continuous, sample_time
 
 CHECKPOINT_MAGIC = b"MJAECKPT"
 CHECKPOINT_VERSION = 1
 GRAD_CLIP = 10.0           # global gradient norm cap before each Adam step
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 DIVERGENCE_LIMIT = 1e6     # a total loss above this stops training
 
 
@@ -80,8 +81,9 @@ def init_adam_state(params):
     }
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Standard bias-corrected Adam update of ``params`` and ``state``, in place.
+def adam_step(params, grads, state, lr):
+    """Standard bias-corrected Adam update of ``params`` and ``state``, in place,
+    with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     A non-finite gradient rejects the whole step (params and state untouched)
     with a diagnostic naming the tensor. A tensor's entries are checked one by
@@ -94,30 +96,29 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
                 raise ValueError(f"adam_step: non-finite gradient for {name!r}; step rejected")
     state["step"] += 1
     t = state["step"]
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, g in grads.items():
         # m = beta1 m + (1 - beta1) g; v = beta2 v + (1 - beta2) g g;
         # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), each step rounded as written
         m, v = state["m"][name], state["v"][name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         denom = np.sqrt(v / bc2)
-        denom += eps
+        denom += ADAM_EPS
         update = m / bc1
         update *= lr
         update /= denom
         params[name].data -= update
-    return params, state
 
 
-def clip_gradients(grads, max_norm):
-    """Scale all gradients so the global norm is at most ``max_norm``."""
+def clip_gradients(grads):
+    """Scale all gradients so the global norm is at most ``GRAD_CLIP``."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
+    if total > GRAD_CLIP:
+        scale = GRAD_CLIP / total
         grads = {k: g * scale for k, g in grads.items()}
     return grads, total
 
@@ -162,7 +163,7 @@ def training_step(params, net_cfg, cfg, batch, rngs):
     return report, grads
 
 
-def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):
+def train(dataset, cfg, net_cfg, params=None, on_epoch=None):
     """Train on a list of MoleculeGraph; returns (params, epoch history).
 
     History entries carry the epoch means of the total/score/contrastive
@@ -175,7 +176,6 @@ def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):
     if len(dataset) < 2:
         raise ValueError("dataset has 1 molecule; training needs at least 2 "
                          "(contrastive negatives)")
-    net_cfg = net_cfg or NetworkConfig()
     dense = [to_dense(g) for g in dataset]
     root = np.random.default_rng(cfg.seed)
     if params is None:
@@ -198,7 +198,7 @@ def train(dataset, cfg, net_cfg=None, params=None, on_epoch=None):
             if report.total > DIVERGENCE_LIMIT:
                 raise RuntimeError(
                     f"training diverged at epoch {epoch}: total loss {report.total:g}")
-            grads, _ = clip_gradients(grads, GRAD_CLIP)
+            grads, _ = clip_gradients(grads)
             if cfg.lr_schedule == "cosine":
                 frac = min(1.0, state["step"] / total_steps)
                 cur_lr = cfg.lr * (0.1 + 0.45 * (1.0 + np.cos(np.pi * frac)))
@@ -243,7 +243,7 @@ def replacing(path, mode="wb"):
         raise
 
 
-def save_checkpoint(params, state, path, meta=None):
+def save_checkpoint(params, state, path, meta):
     """Binary checkpoint: magic, version, JSON header, raw little-endian buffers.
     Each array's own buffer is written to a temporary file, which then replaces
     ``path``, so an interrupted save leaves the previous checkpoint intact."""
@@ -258,7 +258,7 @@ def save_checkpoint(params, state, path, meta=None):
                         "dtype": "float64", "offset": offset})
         offset += arr.nbytes
     header = json.dumps({"tensors": entries, "adam_step": state["step"],
-                         "meta": meta or {}}).encode()
+                         "meta": meta}).encode()
     with replacing(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))

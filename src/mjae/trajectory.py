@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .molgraph import N_BOND_CATEGORIES, DenseTensors, feature_width
+from .molgraph import FEATURE_WIDTH, N_BOND_CATEGORIES, DenseTensors
 from .schedule import alpha_beta
 
 
@@ -23,9 +23,7 @@ from .schedule import alpha_beta
 class TrajectorySample:
     """One forward-perturbed molecule with its conditional score targets."""
 
-    x0: DenseTensors
     xt: DenseTensors
-    t: float
     noise: dict          # per-component injected Gaussian noise (P/H/E)
     score_target: dict   # per-component -z / beta(t)
 
@@ -48,7 +46,7 @@ def gauge_noise(n, rng):
     data gauge: zero-CoM P, free H, symmetric zero-diagonal E, drawn from
     ``rng`` in that order."""
     return DenseTensors(P=project_zero_com(rng.standard_normal((n, 3))),
-                        H=rng.standard_normal((n, feature_width())),
+                        H=rng.standard_normal((n, FEATURE_WIDTH)),
                         E=symmetrize_edge_noise(rng.standard_normal((n, n, N_BOND_CATEGORIES))))
 
 
@@ -67,7 +65,7 @@ def perturb_continuous(x0, t, rng, schedule):
     noise = {"P": z.P, "H": z.H, "E": z.E}
     xt = DenseTensors(P=a * x0.P + b * z.P, H=a * x0.H + b * z.H, E=a * x0.E + b * z.E)
     score_target = {c: -noise[c] / b for c in noise}
-    return TrajectorySample(x0=x0, xt=xt, t=t, noise=noise, score_target=score_target)
+    return TrajectorySample(xt=xt, noise=noise, score_target=score_target)
 
 
 def sample_time(rng, t_min):

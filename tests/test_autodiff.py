@@ -337,7 +337,7 @@ def test_block_primitives_make_each_molecules_own_call(rng):
         (ad.pair_inner(Tensor(x), Tensor(k), sizes),
          [(x[a] @ k[a].T).reshape(-1, 1) for _, a, _ in blocks]),
         (ad.pair_softmax(Tensor(p), sizes),
-         [ad.softmax(Tensor(p[q].reshape(n, n)), axis=-1).data.reshape(-1, 1)
+         [ad.softmax(Tensor(p[q].reshape(n, n))).data.reshape(-1, 1)
           for n, _, q in blocks]),
         (ad.ragged_message(Tensor(p), Tensor(np.ones((6, 1))), sizes),
          [p[q].reshape(n, n).sum(axis=1).reshape(-1, 1) for n, _, q in blocks]),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -151,12 +152,18 @@ def test_ingest_rejects_wrong_json_types_by_line(tmp_path, capsys):
     assert len(open(out).read().splitlines()) == 3
 
 
+def _error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
 def test_ingest_empty_file(tmp_path, capsys):
     src = tmp_path / "empty.jsonl"
     src.write_text("")
     rc = main(["ingest", str(src), str(tmp_path / "out.jsonl")])
     assert rc == 1
-    assert "no valid records" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no valid records" in err
+    assert len(_error_lines(err)) == 1
 
 
 def test_ingest_idempotent(tmp_path):
@@ -276,12 +283,12 @@ def test_eval_symmetry_and_metrics(trained, tmp_path):
 
 def test_eval_and_probe_report_rejected_lines(trained, tmp_path, capsys):
     ck, _, _ = trained
-    data = _write_dataset(tmp_path / "data.jsonl", count=2, malformed=1)
+    data = _write_dataset(tmp_path / "data.jsonl", count=3, malformed=1)
     assert main(["eval", ck, "--probe-set", data, "--n-rotations", "2",
                  "--max-probes", "1"]) == 0
     assert capsys.readouterr().err == f"rejected: {read_dataset(data)[1][0]}\n"
     assert main(["probe", ck, data, "--probe-seeds", "2"]) == 0
-    assert "rejected: line 3: " in capsys.readouterr().err
+    assert "rejected: line 4: " in capsys.readouterr().err
 
 
 def test_eval_probe_set_without_valid_records_is_runtime_error(trained, tmp_path, capsys):
@@ -291,6 +298,7 @@ def test_eval_probe_set_without_valid_records_is_runtime_error(trained, tmp_path
     err = capsys.readouterr().err
     assert err.count("rejected: line ") == 2
     assert "error: no valid records in probe set" in err
+    assert len(_error_lines(err)) == 1
 
 
 FAR_RECORD = ('{"atoms":[{"el":"O","xyz":[1e154,1e154,1e154]},{"el":"H","xyz":[1,0,0]},'
@@ -304,6 +312,7 @@ def test_ingest_rejects_a_coordinate_beyond_the_bound(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rejected: line 1: atom 'xyz' component 1e+154 is out of range" in err
     assert "error: no valid records" in err
+    assert len(_error_lines(err)) == 1
 
 
 def test_eval_nonfinite_residual_is_runtime_error_without_report(trained, tmp_path, capsys,
@@ -327,6 +336,26 @@ def test_eval_nonfinite_residual_is_runtime_error_without_report(trained, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: report holds symmetry.") and "= nan" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_probe_of_two_molecules_is_runtime_error_without_report(trained, tmp_path, capsys):
+    ck, _, _ = trained
+    data = _write_dataset(tmp_path / "two.jsonl", count=2)
+    report = tmp_path / "probe.json"
+    assert main(["probe", ck, data, "--probe-seeds", "2", "--report", str(report)]) == 1
+    assert capsys.readouterr().err == "error: the probe needs at least 3 molecules, got 2\n"
+    assert not report.exists()
+
+
+def test_eval_of_samples_without_atom_pairs_names_them(trained, tmp_path, capsys):
+    ck, data, _ = trained
+    samples = str(tmp_path / "s.jsonl")
+    assert main(["sample", ck, "--out", samples, "--n-atoms", "1", "--count", "2",
+                 "--steps", "2"]) == 0
+    capsys.readouterr()
+    assert main(["eval", ck, "--samples", samples, "--reference", data]) == 1
+    assert capsys.readouterr().err == ("error: the sample set holds no atom pair, "
+                                       "so its bond frequencies are undefined\n")
 
 
 def test_eval_nothing_to_do(trained):
@@ -362,6 +391,15 @@ def test_eval_and_probe_without_report_write_no_file(trained, tmp_path, monkeypa
                  "--max-probes", "1"]) == 0
     assert main(["probe", ck, data, "--probe-seeds", "2"]) == 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_manifest_hashes_the_checkpoint_once(trained, tmp_path):
+    ck, _, _ = trained
+    out = str(tmp_path / "s.jsonl")
+    assert main(["sample", ck, "--out", out, "--count", "1", "--steps", "2"]) == 0
+    manifest = json.load(open(out + ".manifest.json"))
+    assert "checkpoint_hash" not in manifest["config"]
+    assert manifest["input_hashes"] == {ck: hashlib.sha256(open(ck, "rb").read()).hexdigest()}
 
 
 def test_eval_and_probe_manifest_sits_next_to_report(trained, tmp_path):
@@ -462,7 +500,9 @@ def test_flags_that_cannot_do_work_are_usage_errors(trained, tmp_path, capsys, a
     except SystemExit as e:
         rc = e.code
     assert rc == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(_error_lines(err)) == 1
     assert not os.listdir(tmp_path)
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,18 @@ def test_generation_metrics_empty():
         generation_metrics([], [water_graph()])
 
 
+@pytest.mark.parametrize("side", ["sample", "reference"])
+def test_generation_metrics_names_a_set_without_atom_pairs(side):
+    """Bond frequencies over no atom pair are 0 / 0: the set is named before
+    any division, and numpy warns of nothing."""
+    lone = [make_graph([1], [0], np.zeros((1, 1), dtype=int), np.zeros((1, 3)))] * 2
+    sets = {"sample": [water_graph()], "reference": [water_graph()], side: lone}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"the {side} set holds no atom pair"):
+            generation_metrics(sets["sample"], sets["reference"])
+
+
 # -- probe ----------------------------------------------------------------
 
 def test_radius_of_gyration():
@@ -274,6 +287,15 @@ def test_ridge_probe_degenerate_labels(rng):
     feats = rng.standard_normal((10, 4))
     with pytest.raises(ValueError, match="degenerate"):
         ridge_probe_mse(feats, np.ones(10), seeds=(0,))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ridge_probe_needs_three_molecules(rng, n):
+    """A 20% split of fewer than 3 molecules leaves fewer than 2 to fit on."""
+    with pytest.raises(ValueError, match=f"at least 3 molecules, got {n}"):
+        ridge_probe_mse(rng.standard_normal((n, 4)), rng.standard_normal(n), seeds=(0,))
+    assert np.isfinite(ridge_probe_mse(rng.standard_normal((3, 4)), [0.0, 1.0, 3.0],
+                                       seeds=(0, 1)))
 
 
 def test_ridge_probe_random_labels_baseline(rng):

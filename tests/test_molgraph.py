@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (WATER_RECORD, json_values, random_molecule, toy_corpus,
                       water_graph)
-from mjae.molgraph import (CHARGES, ELEMENT_INDEX, ELEMENTS, MAX_ATOMS, MAX_COORDINATE,
-                           N_BOND_CATEGORIES, MoleculeGraph, ParseError, feature_width,
+from mjae.molgraph import (CHARGES, ELEMENT_INDEX, ELEMENTS, FEATURE_WIDTH, MAX_ATOMS,
+                           MAX_COORDINATE, N_BOND_CATEGORIES, MoleculeGraph, ParseError,
                            make_graph, parse_molecule, permute,
                            serialize_molecule, to_dense, validate_valence)
 from mjae.sampling import quantize
@@ -141,7 +141,7 @@ def test_graph_arrays_read_only(water):
 def test_to_dense_single_carbon():
     g = make_graph([ELEMENT_INDEX["C"]], [0], [[0]], np.zeros((1, 3)))
     d = to_dense(g)
-    assert d.H.shape == (1, feature_width())
+    assert d.H.shape == (1, FEATURE_WIDTH)
     assert d.H.sum() == 2.0
     assert d.H[0, ELEMENT_INDEX["C"]] == 1.0
 

@@ -9,8 +9,8 @@ from mjae import autodiff as ad
 from mjae import network
 from mjae.autodiff import Tensor
 from mjae.evalsuite import random_rotation
-from mjae.molgraph import (DenseTensors, ELEMENT_INDEX, ELEMENTS, MAX_COORDINATE,
-                           N_BOND_CATEGORIES, feature_width, make_graph, parse_molecule,
+from mjae.molgraph import (DenseTensors, ELEMENT_INDEX, ELEMENTS, FEATURE_WIDTH,
+                           MAX_COORDINATE, N_BOND_CATEGORIES, make_graph, parse_molecule,
                            permute, to_dense)
 from mjae.network import (NetworkConfig, detach_params, edge_condition, encode, forward,
                           fourier_embed, fourier_frequencies, fuse, fuse_gcn, init_params,
@@ -146,7 +146,7 @@ def test_encode_symmetric_molecule_identical_features(cfg, params):
 def _molecule_of(rng, n):
     """DenseTensors of n atoms: random types, one-hot H, and positions in a
     2.4-wide cube, so every pair is within the cutoff."""
-    H = np.zeros((n, feature_width()))
+    H = np.zeros((n, FEATURE_WIDTH))
     H[np.arange(n), rng.integers(0, len(ELEMENTS), size=n)] = 1.0
     H[:, len(ELEMENTS)] = 1.0
     return DenseTensors(H=H, E=np.zeros((n, n, N_BOND_CATEGORIES)),
@@ -510,7 +510,7 @@ def _one_molecule_heads(params, cfg, f0, ft, cond, xt, anchor_ft, anchor, t):
         q = ad.matmul(h, params[f"att.h{head}.q"])
         k = ad.matmul(h, params[f"att.h{head}.k"])
         att = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(k)),
-                                Tensor(1.0 / np.sqrt(cfg.head_dim))), axis=-1)
+                                Tensor(1.0 / np.sqrt(cfg.head_dim))))
         maps.append(ad.reshape(att, (n * n, 1)))
     pair_prod = ad.reshape(ad.mul(ad.reshape(h, (n, 1, cfg.latent)),
                                   ad.reshape(h, (1, n, cfg.latent))), (n * n, cfg.latent))
@@ -530,7 +530,7 @@ def _one_molecule_heads(params, cfg, f0, ft, cond, xt, anchor_ft, anchor, t):
     return {"node_h": h.data, "pooled": pooled.data, "projection": project(pooled).data,
             "anchor": project(latent(anchor_ft, anchor)[1]).data, "coeffs_P": coeffs.data,
             "score_P": ad.sub(field, ad.mean(field, axis=0)).data,
-            "score_E": ad.reshape(sym, (n, n, cfg.e_width)).data,
+            "score_E": ad.reshape(sym, (n, n, N_BOND_CATEGORIES)).data,
             "score_H": mlp2(h, "headh").data}
 
 

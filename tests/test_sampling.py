@@ -7,7 +7,7 @@ from conftest import small_net_config, toy_corpus, water_graph
 from mjae import network, sampling
 from mjae.autodiff import Tensor
 from mjae.evalsuite import gaussian_marginal_score, random_rotation
-from mjae.molgraph import (DenseTensors, N_BOND_CATEGORIES, feature_width,
+from mjae.molgraph import (DenseTensors, FEATURE_WIDTH, N_BOND_CATEGORIES,
                            to_dense)
 from mjae.network import init_params
 from mjae.sampling import (SamplerConfig, generate, integrate, quantize, reverse_paths_1d,
@@ -22,7 +22,7 @@ VE = NoiseSchedule(kind="VE")
 def _state(rng, n=4, k=1):
     """A group of k random n-atom paths, stacked per component."""
     return {"P": rng.standard_normal((k, n, 3)),
-            "H": rng.standard_normal((k, n, feature_width())),
+            "H": rng.standard_normal((k, n, FEATURE_WIDTH)),
             "E": rng.standard_normal((k, n, n, N_BOND_CATEGORIES))}
 
 
@@ -126,7 +126,7 @@ def test_prior_sample_gauge():
 
     integrate(_noise([0, 1], n=6), score, VP, 0.0, 1, 1e-3, range(2))
     prior = seen[0]
-    assert prior["H"].shape == (2, 6, feature_width())
+    assert prior["H"].shape == (2, 6, FEATURE_WIDTH)
     assert np.abs(prior["P"].mean(axis=1)).max() < 1e-12
     assert np.array_equal(prior["E"], np.swapaxes(prior["E"], 1, 2))
     first = gauge_noise(6, np.random.default_rng(1))
@@ -341,7 +341,7 @@ def test_generate_ends_in_the_data_law_under_the_exact_score(schedule, lam, monk
                     alpha_beta(schedule, t)[1] * gaussian_marginal_score(
                         getattr(x, c), t, 0.0, ORACLE_SIGMA, schedule).reshape(-1, width)
                     for x, t in zip(inputs, times)]))
-                for c, width in (("P", 3), ("H", feature_width()), ("E", N_BOND_CATEGORIES))}
+                for c, width in (("P", 3), ("H", FEATURE_WIDTH), ("E", N_BOND_CATEGORIES))}
 
     monkeypatch.setattr(sampling, "forward", exact_scores)
     monkeypatch.setattr(sampling, "quantize", lambda state: finals.append(state) or state)

@@ -17,7 +17,7 @@ from mjae.autodiff import Tensor
 from mjae.molgraph import to_dense
 from mjae.network import NetworkConfig, init_params
 from mjae.schedule import NoiseSchedule, alpha_beta
-from mjae.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError,
+from mjae.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, GRAD_CLIP, CheckpointError,
                            TrainConfig, adam_step,
                            build_schedules, check_shapes, clip_gradients,
                            init_adam_state, load_checkpoint, save_checkpoint,
@@ -121,7 +121,7 @@ def test_adam_applies_finite_gradient_whose_sum_overflows(rng):
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
     with np.errstate(over="ignore"):
         assert not np.isfinite(g.sum())
-        adam_step(params, {"w": g}, state, lr, b1, b2, eps)
+        adam_step(params, {"w": g}, state, lr)
         m = (1.0 - b1) * g
         v = (1.0 - b2) * g * g
         ref = ref - lr * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + eps)
@@ -142,7 +142,7 @@ def test_adam_matches_textbook_formula_bitwise(rng):
     lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
     for step in range(1, 13):
         grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
-        adam_step(params, grads, state, lr, b1, b2, eps)
+        adam_step(params, grads, state, lr)
         for k, g in grads.items():
             m[k] = b1 * m[k] + (1.0 - b1) * g
             v[k] = b2 * v[k] + (1.0 - b2) * g * g
@@ -155,12 +155,15 @@ def test_adam_matches_textbook_formula_bitwise(rng):
 
 
 def test_clip_gradients():
-    grads = {"a": np.array([3.0, 4.0])}
-    clipped, norm = clip_gradients(grads, max_norm=2.5)
+    assert GRAD_CLIP == 10.0
+    grads = {"a": np.array([30.0, 40.0])}
+    clipped, norm = clip_gradients(grads)
+    assert abs(norm - 50.0) < 1e-12
+    assert abs(np.linalg.norm(clipped["a"]) - GRAD_CLIP) < 1e-12
+    below = {"a": np.array([3.0, 4.0])}
+    same, norm = clip_gradients(below)
     assert abs(norm - 5.0) < 1e-12
-    assert abs(np.linalg.norm(clipped["a"]) - 2.5) < 1e-12
-    same, _ = clip_gradients(grads, max_norm=10.0)
-    assert np.array_equal(same["a"], grads["a"])
+    assert np.array_equal(same["a"], below["a"])
 
 
 # -- training loop --------------------------------------------------------
@@ -230,7 +233,7 @@ def test_cosine_lr_spans_the_batches_train_runs(monkeypatch, count, batch_size,
 
 def test_train_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
-        train([], _quick_cfg())
+        train([], _quick_cfg(), small_net_config())
 
 
 def test_train_one_molecule_is_value_error():
@@ -453,7 +456,7 @@ def test_load_checkpoint_copies_the_body_once(tmp_path):
     is never held in one piece."""
     params = init_params(NetworkConfig(), np.random.default_rng(0))
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(params, init_adam_state(params), path)
+    save_checkpoint(params, init_adam_state(params), path, meta={})
     tracemalloc.start()
     try:
         loaded, state, _ = load_checkpoint(path)
@@ -493,7 +496,7 @@ def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, rng, monkeypat
     cfg = small_net_config()
     params = init_params(cfg, rng)
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(params, init_adam_state(params), path)
+    save_checkpoint(params, init_adam_state(params), path, meta={})
     before = open(path, "rb").read()
 
     class FullDisk:
@@ -520,7 +523,7 @@ def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, rng, monkeypat
     with monkeypatch.context() as m:
         m.setattr(training, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
         with pytest.raises(OSError, match="No space"):
-            save_checkpoint(newer, init_adam_state(newer), path)
+            save_checkpoint(newer, init_adam_state(newer), path, meta={})
     assert os.listdir(tmp_path) == ["ck.bin"]
     assert open(path, "rb").read() == before
     loaded, _, _ = load_checkpoint(path)
@@ -538,7 +541,7 @@ def test_checkpoint_bad_version(tmp_path, rng):
     cfg = small_net_config()
     params = init_params(cfg, rng)
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(params, init_adam_state(params), path)
+    save_checkpoint(params, init_adam_state(params), path, meta={})
     blob = bytearray(open(path, "rb").read())
     blob[8] = 99
     open(path, "wb").write(bytes(blob))
@@ -550,7 +553,7 @@ def test_checkpoint_truncated(tmp_path, rng):
     cfg = small_net_config()
     params = init_params(cfg, rng)
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(params, init_adam_state(params), path)
+    save_checkpoint(params, init_adam_state(params), path, meta={})
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:len(blob) // 2])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -622,7 +625,7 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path, rng):
     cfg = small_net_config()
     params = init_params(cfg, rng)
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(params, init_adam_state(params), path)
+    save_checkpoint(params, init_adam_state(params), path, meta={})
     params2, _, _ = load_checkpoint(path)
     other = NetworkConfig(latent=8, rounds=1, n_rbf=8, gcn_layers=1, heads=2,
                           head_dim=8, d_time=8, d_contrast=8, hidden=16,

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_molecule, small_net_config, water_graph
 from mjae import sampling
-from mjae.molgraph import N_BOND_CATEGORIES, DenseTensors, feature_width, permute, to_dense
+from mjae.molgraph import FEATURE_WIDTH, N_BOND_CATEGORIES, DenseTensors, permute, to_dense
 from mjae.network import init_params
 from mjae.schedule import NoiseSchedule, alpha_beta
 from mjae.trajectory import (gauge_noise, perturb_absorbing, perturb_continuous,
@@ -43,7 +43,7 @@ def test_gauge_noise_is_drawn_in_one_order_everywhere(monkeypatch):
     per step at lam > 0, and only for the prior on the ODE (lam = 0)."""
     x0 = to_dense(water_graph())
     n = x0.n
-    shapes = [(n, 3), (n, feature_width()), (n, n, N_BOND_CATEGORIES)]
+    shapes = [(n, 3), (n, FEATURE_WIDTH), (n, n, N_BOND_CATEGORIES)]
     rec = RecordingRng(0)
     perturb_continuous(x0, 0.5, rec, VP)
     assert rec.shapes == shapes
