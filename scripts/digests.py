@@ -17,15 +17,15 @@ matrix, each output keyed by its settings:
   (4 atoms), and 60 paths of 12 atoms, which advance in two groups; each
   key hashes the molecules and the final states handed to ``quantize``;
 * ``reverse_paths_1d`` on the exact Gaussian score: lam 0, 0.5 and 1;
-* ``gaussian_score_toy`` (acceptance criterion 5) at 16 train steps: VP and
-  VE, one key hashing the error and the per-time errors and one the trained
-  parameters, as the last ``adam_step`` leaves them;
+* ``gaussian_score_toy`` (acceptance criterion 5) at 16 and 24 train steps:
+  VP and VE, one key hashing the error and the per-time errors and one the
+  trained parameters, as the last ``adam_step`` leaves them;
 * ``train`` history and parameters on a tiny net: VP and VE,
   ``self_cond_prob`` 0 and 0.5; and on VP at 0, the tiny net at latent
   width 1, at latent and edge hidden width 1 (width-1 pair rows on both
   sides of ``score_2d``), on 8 molecules of one atom count (each batch one
-  run of k = 4, so every block primitive's stacked backward) and the
-  default net;
+  run of k = 4, so every block primitive's stacked backward), the tiny net
+  on the cosine lr and the default net;
 * the CLI smoke flow, ``cli.main`` in a temporary directory: ``ingest`` of
   12 toy molecules and one malformed line, a VE ``pretrain`` with
   ``--loss-log``, ``sample`` at lam 0 and 1, ``eval --report``, ``probe
@@ -197,10 +197,12 @@ def main(argv=None):
     toy_params, adam_step = [], evalsuite.adam_step
     evalsuite.adam_step = lambda params, *args: toy_params.append(params) or adam_step(
         params, *args)
+    # at 16 steps pi * step / 16 rounds as pi * (step / 16) does; at 24 it does not
     for kind, schedule in schedules.items():
-        key = f"gaussian_score_toy/{kind}/train_steps=16"
-        out[key] = digest(*gaussian_score_toy(schedule, train_steps=16))
-        out[f"{key}/params"] = digest({k: v.data for k, v in toy_params[-1].items()})
+        for steps in (16, 24):
+            key = f"gaussian_score_toy/{kind}/train_steps={steps}"
+            out[key] = digest(*gaussian_score_toy(schedule, train_steps=steps))
+            out[f"{key}/params"] = digest({k: v.data for k, v in toy_params[-1].items()})
 
     rng = np.random.default_rng(401)
     corpus = [random_molecule(rng, int(rng.integers(2, 5))) for _ in range(12)]
@@ -210,19 +212,24 @@ def main(argv=None):
     equal = [m for m in drawn if m.n == drawn[0].n][:8]
     if len(equal) != 8:
         sys.exit(f"digests: {len(equal)} of 40 molecules share an atom count, not 8")
-    runs = [(kind, p, "tiny", tiny, corpus, "") for kind in schedules for p in (0.0, 0.5)]
-    runs += [("VP", 0.0, "latent1", dataclasses.replace(tiny, latent=1), corpus, ""),
-             ("VP", 0.0, "latent1_edge_hidden1",
-              dataclasses.replace(tiny, latent=1, edge_hidden=1), corpus, ""),
-             ("VP", 0.0, "tiny", tiny, equal, "/corpus=equal_size"),
-             ("VP", 0.0, "default", NetworkConfig(), corpus[:8], "")]
-    for kind, p, name, net, data, suffix in runs:
+
+    def train_run(kind, name, net, data, suffix="", **settings):
         cfg = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=3, schedule=schedules[kind],
-                          self_cond_prob=p)
+                          **settings)
         trained, history = train(data, cfg, net)
-        key = f"train/{kind}/self_cond_prob={p}/net={name}{suffix}"
+        key = f"train/{kind}/self_cond_prob={cfg.self_cond_prob}/net={name}{suffix}"
         out[f"{key}/history"] = digest(history)
         out[f"{key}/params"] = digest({k: v.data for k, v in trained.items()})
+
+    for kind in schedules:
+        for p in (0.0, 0.5):
+            train_run(kind, "tiny", tiny, corpus, self_cond_prob=p)
+    train_run("VP", "latent1", dataclasses.replace(tiny, latent=1), corpus)
+    train_run("VP", "latent1_edge_hidden1", dataclasses.replace(tiny, latent=1, edge_hidden=1),
+              corpus)
+    train_run("VP", "tiny", tiny, equal, "/corpus=equal_size")
+    train_run("VP", "tiny", tiny, corpus, "/lr_schedule=cosine", lr_schedule="cosine")
+    train_run("VP", "default", NetworkConfig(), corpus[:8])
 
     out.update(cli_smoke(random_molecule))
     print(json.dumps(out, indent=1, sort_keys=True))

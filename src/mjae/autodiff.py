@@ -5,7 +5,10 @@ to its parents so that ``backward`` can replay the chain rule. The recorded
 graph is single-use: ``backward`` cuts each node from its parents as it walks
 the tape, and a second call raises. A node whose operands need no gradient
 records nothing: it is a bare ``Tensor`` with no parents and no gradient
-functions. Dense tensors of rank <= 4 only; no GPU, no higher-order derivatives.
+functions. Each gradient function is a plain closure from the output gradient
+to one parent's contribution (a matmul's weight gradient is one GEMM,
+``x.T @ g``), and ``backward`` sums a tensor's contributions as they arrive.
+Dense tensors of rank <= 4 only; no GPU, no higher-order derivatives.
 
 Three primitives fuse what the network does most often into one tape node:
 ``linear`` (matmul plus bias), ``ragged_message`` (the per-pair message sum
@@ -141,19 +144,6 @@ def div(a, b):
                    lambda g, x, y: -g * x / (y * y))
 
 
-class _RightOperandGrad:
-    """Gradient of a matmul's right operand, ``a.T @ g``. ``backward`` stacks
-    the ``(a, g)`` rows of every use of one leaf weight into a single GEMM."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def __call__(self, g):
-        return self.a.T @ g
-
-
 @functools.lru_cache(maxsize=8)
 def _run_slices(sizes):
     """The runs of the tuple ``sizes`` (see ``_runs``) and the atom and pair
@@ -183,8 +173,8 @@ def _runs(sizes, rows, op, pairs=None):
 def _gemm(x, w, b, rows, op):
     """The tape node of ``x @ w`` (plus ``b`` when given); with ``rows``, x runs
     as blocks of that many rows, one GEMM each, made by one stacked matmul per
-    run of equal blocks. The weight gradient is a ``_RightOperandGrad`` over
-    all rows, so ``backward`` stacks it with the weight's other uses."""
+    run of equal blocks. The weight gradient is one GEMM over all rows,
+    ``x.T @ g``."""
     if rows is None:
         out = x.data @ w.data
     else:
@@ -197,7 +187,7 @@ def _gemm(x, w, b, rows, op):
         out += b.data
     if not _needs_grad(x, w, b):
         return Tensor(out, _op=op)
-    parents = [(x, lambda g: g @ w.data.T), (w, _RightOperandGrad(x.data))]
+    parents = [(x, lambda g: g @ w.data.T), (w, lambda g: x.data.T @ g)]
     if b is not None:
         parents.append((b, lambda g: g.sum(axis=0)))
     return _make(out, tuple(parents), op)
@@ -594,12 +584,6 @@ def transpose(a):
 
 # -- backward ------------------------------------------------------------
 
-def _stacked_weight_grad(uses):
-    """sum_i a_i.T @ g_i over the (a_i, g_i) pairs, as one GEMM on stacked rows."""
-    a_rows, g_rows = zip(*uses)
-    return np.concatenate(a_rows).T @ np.concatenate(g_rows)
-
-
 def backward(loss):
     """Populate ``.grad`` on every reachable leaf, consuming the tape.
 
@@ -610,13 +594,8 @@ def backward(loss):
     Nodes are popped in topological order and each is cut from its parents
     before their contributions are formed, so an interior array (a node's
     data and what its gradient functions hold) is freed once its last
-    consumer's gradient is formed, not when the walk ends.
-
-    A leaf that is the right operand of k > 1 matmuls gets one
-    ``concat(a).T @ concat(g)`` when the k-th use's gradient arrives, instead
-    of k products and k - 1 additions; its rows are freed at once. In a
-    training step only ``proj.l1.w`` and ``proj.l2.w`` are such leaves, with
-    2 uses each (the input and the anchor projections).
+    consumer's gradient is formed, not when the walk ends. A tensor used
+    several times sums its uses' contributions in the order they arrive.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -630,16 +609,11 @@ def backward(loss):
 
     order = []
     visited = set()
-    matmul_uses = {}  # id(leaf) -> matmuls taking it as right operand
     stack = [(loss, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             order.append(node)
-            for parent, grad_fn in node._parents:
-                if (type(grad_fn) is _RightOperandGrad and parent.requires_grad
-                        and not parent._parents):
-                    matmul_uses[id(parent)] = matmul_uses.get(id(parent), 0) + 1
             continue
         if id(node) in visited:
             continue
@@ -650,7 +624,6 @@ def backward(loss):
                 stack.append((parent, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
-    rows = {}  # id(leaf) -> [(a, g)] of its matmul uses seen so far
     while order:
         node = order.pop()
         parents, node._parents = node._parents, ()
@@ -663,14 +636,7 @@ def backward(loss):
         for parent, grad_fn in parents:
             if not parent.requires_grad:
                 continue
-            key = id(parent)
-            if type(grad_fn) is _RightOperandGrad and matmul_uses.get(key, 0) > 1:
-                rows.setdefault(key, []).append((grad_fn.a, g))
-                if len(rows[key]) < matmul_uses[key]:
-                    continue
-                contrib = _stacked_weight_grad(rows.pop(key))
-            else:
-                contrib = grad_fn(g)
+            key, contrib = id(parent), grad_fn(g)
             if key in grads:
                 grads[key] = grads[key] + contrib
             else:

@@ -420,18 +420,21 @@ def build_parser(defaults):
     return parser
 
 
-def main(argv=None):
-    defaults = {}
-    config_path = os.environ.get("MJAE_CONFIG")
-    if config_path:
-        try:
-            defaults = load_config_file(config_path)
-        except (OSError, ValueError) as e:
-            print(f"error reading config {config_path}: {e}", file=sys.stderr)
-            return 2
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
+def _env_config():
+    """The config file ``MJAE_CONFIG`` names, or no defaults; a file that
+    cannot be read or parsed is a ``UsageError``."""
+    path = os.environ.get("MJAE_CONFIG")
+    if not path:
+        return {}
     try:
+        return load_config_file(path)
+    except (OSError, ValueError) as e:
+        raise UsageError(f"cannot read config {path}: {e}") from None
+
+
+def main(argv=None):
+    try:
+        args = build_parser(_env_config()).parse_args(argv)
         return args.fn(args)
     except (OSError, ValueError, RuntimeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -23,7 +23,7 @@ from .molgraph import (DenseTensors, ELEMENTS, N_BOND_CATEGORIES, permute,
 from .network import (detach_params, forward, fourier_embed, latents, per_molecule,
                       self_paired_groups)
 from .schedule import alpha_beta
-from .training import adam_step, init_adam_state
+from .training import adam_step, cosine_lr, init_adam_state
 
 
 def random_rotation(rng):
@@ -200,8 +200,7 @@ def gaussian_score_toy(schedule, train_steps=4000, seed=0):
         for p in params.values():
             p.grad = None
         # cosine decay tames the Monte Carlo wander of the late steps
-        cur_lr = lr * (0.1 + 0.45 * (1.0 + np.cos(np.pi * step / train_steps)))
-        adam_step(params, grads, state, cur_lr)
+        adam_step(params, grads, state, cosine_lr(lr, step, train_steps))
 
     per_time = {}
     for t in (0.1, 0.5, 0.9):

@@ -345,12 +345,12 @@ def self_paired_groups(sizes):
 
 
 def latents(params, cfg, conds, inputs, times, anchors=None):
-    """Latent stage of ``forward``: the record ``{"latent", "pairs",
-    "channels"}`` of the (conditioner, input, time) triples (``"pairs"`` is
-    the ``_pair_rows`` index of their pair rows and ``"channels"`` the
-    ``_pair_channels`` of their conditioners and of their inputs), plus
-    ``"anchor_pooled"``, the pooled latent rows of the (conditioner, anchor,
-    time) triples, with ``anchors``.
+    """Latent stage of ``forward``: the record ``{"latent", "pooled",
+    "pairs", "channels"}`` of the (conditioner, input, time) triples
+    (``"pairs"`` is the ``_pair_rows`` index of their pair rows and
+    ``"channels"`` the ``_pair_channels`` of their conditioners and of their
+    inputs). ``"pooled"`` holds the pooled latent rows of the inputs and,
+    with ``anchors``, then those of the (conditioner, anchor, time) triples.
 
     The clean branch encodes all conditioners in one pass and the noisy branch
     all inputs and anchors in another. Pair features are computed once per
@@ -379,21 +379,23 @@ def latents(params, cfg, conds, inputs, times, anchors=None):
     w = edge_condition(*channels, emb, params, view_sizes, pairs)
     latent = fuse_gcn(node, w, params, cfg, view_sizes, pairs)
     if not anchors:
-        return {"latent": latent, "pairs": pairs, "channels": channels}
+        return {"latent": latent, "pooled": latent.pooled, "pairs": pairs, "channels": channels}
     atoms, b, rows = sum(sizes), len(sizes), sum(n * n for n in sizes)
     return {"latent": LatentRepresentation(latent.node_h[:atoms], latent.pooled[:b], tuple(sizes)),
-            "anchor_pooled": latent.pooled[b:], "pairs": tuple(a[:rows] for a in pairs),
+            "pooled": latent.pooled, "pairs": tuple(a[:rows] for a in pairs),
             "channels": tuple(c[:rows] for c in channels)}
 
 
 def heads(record, params, cfg, inputs):
     """Heads stage of ``forward``: the ``latents`` record of the triples with
     inputs ``inputs``, with their projections (and anchor projections),
-    head3d coefficients and the three score heads on the input."""
+    head3d coefficients and the three score heads on the input. One
+    ``project`` call maps every pooled row, the inputs' and the anchors'."""
     latent = record["latent"]
-    out = {"latent": latent, "projection": project(latent.pooled, params)}
-    if "anchor_pooled" in record:
-        out["anchor"] = project(record["anchor_pooled"], params)
+    projected = project(record["pooled"], params)
+    out = {"latent": latent, "projection": projected}
+    if projected.shape[0] > len(inputs):
+        out["projection"], out["anchor"] = projected[:len(inputs)], projected[len(inputs):]
     coeffs = _mlp2(latent.node_h, params, "head3d", latent.sizes)  # (N, 3) invariant
     runs = [np.stack(list(run)) for _, run in groupby([m.P for m in inputs], key=len)]
     basis = np.concatenate([molecule_frames(run).reshape(run.shape[0] * run.shape[1], 3, 3)

@@ -114,6 +114,12 @@ def adam_step(params, grads, state, lr):
         params[name].data -= update
 
 
+def cosine_lr(lr, step, total):
+    """The learning rate after ``step`` of ``total`` steps on the cosine
+    schedule: ``lr`` at step 0, decaying towards 0.1 ``lr`` at ``total``."""
+    return lr * (0.1 + 0.45 * (1.0 + np.cos(np.pi * (step / total))))
+
+
 def clip_gradients(grads):
     """Scale all gradients so the global norm is at most ``GRAD_CLIP``."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -199,11 +205,8 @@ def train(dataset, cfg, net_cfg, params=None, on_epoch=None):
                 raise RuntimeError(
                     f"training diverged at epoch {epoch}: total loss {report.total:g}")
             grads, _ = clip_gradients(grads)
-            if cfg.lr_schedule == "cosine":
-                frac = min(1.0, state["step"] / total_steps)
-                cur_lr = cfg.lr * (0.1 + 0.45 * (1.0 + np.cos(np.pi * frac)))
-            else:
-                cur_lr = cfg.lr
+            cur_lr = (cosine_lr(cfg.lr, state["step"], total_steps)
+                      if cfg.lr_schedule == "cosine" else cfg.lr)
             try:
                 adam_step(params, grads, state, cur_lr)
             except ValueError:

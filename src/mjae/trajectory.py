@@ -24,7 +24,6 @@ class TrajectorySample:
     """One forward-perturbed molecule with its conditional score targets."""
 
     xt: DenseTensors
-    noise: dict          # per-component injected Gaussian noise (P/H/E)
     score_target: dict   # per-component -z / beta(t)
 
 
@@ -62,10 +61,8 @@ def perturb_continuous(x0, t, rng, schedule):
         raise ValueError(f"beta(t)=0 at t={t}: score target undefined")
 
     z = gauge_noise(x0.n, rng)
-    noise = {"P": z.P, "H": z.H, "E": z.E}
     xt = DenseTensors(P=a * x0.P + b * z.P, H=a * x0.H + b * z.H, E=a * x0.E + b * z.E)
-    score_target = {c: -noise[c] / b for c in noise}
-    return TrajectorySample(xt=xt, noise=noise, score_target=score_target)
+    return TrajectorySample(xt=xt, score_target={c: -getattr(z, c) / b for c in "PHE"})
 
 
 def sample_time(rng, t_min):

@@ -641,8 +641,9 @@ def _shared_weight_loss(w_for, xs):
 
 
 def test_weight_shared_by_several_matmuls(rng):
-    """Weights feeding 1, 2 and 5 matmuls plus an add: the stacked weight
-    gradient matches per-use accumulation and central finite differences."""
+    """Weights feeding 1, 2 and 5 matmuls plus an add: each weight's
+    gradient, accumulated over its uses on one tape, matches the sum of
+    fresh per-use leaves' gradients and central finite differences."""
     counts = (1, 2, 5)
     xs = [[rng.standard_normal((int(rng.integers(1, 6)), 4)) for _ in range(k)]
           for k in counts]
@@ -651,7 +652,7 @@ def test_weight_shared_by_several_matmuls(rng):
     shared = [Tensor(w.copy(), requires_grad=True) for w in w0]
     ad.backward(_shared_weight_loss(lambda j: shared[j], xs))
 
-    # reference: a fresh leaf per use, so each takes the immediate a.T @ g
+    # reference: a fresh leaf per use, so each takes only its own a.T @ g
     copies = [[] for _ in counts]
 
     def fresh(j):

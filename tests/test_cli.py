@@ -60,11 +60,23 @@ def test_load_config_file_malformed(tmp_path):
         load_config_file(str(p))
 
 
-def test_env_config_malformed_is_usage_error(tmp_path, monkeypatch):
+def test_env_config_malformed_is_usage_error(tmp_path, monkeypatch, capsys):
     p = tmp_path / "cfg"
     p.write_text("broken line\n")
     monkeypatch.setenv("MJAE_CONFIG", str(p))
     assert main(["selftest"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"{p}:1: expected key=value" in lines[0]
+
+
+def test_env_config_missing_is_usage_error(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "absent.cfg"
+    monkeypatch.setenv("MJAE_CONFIG", str(p))
+    assert main(["selftest"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(p) in lines[0]
 
 
 def test_env_config_supplies_defaults(tmp_path, monkeypatch, capsys):

@@ -441,32 +441,56 @@ def test_detached_forward_records_nothing_and_matches_trainable(rng, monkeypatch
         assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64)), key
 
 
-def test_training_step_records_237_tape_nodes(monkeypatch):
-    """A default-net training step's tape holds 237 nodes: those reachable
-    from the loss through parents that need gradients, the loss and the
-    parameters included. It held 241 before ``score_2d`` built its pair rows
-    h_i * h_j and u_i + u_j with ``pair_outer``: the four gather nodes
-    ``h[i]``, ``h[j]``, ``u[i]`` and ``u[j]`` went, and one ``pair_outer``
-    node each took the place of the ``mul`` and the ``add`` that read them."""
+def _training_step_tape(monkeypatch):
+    """(op, parents) of every node of a default-net training step's tape:
+    those reachable from the loss through parents that need gradients, the
+    loss and the parameters included, as ``backward`` receives them (it cuts
+    each node from its parents); and the parameters."""
     batch = [to_dense(g) for g in toy_corpus(count=8, seed=5)]
     net_cfg = NetworkConfig()
     params = init_params(net_cfg, np.random.default_rng(3))
-    counts, real_backward = [], ad.backward
+    tapes, real_backward = [], ad.backward
 
     def spy(loss):
-        seen, stack = {id(loss)}, [loss]
+        seen, stack = {id(loss): loss}, [loss]
         while stack:
             for parent, _ in stack.pop()._parents:
                 if parent.requires_grad and id(parent) not in seen:
-                    seen.add(id(parent))
+                    seen[id(parent)] = parent
                     stack.append(parent)
-        counts.append(len(seen))
+        tapes.append([(node._op, [parent for parent, _ in node._parents])
+                      for node in seen.values()])
         real_backward(loss)
 
     monkeypatch.setattr(ad, "backward", spy)
     training_step(params, net_cfg, TrainConfig(self_cond_prob=0.5), batch,
                   [np.random.default_rng([7, i]) for i in range(len(batch))])
-    assert counts == [237]
+    assert len(tapes) == 1
+    return tapes[0], params
+
+
+def test_training_step_records_228_tape_nodes(monkeypatch):
+    """A default-net training step's tape holds 228 nodes. It held 241 before
+    ``score_2d`` built its pair rows h_i * h_j and u_i + u_j with
+    ``pair_outer``: the four gather nodes ``h[i]``, ``h[j]``, ``u[i]`` and
+    ``u[j]`` went, and one ``pair_outer`` node each took the place of the
+    ``mul`` and the ``add`` that read them (237). It then lost the second
+    projection: the anchor rows' own ``project`` (two ``linear``, a
+    ``silu``, ``square``, ``sum``, ``add``, ``sqrt``, ``reshape`` and
+    ``div``) and the slices of the pooled rows into input and anchor rows,
+    while the one ``project`` of both gained the slices of its output."""
+    tape, _ = _training_step_tape(monkeypatch)
+    assert len(tape) == 228
+
+
+def test_training_step_projects_once(monkeypatch):
+    """The projection head runs once per training step, over the input and
+    anchor rows together: one ``linear`` node reads each projection weight."""
+    tape, params = _training_step_tape(monkeypatch)
+    for name in ("proj.l1.w", "proj.l2.w"):
+        readers = [op for op, parents in tape
+                   if op == "linear" and any(p is params[name] for p in parents)]
+        assert len(readers) == 1, name
 
 
 def _one_molecule_heads(params, cfg, f0, ft, cond, xt, anchor_ft, anchor, t):

@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import json_values, small_net_config, toy_corpus, write_raw_checkpoint
 from mjae import autodiff as ad
 from mjae import loss as losses
-from mjae import network, training
+from mjae import evalsuite, network, training
 from mjae.autodiff import Tensor
 from mjae.molgraph import to_dense
 from mjae.network import NetworkConfig, init_params
 from mjae.schedule import NoiseSchedule, alpha_beta
 from mjae.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, GRAD_CLIP, CheckpointError,
                            TrainConfig, adam_step,
-                           build_schedules, check_shapes, clip_gradients,
+                           build_schedules, check_shapes, clip_gradients, cosine_lr,
                            init_adam_state, load_checkpoint, save_checkpoint,
                            train, training_step)
 from mjae.trajectory import perturb_continuous, sample_time
@@ -229,6 +229,25 @@ def test_cosine_lr_spans_the_batches_train_runs(monkeypatch, count, batch_size,
     assert lrs[0] == cfg.lr
     assert all(a > b for a, b in zip(lrs, lrs[1:]))
     assert min(lrs) > 0.1 * cfg.lr  # the floor is only reached after the run
+    # each step's lr is the shared cosine rule's, bit for bit
+    assert [lr.hex() for lr in lrs] == [cosine_lr(cfg.lr, step, steps).hex()
+                                        for step in range(steps)]
+
+
+def test_score_toy_lr_is_the_shared_cosine_rule(monkeypatch):
+    """``gaussian_score_toy`` steps with ``cosine_lr`` of its own step count,
+    bit for bit, at a count (24) where the rounding of pi * step / total and
+    pi * (step / total) differs."""
+    lrs = []
+
+    def spy(params, grads, state, lr):
+        lrs.append(lr)
+        return adam_step(params, grads, state, lr)
+
+    monkeypatch.setattr(evalsuite, "adam_step", spy)
+    evalsuite.gaussian_score_toy(NoiseSchedule(), train_steps=24)
+    assert [lr.hex() for lr in lrs] == [cosine_lr(lrs[0], step, 24).hex()
+                                        for step in range(24)]
 
 
 def test_train_empty_dataset():
